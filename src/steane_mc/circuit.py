@@ -1,29 +1,52 @@
-"""Concrete time-stepped networks: encoder, ancilla prep, syndrome rounds.
+"""The circuit, written down once: gate tables compiled into one op program.
 
-All layout choices live in the module-level tables below; the Monte Carlo
-engine executes the same tables, so censuses, dumps and the simulation can
-never drift apart.  Qubits are 0-indexed (data bit j <-> data position j+1).
+`program()` compiles the tables below, per experiment mode, into a flat
+sequence of `Op`s that the engine interprets.  The networks (encoder, ancilla
+prep, syndrome round, recovery), their censuses, the text dump and the
+schedule fingerprint are derived from the same ops, so the pinned dump
+describes what the engine runs.  Qubits are 0-indexed (data bit j <-> data
+position j+1).
+
+An op is (kind, step, qubits, args): `step` and `qubits` place it in the
+network (a noise op lists the qubits its bits strike, in bit order); `args`
+are the interpreter's operands in register-local bits, register DATA holding
+the data block and ANC the ancilla group in use.  Kinds: H, CNOT; M (parity
+of the qubits' x bits: a verification flag or a syndrome bit); I (idle block,
+every step of a memory draw XORed in); P (majority vote and correction);
+pauli1/pauli2 (a tagged noise draw over one-qubit / CNOT locations);
+xor/pair (one column of a draw onto a register); prep (the shared ATTEMPT,
+placed at its step and qubits, rerun for rejected trials); tally (stabilize
+fidelity count).
+
+Locations are numbered per trial in draw order, the random stream's
+contract, and draw order is not step order; where the draw ops sit fixes
+it.  An ancilla attempt draws its /g1, /g2 and /mem (7 steps x 5 qubits)
+blocks before its first gate; the encoder draws enc/mem first, then /g1 and
+/g2 step by step.  Within a step: ideal gates, then intrinsic gate errors,
+then one memory error per live qubit, then readouts.
 
 Layout notes:
   * cat-state fan-out runs the leg to the other verified qubit (a4) first;
     with verification CNOTs on (a1, a4) this is what makes every accepted
     single-fault bit-flip pattern equivalent to weight <= 1 on the data.
   * prep is scheduled serially, one gate per step (7 steps, plus one step of
-    four H gates for the bit-syndrome kind).
+    four H gates for the bit-syndrome kind, after verification).
   * each syndrome round exposes the data block for exactly 6 steps, one
-    ancilla group firing all four of its data CNOTs per step; phase groups
-    fire at steps 1-3, bit groups at steps 4-6.
+    ancilla group firing all four of its data CNOTs per step; bit groups
+    fire at steps 1-3, phase groups at steps 4-6 (GROUP_ORDER).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 from . import codebook
 from .pauli import PauliFrame, apply_cnot, apply_h
 
 N_DATA = 7
+MODES = ("memory_t20", "stabilize", "ec1", "zgate", "fig5")
 
 # Support of each parity-check row over the data block, ascending.
 ROW_SUPPORTS: tuple[tuple[int, ...], ...] = tuple(
@@ -64,6 +87,11 @@ ENCODER_STEPS: tuple[tuple[tuple, ...], ...] = (
     (("CNOT", 1, 6),),
 )
 
+DATA, ANC = 0, 1  # interpreter registers
+EPS, GAMMA = 0, 1  # which rate a one-qubit noise draw uses
+PHASE, BIT = 0, 1  # syndrome sectors: phase bits correct z, bit bits correct x
+DATA_QUBITS = tuple(range(N_DATA))
+
 
 @dataclass(frozen=True)
 class Location:
@@ -92,7 +120,6 @@ class Network:
     n_qubits: int
     locations: tuple[Location, ...]
     data_qubits: tuple[int, ...] = ()
-    ancilla_blocks: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
         busy: dict[int, set[int]] = {}
@@ -186,20 +213,242 @@ class RecoverySchedule:
         return self.channel_prefix_steps + self.data_exposure_steps
 
 
-def _prep_locations(kind: str, qmap, step0: int) -> list[Location]:
-    locs = []
-    steps = PREP_STEPS + (PREP_BIT_H_LAYER,) if kind == "bit" else PREP_STEPS
-    for ds, gates in enumerate(steps):
+# ---------------------------------------------------------------------------
+# the op program
+# ---------------------------------------------------------------------------
+
+
+class Op(NamedTuple):
+    kind: str
+    step: int
+    qubits: tuple[int, ...]
+    args: tuple = ()
+
+
+def _draw(rate: int, n_steps: int, width: int, tag: str) -> Op:
+    """n_steps x width one-qubit locations; later ops read it by its last tag part."""
+    return Op("pauli1", 0, (), (rate, n_steps, width, tag, tag.rsplit("/", 1)[-1]))
+
+
+def _draw_pairs(n: int, tag: str) -> Op:
+    """n CNOT locations (rate gamma), read back like `_draw`."""
+    return Op("pauli2", 0, (), (n, tag, tag.rsplit("/", 1)[-1]))
+
+
+def _xor(step, key, col, reg, qmap, bits=None) -> Op:
+    """Column `col` of draw `key` onto a register: bit j on qubit j, or the
+    (bit, qubit) pairs of `bits`."""
+    hit = qmap if bits is None else tuple(qmap[q] for _, q in bits)
+    return Op("xor", step, tuple(hit), (key, col, reg, bits))
+
+
+def _pair(step: int, col: int, cnot: Op) -> Op:
+    """Column `col` of the latest CNOT draw onto the qubits of `cnot`."""
+    return Op("pair", step, cnot.qubits, ("g2", col, *cnot.args))
+
+
+def _idle(n_steps: int, tag: str, step: int, reg=DATA, qmap=DATA_QUBITS) -> list[Op]:
+    """Memory errors on idle qubits for n_steps steps from `step`."""
+    if n_steps <= 0:
+        return []
+    draw = _draw(EPS, n_steps, len(qmap), tag)
+    return [draw, Op("I", step, tuple(qmap), (draw.args[4], reg, n_steps))]
+
+
+def _gate_table(steps, reg, qmap, step0, tag, hoist) -> list[Op]:
+    """A gate table on one register, with its gate and memory errors.
+
+    hoist=True draws the whole table's /g1, /g2 and /mem blocks before the
+    first gate (an ancilla attempt); otherwise /mem comes first and each step
+    draws its own /g1 and /g2 (the encoder).
+    """
+    ones = [[g[1] for g in gates if g[0] != "CNOT"] for gates in steps]  # H and M
+    cnots = [
+        [Op("CNOT", step0 + si, (qmap[g[1]], qmap[g[2]]), (reg, g[1], reg, g[2]))
+         for g in gates if g[0] == "CNOT"]
+        for si, gates in enumerate(steps)
+    ]
+    mem = _draw(EPS, len(steps), len(qmap), tag + "/mem")
+    ops = [mem]
+    if hoist:
+        ops = [
+            _draw(GAMMA, 1, sum(map(len, ones)), tag + "/g1"),
+            _draw_pairs(sum(map(len, cnots)), tag + "/g2"),
+            mem,
+        ]
+    n1 = n2 = 0  # one-qubit gates and CNOTs of earlier steps in a hoisted draw
+    for si, gates in enumerate(steps):
+        step = step0 + si
+        hs = [g[1] for g in gates if g[0] == "H"]
+        if hs:
+            ops.append(Op("H", step, tuple(qmap[q] for q in hs), (reg, sum(1 << q for q in hs))))
+        ops += cnots[si]
+        if ones[si]:
+            if not hoist:
+                ops.append(_draw(GAMMA, 1, len(ones[si]), f"{tag}/s{si}/g1"))
+            ops.append(_xor(step, "g1", 0, reg, qmap, tuple(enumerate(ones[si], n1))))
+        if cnots[si]:
+            if not hoist:
+                ops.append(_draw_pairs(len(cnots[si]), f"{tag}/s{si}/g2"))
+            ops += [_pair(step, k, g) for k, g in enumerate(cnots[si], n2)]
+        if hoist:
+            n1, n2 = n1 + len(ones[si]), n2 + len(cnots[si])
+        ops.append(_xor(step, "mem", si, reg, qmap))
         for g in gates:
-            if g[0] == "CNOT":
-                locs.append(Location(step0 + ds, "CNOT", (qmap[g[1]], qmap[g[2]])))
-            else:
-                locs.append(Location(step0 + ds, g[0], (qmap[g[1]],)))
-    return locs
+            if g[0] == "M":  # verification readout; a set bit rejects the attempt
+                ops.append(Op("M", step, (qmap[g[1]],), (reg, 1 << g[1], None)))
+    return ops
 
 
-def prep_step_count(kind: str) -> int:
-    return len(PREP_STEPS) + (1 if kind == "bit" else 0)
+# One ancilla synthesis attempt on local qubits 0..4 from step 0, shared by
+# every prep op.
+ATTEMPT = tuple(_gate_table(PREP_STEPS, ANC, tuple(range(5)), 0, "", hoist=True))
+
+
+def _prep(kind: str, qmap, step0: int, tag: str) -> list[Op]:
+    """Verified cat for one syndrome bit, then the bit kind's Shor rotation.
+
+    The prep op places the shared ATTEMPT at step0 on qubits qmap and
+    prefixes its draw tags with `tag`."""
+    ops = [Op("prep", step0, tuple(qmap), (ATTEMPT, tag))]
+    if kind == "bit":
+        step = step0 + len(PREP_STEPS)
+        cat = [g[1] for g in PREP_BIT_H_LAYER]
+        ops += [
+            _draw(GAMMA, 1, len(cat), tag + "/hl/g"),
+            _draw(EPS, 1, len(cat), tag + "/hl/m"),
+            Op("H", step, tuple(qmap[q] for q in cat), (ANC, sum(1 << q for q in cat))),
+            _xor(step, "g", 0, ANC, qmap[: len(cat)]),
+            _xor(step, "m", 0, ANC, qmap[: len(cat)]),
+        ]
+    return ops
+
+
+def _round(tag: str, rnd: int, t0: int, base: int) -> list[Op]:
+    """One six-bit syndrome round: group `slot` (ancilla qubits base+5*slot..+4)
+    idles its cat from t0, fires at t0+slot, then is read out."""
+    ops: list[Op] = []
+    for slot, (kind, row) in enumerate(GROUP_ORDER):
+        gtag = f"{tag}/g{slot}{kind[0]}{row}"
+        qmap = tuple(range(base + 5 * slot, base + 5 * slot + 5))
+        cat, fire = qmap[:4], t0 + slot
+        ops += _prep(kind, qmap, t0 - len(PREP_STEPS) - (kind == "bit"), gtag)
+        ops += _idle(slot, gtag + "/wait", t0, ANC, cat)
+        # interaction: four CNOTs between the cat and the row support
+        cnots = [
+            Op("CNOT", fire, (cat[i], d), (ANC, i, DATA, d)) if kind == "phase"
+            else Op("CNOT", fire, (d, cat[i]), (DATA, d, ANC, i))
+            for i, d in enumerate(ROW_SUPPORTS[row])
+        ]
+        ops += cnots + [_draw_pairs(len(cnots), gtag + "/int/g2")]
+        ops += [_pair(fire, k, g) for k, g in enumerate(cnots)]
+        ops += [_draw(EPS, 1, N_DATA, gtag + "/int/md"), _xor(fire, "md", 0, DATA, DATA_QUBITS)]
+        # cat memory from firing to readout, and its H / readout gate errors
+        after = ("H", "M") if kind == "phase" else ("M",)
+        ops += [
+            _draw(EPS, 1 + len(after), len(cat), gtag + "/am"),
+            _draw(GAMMA, len(after), len(cat), gtag + "/g1"),
+            _xor(fire, "am", 0, ANC, cat),
+        ]
+        for k, gate in enumerate(after, 1):
+            if gate == "H":  # rotate the collected phase flips into the readout basis
+                ops.append(Op("H", fire + k, cat, (ANC, 0x0F)))
+            ops += [_xor(fire + k, "g1", k - 1, ANC, cat), _xor(fire + k, "am", k, ANC, cat)]
+        sector = PHASE if kind == "phase" else BIT
+        ops.append(Op("M", fire + len(after), cat, (ANC, 0x0F, (sector, rnd, row))))
+    return ops
+
+
+def _recovery(tag: str, t0: int, base: int, schedule: RecoverySchedule) -> list[Op]:
+    """Three rounds from data step t0, then the majority-vote correction step."""
+    ops: list[Op] = []
+    for rnd in range(schedule.rounds):
+        step = t0 + rnd * schedule.steps_per_round
+        ops += _round(f"{tag}/r{rnd}", rnd, step, base + 30 * rnd)
+    step = t0 + schedule.rounds * schedule.steps_per_round
+    ops.append(Op("P", step, DATA_QUBITS))
+    ops += [_draw(EPS, 1, N_DATA, tag + "/corr/mem"), _xor(step, "mem", 0, DATA, DATA_QUBITS)]
+    return ops
+
+
+def program(
+    mode: str,
+    schedule: RecoverySchedule = RecoverySchedule(),
+    encoder_noisy: bool = False,
+    t_max: int = 1,
+) -> Iterator[Op]:
+    """The op program of one experiment mode, op by op; data steps count from 1.
+
+    An optional noisy encoder, then: ec1 one recovery; zgate an idle step,
+    the transversal-Z step, one recovery; memory_t20 and fig5 the channel
+    prefix, one recovery; stabilize the prefix, then t_max recoveries, each
+    followed by a fidelity tally and an idle gap.  Ops are made as they are
+    read, so a long stabilize program is never held in memory at once."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    t = 1
+    if encoder_noisy:
+        yield from _gate_table(ENCODER_STEPS, DATA, DATA_QUBITS, t, "enc", hoist=False)
+        t += len(ENCODER_STEPS)
+    if mode == "zgate":
+        yield from _idle(1, "pre", t)
+        yield from [_draw(GAMMA, 1, N_DATA, "zg/gate"), _xor(t + 1, "gate", 0, DATA, DATA_QUBITS)]
+        yield from _idle(1, "zg/mem", t + 1)
+        t += 2
+    elif mode != "ec1":
+        yield from _idle(schedule.channel_prefix_steps, "chan", t)
+        t += schedule.channel_prefix_steps
+    if mode != "stabilize":
+        yield from _recovery("rec", t, N_DATA, schedule)
+        return
+    for k in range(t_max):
+        yield from _recovery(f"rec{k}", t, N_DATA + 90 * k, schedule)
+        t += schedule.data_exposure_steps
+        yield Op("tally", t - 1, ())
+        if k + 1 < t_max:
+            yield from _idle(schedule.inter_recovery_gap, f"gap{k}", t)
+            t += schedule.inter_recovery_gap
+
+
+def correction_steps(ops) -> list[int]:
+    """The data step of each recovery's correction: the CSVs' t_steps."""
+    return [op.step for op in ops if op.kind == "P"]
+
+
+# ---------------------------------------------------------------------------
+# networks derived from the program
+# ---------------------------------------------------------------------------
+
+
+def _locations(ops, step0=0, qmap=None):
+    """Locations of ops placed at step0 on qubits qmap (None: as they are)."""
+    for kind, step, qubits, args in ops:
+        step += step0
+        if qmap is not None:
+            qubits = tuple(qmap[q] for q in qubits)
+        if kind == "prep":
+            yield from _locations(args[0], step, qubits)
+        elif kind in ("CNOT", "M"):
+            yield Location(step, kind, qubits)
+        elif kind in ("H", "P"):
+            yield from (Location(step, kind, (q,)) for q in qubits)
+        elif kind == "I":
+            for s in range(args[2]):
+                yield from (Location(step + s, "I", (q,)) for q in qubits)
+
+
+def _network(ops, data_qubits=DATA_QUBITS) -> Network:
+    """The ops' locations, steps shifted to start at 1."""
+    locs = list(_locations(ops))
+    shift = 1 - min(l.step for l in locs)
+    return Network(
+        1 + max(q for l in locs for q in l.qubits),
+        tuple(
+            Location(l.step + shift, l.kind, l.qubits)
+            for l in sorted(locs, key=lambda l: (l.step, l.kind, l.qubits))
+        ),
+        data_qubits,
+    )
 
 
 def build_ancilla_prep(kind: str) -> Network:
@@ -207,98 +456,22 @@ def build_ancilla_prep(kind: str) -> Network:
     if kind not in ("phase_syndrome", "bit_syndrome", "phase", "bit"):
         raise ValueError(f"unknown ancilla kind {kind!r}")
     short = "bit" if kind.startswith("bit") else "phase"
-    locs = _prep_locations(short, list(range(5)), 1)
-    return Network(5, tuple(locs), data_qubits=(), ancilla_blocks=((0, 1, 2, 3, 4),))
+    return _network(_prep(short, tuple(range(5)), 1, "prep"), data_qubits=())
 
 
 def build_encoder() -> Network:
     """Fig.-2-style encoding network on the 7 data qubits (input at index 2)."""
-    locs = []
-    for ds, gates in enumerate(ENCODER_STEPS):
-        for g in gates:
-            if g[0] == "CNOT":
-                locs.append(Location(1 + ds, "CNOT", (g[1], g[2])))
-            else:
-                locs.append(Location(1 + ds, "H", (g[1],)))
-    return Network(N_DATA, tuple(locs), data_qubits=tuple(range(N_DATA)))
-
-
-def _round_locations(anc_base: int, data_step0: int) -> tuple[list[Location], list[tuple[int, ...]]]:
-    """One syndrome round; interactions at data steps data_step0..data_step0+5.
-
-    All six ancilla preps run in parallel, finishing at round start; a group
-    firing at slot k idles its verified cat for k steps (explicit Idle
-    locations, since idle qubits still take memory errors).
-    """
-    locs: list[Location] = []
-    blocks: list[tuple[int, ...]] = []
-    for slot, (kind, row) in enumerate(GROUP_ORDER):
-        base = anc_base + 5 * slot
-        qmap = list(range(base, base + 5))
-        blocks.append(tuple(qmap))
-        fire = data_step0 + slot
-        locs += _prep_locations(kind, qmap, data_step0 - prep_step_count(kind))
-        for wait_step in range(data_step0, fire):
-            for q in qmap[:4]:
-                locs.append(Location(wait_step, "I", (q,)))
-        for i, d in enumerate(ROW_SUPPORTS[row]):
-            if kind == "phase":
-                locs.append(Location(fire, "CNOT", (qmap[i], d)))
-            else:
-                locs.append(Location(fire, "CNOT", (d, qmap[i])))
-        cat = tuple(qmap[:4])
-        if kind == "phase":
-            for q in cat:
-                locs.append(Location(fire + 1, "H", (q,)))
-            locs.append(Location(fire + 2, "M", cat))
-        else:
-            locs.append(Location(fire + 1, "M", cat))
-    return locs, blocks
-
-
-def _normalize(locs: list[Location]) -> tuple[Location, ...]:
-    shift = 1 - min(l.step for l in locs)
-    return tuple(
-        Location(l.step + shift, l.kind, l.qubits)
-        for l in sorted(locs, key=lambda l: (l.step, l.kind, l.qubits))
-    )
+    return _network(_gate_table(ENCODER_STEPS, DATA, DATA_QUBITS, 1, "enc", hoist=False))
 
 
 def build_syndrome_round() -> Network:
     """A single six-bit syndrome measurement round (24 data-facing CNOTs)."""
-    locs, blocks = _round_locations(anc_base=N_DATA, data_step0=100)
-    return Network(
-        N_DATA + 30,
-        _normalize(locs),
-        data_qubits=tuple(range(N_DATA)),
-        ancilla_blocks=tuple(blocks),
-    )
+    return _network(_round("rec/r0", 0, 1, N_DATA))
 
 
 def build_recovery(schedule: RecoverySchedule = RecoverySchedule()) -> Network:
     """Three syndrome rounds plus the correction step, with channel prefix."""
-    locs: list[Location] = []
-    blocks: list[tuple[int, ...]] = []
-    base_step = 100  # provisional; normalized at the end
-    for t in range(schedule.channel_prefix_steps):
-        for q in range(N_DATA):
-            locs.append(Location(base_step + t, "I", (q,)))
-    data_step0 = base_step + schedule.channel_prefix_steps
-    anc_base = N_DATA
-    for _ in range(schedule.rounds):
-        rl, rb = _round_locations(anc_base, data_step0)
-        locs += rl
-        blocks += rb
-        anc_base += 30
-        data_step0 += schedule.steps_per_round
-    for q in range(N_DATA):
-        locs.append(Location(data_step0, "P", (q,)))
-    return Network(
-        anc_base,
-        _normalize(locs),
-        data_qubits=tuple(range(N_DATA)),
-        ancilla_blocks=tuple(blocks),
-    )
+    return _network(program("memory_t20", schedule))
 
 
 def _f2_rank(rows: list[int]) -> int:

@@ -31,6 +31,7 @@ from .circuit import (
     build_recovery,
     build_syndrome_round,
     census,
+    correction_steps,
     verify_encoder,
 )
 from .noise import NoiseParams
@@ -197,7 +198,10 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
         elif isinstance(default, bool):
             setattr(args, dest, raw.strip().lower() in ("1", "true", "yes", "on"))
         elif isinstance(default, int):
-            setattr(args, dest, int(raw))
+            try:
+                setattr(args, dest, int(raw))
+            except ValueError:
+                raise UsageError(f"bad {dest} value {raw!r} from environment or config") from None
         else:
             setattr(args, dest, raw)
     return args
@@ -283,17 +287,51 @@ def cmd_selftest(args, argv) -> int:
     return 0
 
 
-_SWEEP_DEFAULTS = dict(
-    mode="memory_t20",
-    C=["inf"],
-    epsilon=[],
-    epsilon_grid="",
-    trials=10000,
-    seed=0,
-    threads=0,
-    out="sweep.csv",
-    encoder_noisy=False,
-)
+_CELL_DEFAULTS = dict(C=["inf"], epsilon=[], epsilon_grid="", trials=10000, seed=0, threads=0)
+_SWEEP_DEFAULTS = dict(_CELL_DEFAULTS, mode="memory_t20", out="sweep.csv", encoder_noisy=False)
+_STABILIZE_DEFAULTS = dict(_CELL_DEFAULTS, t_max=10, out="stabilize.csv")
+
+
+def _run_cells(args, argv, command, columns, settings, cell_rows, **config_kw) -> int:
+    """Run one experiment per (C, epsilon) cell over one worker pool, then write
+    the rows cell_rows(config, result) with the command's manifest `settings`."""
+    c_values = [_parse_c(c) for c in args.C]
+    eps_values = _epsilon_list(args)
+    threads = args.threads or (os.cpu_count() or 1)
+    schedule = RecoverySchedule()
+    cells = [(c, eps) for c in c_values for eps in eps_values]
+    configs = [
+        engine.ExperimentConfig(
+            noise=NoiseParams.from_ratio(eps, c),
+            schedule=schedule,
+            trials=args.trials,
+            master_seed=args.seed,
+            trial_offset=cell * args.trials,
+            **config_kw,
+        )
+        for cell, (c, eps) in enumerate(cells)
+    ]
+    t0 = time.time()
+    results = engine.run_experiments(configs, threads)
+    rows = [row for cfg, res in zip(configs, results) for row in cell_rows(cfg, res)]
+    man = _base_manifest(
+        command,
+        argv,
+        [
+            ("mode", config_kw["mode"]),
+            ("C", ",".join(_fmt(c) for c in c_values)),
+            ("epsilon", ",".join(repr(e) for e in eps_values)),
+            ("trials", str(args.trials)),
+            ("seed", str(args.seed)),
+            ("threads", str(threads)),
+        ]
+        + settings
+        + _schedule_manifest(schedule),
+    )
+    man.append(("duration_s", f"{time.time() - t0:.3f}"))
+    write_csv(args.out, man, columns, rows)
+    print(f"wrote {len(rows)} rows to {args.out}")
+    return 0
 
 
 def cmd_sweep(args, argv) -> int:
@@ -303,130 +341,44 @@ def cmd_sweep(args, argv) -> int:
         raise UsageError(
             f"sweep does not support mode {mode!r} (use the stabilize command)"
         )
-    c_values = [_parse_c(c) for c in args.C]
-    eps_values = _epsilon_list(args)
-    threads = args.threads or (os.cpu_count() or 1)
-    schedule = RecoverySchedule()
     encoder_noisy = bool(args.encoder_noisy) or mode == "fig5"
-    t_steps = {
-        "memory_t20": schedule.total_steps,
-        "fig5": schedule.total_steps + len(build_encoder().steps()),
-        "ec1": schedule.data_exposure_steps,
-        "zgate": 2 + schedule.data_exposure_steps,
-    }[mode]
-    runner = {
-        "memory_t20": engine.run_memory_experiment,
-        "ec1": engine.run_ec1_experiment,
-        "zgate": engine.run_zgate_experiment,
-        "fig5": lambda c, threads: engine.run_fig5_experiment(c, threads=threads).stats,
-    }[mode]
-    t0 = time.time()
-    rows = []
-    cell = 0
-    for c in c_values:
-        for eps in eps_values:
-            noise = NoiseParams.from_ratio(eps, c)
-            config = engine.ExperimentConfig(
-                mode=mode,
-                noise=noise,
-                schedule=schedule,
-                trials=args.trials,
-                master_seed=args.seed,
-                encoder_noisy=encoder_noisy,
-                trial_offset=cell * args.trials,
-            )
-            stats = runner(config, threads=threads)
-            rows.append(
-                [
-                    mode, c, float(eps), noise.gamma, t_steps, args.trials, args.seed,
-                    stats.p_e_strict, stats.p_fail_a1,
-                    stats.stderr_of(stats.p_fail_a1),
-                    stats.eta0, stats.eta3_b, stats.eta3_p, stats.eta_y,
-                    stats.f_a1, stats.p_ec1,
-                ]
-            )
-            cell += 1
-    man = _base_manifest(
-        "sweep",
-        argv,
-        [
-            ("mode", mode),
-            ("C", ",".join(_fmt(c) for c in c_values)),
-            ("epsilon", ",".join(repr(e) for e in eps_values)),
-            ("trials", str(args.trials)),
-            ("seed", str(args.seed)),
-            ("threads", str(threads)),
-            ("encoder_noisy", str(encoder_noisy).lower()),
+
+    def cell_rows(config, stats):
+        noise = config.noise
+        t_steps = correction_steps(config.program())[0]
+        yield [
+            mode, noise.ratio_C, noise.epsilon, noise.gamma, t_steps,
+            config.trials, config.master_seed,
+            stats.p_e_strict, stats.p_fail_a1, stats.stderr_of(stats.p_fail_a1),
+            stats.eta0, stats.eta3_b, stats.eta3_p, stats.eta_y,
+            stats.f_a1, stats.p_ec1,
         ]
-        + _schedule_manifest(schedule),
+
+    settings = [("encoder_noisy", str(encoder_noisy).lower())]
+    return _run_cells(
+        args, argv, "sweep", SWEEP_COLUMNS, settings, cell_rows,
+        mode=mode, encoder_noisy=encoder_noisy,
     )
-    man.append(("duration_s", f"{time.time() - t0:.3f}"))
-    write_csv(args.out, man, SWEEP_COLUMNS, rows)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
-
-
-_STABILIZE_DEFAULTS = dict(
-    C=["inf"],
-    epsilon=[],
-    epsilon_grid="",
-    trials=10000,
-    seed=0,
-    threads=0,
-    t_max=10,
-    out="stabilize.csv",
-)
 
 
 def cmd_stabilize(args, argv) -> int:
     args = _resolve(args, _STABILIZE_DEFAULTS)
-    c_values = [_parse_c(c) for c in args.C]
-    eps_values = _epsilon_list(args)
-    threads = args.threads or (os.cpu_count() or 1)
-    schedule = RecoverySchedule()
-    t0 = time.time()
-    rows = []
-    cell = 0
-    for c in c_values:
-        for eps in eps_values:
-            noise = NoiseParams.from_ratio(eps, c)
-            config = engine.ExperimentConfig(
-                mode="stabilize",
-                noise=noise,
-                schedule=schedule,
-                trials=args.trials,
-                master_seed=args.seed,
-                t_max=args.t_max,
-                trial_offset=cell * args.trials,
-            )
-            series = engine.run_stabilization_experiment(config, threads=threads)
-            for k in range(args.t_max):
-                rows.append(
-                    [
-                        "stabilize", c, float(eps), noise.gamma,
-                        k + 1, int(series.t_steps[k]),
-                        float(series.fidelity[k]), float(series.stderr[k]),
-                        args.trials, args.seed,
-                    ]
-                )
-            cell += 1
-    man = _base_manifest(
-        "stabilize",
-        argv,
-        [
-            ("C", ",".join(_fmt(c) for c in c_values)),
-            ("epsilon", ",".join(repr(e) for e in eps_values)),
-            ("trials", str(args.trials)),
-            ("seed", str(args.seed)),
-            ("threads", str(threads)),
-            ("t_max", str(args.t_max)),
-        ]
-        + _schedule_manifest(schedule),
+
+    def cell_rows(config, series):
+        noise = config.noise
+        for k in range(config.t_max):
+            yield [
+                "stabilize", noise.ratio_C, noise.epsilon, noise.gamma,
+                k + 1, int(series.t_steps[k]),
+                float(series.fidelity[k]), float(series.stderr[k]),
+                config.trials, config.master_seed,
+            ]
+
+    settings = [("t_max", str(args.t_max))]
+    return _run_cells(
+        args, argv, "stabilize", STABILIZE_COLUMNS, settings, cell_rows,
+        mode="stabilize", t_max=args.t_max,
     )
-    man.append(("duration_s", f"{time.time() - t0:.3f}"))
-    write_csv(args.out, man, STABILIZE_COLUMNS, rows)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
 
 
 def _rows_as_dicts(columns, rows):
@@ -653,6 +605,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command in ("selftest", "sweep", "stabilize"):
+            try:
+                engine.batch_size()
+            except ValueError as exc:  # a malformed STEANE_MC_BATCH is a usage error
+                raise UsageError(str(exc)) from None
         return _COMMANDS[args.command](args, argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

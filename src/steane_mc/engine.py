@@ -1,15 +1,12 @@
-"""Monte Carlo experiment driver.
+"""Monte Carlo experiments: the interpreter of the circuit's op program.
 
-Trials are simulated in vectorized batches: every frame is a packed uint8
-bit mask per trial, and each error location becomes one numpy operation
-across the whole batch.  Randomness is keyed by (master_seed, trial_index,
-draw), so results are independent of batch size, worker count, and chunk
-order; a scalar trial is just a batch of one.
-
-Event order within a time step is fixed: ideal gates, then intrinsic gate
-errors, then one memory error per live qubit, then readouts.  Draws are
-taken in blocks (whole prep sequences at once) but block order is fixed,
-so every trial consumes an identical, reproducible slot sequence.
+`_execute` runs a `circuit.program()` on a batch of trials.  Each frame is a
+packed uint8 bit mask per trial and register, and each op becomes a few
+numpy operations across the batch.  Noise comes from a source: `StreamBank`
+for Monte Carlo trials, `FaultPlanSource` for planned faults,
+`RecordingSource` to number the error locations.  Randomness is keyed by
+(master_seed, trial_index, draw), so results are independent of batch size,
+worker count and chunk order; a scalar trial is just a batch of one.
 """
 
 from __future__ import annotations
@@ -23,11 +20,15 @@ import numpy as np
 
 from . import codebook
 from .circuit import (
-    ENCODER_STEPS,
-    GROUP_ORDER,
-    PREP_STEPS,
-    ROW_SUPPORTS,
+    ANC,
+    BIT,
+    DATA,
+    GAMMA,
+    MODES,
+    PHASE,
     RecoverySchedule,
+    correction_steps,
+    program,
 )
 from .codebook import ErrorClass, ResidualClass
 from .noise import (
@@ -39,27 +40,16 @@ from .noise import (
     StreamBank,
 )
 
-MODES = ("memory_t20", "stabilize", "ec1", "zgate", "fig5")
-
 MAX_PREP_ATTEMPTS = 100
 
 _U8 = np.uint8
 
 CLASS_LUT = codebook.tables().class_lut  # 7-bit residual -> class 0..3
 CORR_LUT = np.array([0, 1, 2, 4, 8, 16, 32, 64], dtype=_U8)  # syndrome -> mask
-PARITY16 = np.array([bin(i).count("1") & 1 for i in range(16)], dtype=_U8)
+PARITY = np.array([bin(i).count("1") & 1 for i in range(256)], dtype=_U8)
 X_TRIVIAL = CLASS_LUT == 0  # residual acts trivially on |0_L> (x sector)
 Z_KEEPS_A1 = (CLASS_LUT == 0) | (CLASS_LUT == 3)  # in C: |0_L> unaffected
 IDEAL_FAILS = CLASS_LUT >= 2  # ideal recovery leaves a logical error
-
-# The prep table shape the fast path assumes: H, five CNOTs, verification M.
-if not (
-    PREP_STEPS[0] == (("H", 0),)
-    and PREP_STEPS[-1] == (("M", 4),)
-    and all(len(s) == 1 and s[0][0] == "CNOT" for s in PREP_STEPS[1:-1])
-):  # pragma: no cover - layout guard
-    raise RuntimeError("ancilla prep layout changed; update the engine fast path")
-_PREP_CNOTS = tuple((s[0][1], s[0][2]) for s in PREP_STEPS[1:-1])
 
 
 class AncillaRejectionError(RuntimeError):
@@ -86,8 +76,13 @@ class ExperimentConfig:
             raise ValueError("trial_offset must be >= 0")
         if self.mode == "fig5" and not self.encoder_noisy:
             raise ValueError("fig5 mode requires a noisy encoding network")
+        if self.mode in ("memory_t20", "stabilize") and self.encoder_noisy:
+            raise ValueError(f"{self.mode} mode starts from an error-free encoded input")
         if self.mode == "stabilize" and self.t_max < 1:
             raise ValueError("stabilize mode needs t_max >= 1")
+
+    def program(self):
+        return program(self.mode, self.schedule, self.encoder_noisy, self.t_max)
 
 
 def _warn_small_n(config: ExperimentConfig) -> None:
@@ -102,160 +97,8 @@ def _warn_small_n(config: ExperimentConfig) -> None:
 
 
 # ---------------------------------------------------------------------------
-# batched frame simulation
+# the interpreter
 # ---------------------------------------------------------------------------
-
-
-def _apply_pair(codes_col, c_x, c_z, cq, t_x, t_z, tq):
-    """XOR one CNOT location's pair error into control/target registers."""
-    cc = codes_col >> 2
-    tc = codes_col & 3
-    c_x ^= PAULI_X_BIT[cc] << cq
-    c_z ^= PAULI_Z_BIT[cc] << cq
-    t_x ^= PAULI_X_BIT[tc] << tq
-    t_z ^= PAULI_Z_BIT[tc] << tq
-
-
-def _prep_attempt(src, eps, gamma, idx, m, tag):
-    """One ancilla synthesis attempt on 5 fresh qubits; returns reject flags."""
-    g1 = src.depolarize_steps(gamma, 1, 2, idx, tag + "/g1")  # H then M
-    pairs = src.cnot_pairs(gamma, 5, idx, tag + "/g2")
-    mem = src.depolarize_steps(eps, 7, 5, idx, tag + "/mem")
-    ax = np.zeros(m, dtype=_U8)
-    az = np.zeros(m, dtype=_U8)
-    # step 0: H on the cat seed
-    diff = (ax ^ az) & 1
-    ax ^= diff
-    az ^= diff
-    if g1 is not None:
-        ax ^= g1[0][:, 0] & 1
-        az ^= g1[1][:, 0] & 1
-    if mem is not None:
-        ax ^= mem[0][:, 0]
-        az ^= mem[1][:, 0]
-    # steps 1..5: fan-out and verification CNOTs
-    for k, (c, t) in enumerate(_PREP_CNOTS):
-        ax ^= ((ax >> c) & 1) << t
-        az ^= ((az >> t) & 1) << c
-        if pairs is not None:
-            _apply_pair(pairs[:, k], ax, az, c, ax, az, t)
-        if mem is not None:
-            ax ^= mem[0][:, k + 1]
-            az ^= mem[1][:, k + 1]
-    # step 6: destructive verification readout of qubit 4
-    if g1 is not None:
-        ax ^= ((g1[0][:, 0] >> 1) & 1) << 4
-        az ^= ((g1[1][:, 0] >> 1) & 1) << 4
-    if mem is not None:
-        ax ^= mem[0][:, 6]
-        az ^= mem[1][:, 6]
-    reject = ((ax >> 4) & 1).astype(bool)
-    ax &= 0x0F
-    az &= 0x0F
-    return ax, az, reject
-
-
-def _prep_group(src, kind, eps, gamma, size, tag):
-    """Verified ancilla for one syndrome bit, resynthesizing on rejection."""
-    ax, az, reject = _prep_attempt(src, eps, gamma, None, size, tag)
-    idx = np.nonzero(reject)[0]
-    attempts = 1
-    while idx.size:
-        if attempts >= MAX_PREP_ATTEMPTS:
-            raise AncillaRejectionError(
-                f"{idx.size} trials exceeded {MAX_PREP_ATTEMPTS} ancilla attempts"
-            )
-        a, b, rej = _prep_attempt(src, eps, gamma, idx, idx.size, tag)
-        ax[idx] = a
-        az[idx] = b
-        idx = idx[rej]
-        attempts += 1
-    if kind == "bit":
-        # Shor rotation after verification; swaps the cat's x and z sectors
-        ax, az = az, ax
-        g = src.depolarize_steps(gamma, 1, 4, None, tag + "/hl/g")
-        if g is not None:
-            ax ^= g[0][:, 0]
-            az ^= g[1][:, 0]
-        mem = src.depolarize_steps(eps, 1, 4, None, tag + "/hl/m")
-        if mem is not None:
-            ax ^= mem[0][:, 0]
-            az ^= mem[1][:, 0]
-    return ax, az
-
-
-def _round(src, dx, dz, eps, gamma, tag):
-    """One six-bit syndrome round; returns (phase, bit) 3-bit syndrome ints.
-
-    All six ancilla groups are synthesized in parallel and become ready at
-    the start of the round; the group firing at data step k therefore
-    idles its four verified cat qubits for k-1 steps first.
-    """
-    size = dx.shape[0]
-    sp = [None, None, None]
-    sb = [None, None, None]
-    for slot, (kind, row) in enumerate(GROUP_ORDER):
-        gtag = f"{tag}/g{slot}{kind[0]}{row}"
-        ax, az = _prep_group(src, kind, eps, gamma, size, gtag)
-        if slot:
-            stage = src.depolarize_steps(eps, slot, 4, None, gtag + "/wait")
-            if stage is not None:
-                ax ^= np.bitwise_xor.reduce(stage[0], axis=1)
-                az ^= np.bitwise_xor.reduce(stage[1], axis=1)
-        sup = ROW_SUPPORTS[row]
-        # interaction step: 4 CNOTs between the cat and the row support
-        if kind == "phase":
-            for i, d in enumerate(sup):
-                dx ^= ((ax >> i) & 1) << d
-                az ^= ((dz >> d) & 1) << i
-        else:
-            for i, d in enumerate(sup):
-                ax ^= ((dx >> d) & 1) << i
-                dz ^= ((az >> i) & 1) << d
-        pairs = src.cnot_pairs(gamma, 4, None, gtag + "/int/g2")
-        if pairs is not None:
-            for i, d in enumerate(sup):
-                if kind == "phase":
-                    _apply_pair(pairs[:, i], ax, az, i, dx, dz, d)
-                else:
-                    _apply_pair(pairs[:, i], dx, dz, d, ax, az, i)
-        dmem = src.depolarize_steps(eps, 1, 7, None, gtag + "/int/md")
-        if dmem is not None:
-            dx ^= dmem[0][:, 0]
-            dz ^= dmem[1][:, 0]
-        amem = src.depolarize_steps(
-            eps, 3 if kind == "phase" else 2, 4, None, gtag + "/am"
-        )
-        g1 = src.depolarize_steps(
-            gamma, 2 if kind == "phase" else 1, 4, None, gtag + "/g1"
-        )
-        if amem is not None:
-            ax ^= amem[0][:, 0]
-            az ^= amem[1][:, 0]
-        col_g = 0
-        if kind == "phase":
-            # rotate the collected phase flips into the readout basis
-            ax, az = az, ax
-            if g1 is not None:
-                ax ^= g1[0][:, 0]
-                az ^= g1[1][:, 0]
-            col_g = 1
-            if amem is not None:
-                ax ^= amem[0][:, 1]
-                az ^= amem[1][:, 1]
-        # destructive parity readout step of the four cat qubits
-        if g1 is not None:
-            ax ^= g1[0][:, col_g]
-        if amem is not None:
-            ax ^= amem[0][:, 2 if kind == "phase" else 1]
-        bit = PARITY16[ax & 0x0F]
-        if kind == "phase":
-            sp[row] = bit
-        else:
-            sb[row] = bit
-    syn_p = sp[0] | (sp[1] << 1) | (sp[2] << 2)
-    syn_b = sb[0] | (sb[1] << 1) | (sb[2] << 2)
-    return syn_p, syn_b
 
 
 def _majority3(a, b, c):
@@ -263,86 +106,105 @@ def _majority3(a, b, c):
     return np.where(a == b, a, np.where(b == c, b, np.where(a == c, a, 0)))
 
 
-def _recovery(src, dx, dz, eps, gamma, tag):
-    sps, sbs = [], []
-    for r in range(3):
-        sp, sb = _round(src, dx, dz, eps, gamma, f"{tag}/r{r}")
-        sps.append(sp)
-        sbs.append(sb)
-    dx ^= CORR_LUT[_majority3(*sbs)]
-    dz ^= CORR_LUT[_majority3(*sps)]
-    mem = src.depolarize_steps(eps, 1, 7, None, tag + "/corr/mem")
-    if mem is not None:
-        dx ^= mem[0][:, 0]
-        dz ^= mem[1][:, 0]
+def _execute(ops, src, rates, m, idx=None, prefix=""):
+    """Run an op program for m trials (rows idx of src; None: all) on fresh
+    registers, prefixing its draw tags.  Returns the frames x, z per register,
+    the flags of the last verification readout, and each fidelity tally."""
+    x = [np.zeros(m, dtype=_U8), np.zeros(m, dtype=_U8)]
+    z = [np.zeros(m, dtype=_U8), np.zeros(m, dtype=_U8)]
+    syn = np.zeros((2, 3, m), dtype=_U8)  # [sector, round] syndrome words
+    bufs: dict = {}
+    reject = None
+    alive: list[int] = []
+    for kind, _, _, args in ops:
+        if kind == "xor":
+            key, col, r, bits = args
+            b = bufs[key]
+            if b is None:
+                continue
+            bx, bz = b[0][:, col], b[1][:, col]
+            if bits is None:
+                x[r] ^= bx
+                z[r] ^= bz
+            else:
+                for i, q in bits:
+                    x[r] ^= ((bx >> i) & 1) << q
+                    z[r] ^= ((bz >> i) & 1) << q
+        elif kind == "pair":
+            key, col, rc, c, rt, t = args
+            b = bufs[key]
+            if b is None:
+                continue
+            cc = b[:, col] >> 2
+            tc = b[:, col] & 3
+            x[rc] ^= PAULI_X_BIT[cc] << c
+            z[rc] ^= PAULI_Z_BIT[cc] << c
+            x[rt] ^= PAULI_X_BIT[tc] << t
+            z[rt] ^= PAULI_Z_BIT[tc] << t
+        elif kind == "CNOT":
+            rc, c, rt, t = args
+            x[rt] ^= ((x[rc] >> c) & 1) << t
+            z[rc] ^= ((z[rt] >> t) & 1) << c
+        elif kind == "pauli1":
+            rate, n_steps, width, tag, key = args
+            bufs[key] = src.depolarize_steps(rates[rate], n_steps, width, idx, prefix + tag)
+        elif kind == "pauli2":
+            n, tag, key = args
+            bufs[key] = src.cnot_pairs(rates[GAMMA], n, idx, prefix + tag)
+        elif kind == "H":
+            r, mask = args
+            d = (x[r] ^ z[r]) & mask
+            x[r] ^= d
+            z[r] ^= d
+        elif kind == "M":
+            r, mask, dest = args
+            bit = PARITY[x[r] & mask]
+            if dest is None:
+                reject = bit.astype(bool)
+            else:
+                sector, rnd, row = dest
+                syn[sector, rnd] |= bit << row
+        elif kind == "I":
+            key, r, _ = args
+            b = bufs[key]
+            if b is not None:
+                x[r] ^= np.bitwise_xor.reduce(b[0], axis=1)
+                z[r] ^= np.bitwise_xor.reduce(b[1], axis=1)
+        elif kind == "prep":
+            x[ANC], z[ANC] = _prepare(*args, src, rates, m)
+        elif kind == "P":
+            x[DATA] ^= CORR_LUT[_majority3(*syn[BIT])]
+            z[DATA] ^= CORR_LUT[_majority3(*syn[PHASE])]
+            syn[:] = 0
+        elif kind == "tally":
+            alive.append(int(np.count_nonzero(X_TRIVIAL[x[DATA]] & Z_KEEPS_A1[z[DATA]])))
+    return x, z, reject, alive
 
 
-def _memory_steps(src, dx, dz, eps, n, tag):
-    if n <= 0:
-        return
-    mem = src.depolarize_steps(eps, n, 7, None, tag)
-    if mem is not None:
-        dx ^= np.bitwise_xor.reduce(mem[0], axis=1)
-        dz ^= np.bitwise_xor.reduce(mem[1], axis=1)
+def _prepare(attempt, tag, src, rates, m):
+    """Verified ancillas for m trials, resynthesizing each rejected one."""
+    x, z, reject, _ = _execute(attempt, src, rates, m, prefix=tag)
+    ax, az = x[ANC], z[ANC]
+    idx = np.nonzero(reject)[0]
+    attempts = 1
+    while idx.size:
+        if attempts >= MAX_PREP_ATTEMPTS:
+            raise AncillaRejectionError(
+                f"{idx.size} trials exceeded {MAX_PREP_ATTEMPTS} ancilla attempts"
+            )
+        x, z, rej, _ = _execute(attempt, src, rates, idx.size, idx, tag)
+        ax[idx] = x[ANC]
+        az[idx] = z[ANC]
+        idx = idx[rej]
+        attempts += 1
+    return ax, az
 
 
-def _run_register_steps(src, steps, width, eps, gamma, x, z, tag):
-    """Execute gate-list steps on a single register (encoder path)."""
-    mem = src.depolarize_steps(eps, len(steps), width, None, tag + "/mem")
-    for si, gates in enumerate(steps):
-        for g in gates:
-            if g[0] == "H":
-                q = g[1]
-                diff = ((x ^ z) >> q) & 1
-                x ^= diff << q
-                z ^= diff << q
-            elif g[0] == "CNOT":
-                _, c, t = g
-                x ^= ((x >> c) & 1) << t
-                z ^= ((z >> t) & 1) << c
-        one_q = [g[1] for g in gates if g[0] != "CNOT"]
-        cnots = [(g[1], g[2]) for g in gates if g[0] == "CNOT"]
-        if one_q:
-            g1 = src.depolarize_steps(gamma, 1, len(one_q), None, f"{tag}/s{si}/g1")
-            if g1 is not None:
-                for i, q in enumerate(one_q):
-                    x ^= ((g1[0][:, 0] >> i) & 1) << q
-                    z ^= ((g1[1][:, 0] >> i) & 1) << q
-        if cnots:
-            codes = src.cnot_pairs(gamma, len(cnots), None, f"{tag}/s{si}/g2")
-            if codes is not None:
-                for i, (c, t) in enumerate(cnots):
-                    _apply_pair(codes[:, i], x, z, c, x, z, t)
-        if mem is not None:
-            x ^= mem[0][:, si]
-            z ^= mem[1][:, si]
-
-
-def _batch_residuals(config: ExperimentConfig, src):
-    """Simulate one batch to its final data-block residual (dx, dz)."""
-    size = src.size
-    eps, gamma = config.noise.epsilon, config.noise.gamma
-    dx = np.zeros(size, dtype=_U8)
-    dz = np.zeros(size, dtype=_U8)
-    if config.encoder_noisy:
-        _run_register_steps(src, ENCODER_STEPS, 7, eps, gamma, dx, dz, "enc")
-    mode = config.mode
-    if mode in ("memory_t20", "fig5"):
-        _memory_steps(src, dx, dz, eps, config.schedule.channel_prefix_steps, "chan")
-        _recovery(src, dx, dz, eps, gamma, "rec")
-    elif mode == "ec1":
-        _recovery(src, dx, dz, eps, gamma, "rec")
-    elif mode == "zgate":
-        _memory_steps(src, dx, dz, eps, 1, "pre")
-        g = src.depolarize_steps(gamma, 1, 7, None, "zg/gate")
-        if g is not None:
-            dx ^= g[0][:, 0]
-            dz ^= g[1][:, 0]
-        _memory_steps(src, dx, dz, eps, 1, "zg/mem")
-        _recovery(src, dx, dz, eps, gamma, "rec")
-    else:
-        raise ValueError(f"mode {mode} has no single-residual batch path")
-    return dx, dz
+def _run(config: ExperimentConfig, src):
+    """One batch through config's program; returns (dx, dz, tallies)."""
+    rates = (config.noise.epsilon, config.noise.gamma)
+    x, z, _, alive = _execute(config.program(), src, rates, src.size)
+    return x[DATA], z[DATA], alive
 
 
 # ---------------------------------------------------------------------------
@@ -454,106 +316,61 @@ class Fig5Result:
         return self.stats.delta_eta3
 
 
-def _batch_size() -> int:
-    return int(os.environ.get("STEANE_MC_BATCH", "32768"))
+def batch_size() -> int:
+    """Trials per chunk: STEANE_MC_BATCH, default 32768."""
+    raw = os.environ.get("STEANE_MC_BATCH", "32768").strip()
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"STEANE_MC_BATCH must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
-def _chunks(config: ExperimentConfig):
-    size = _batch_size()
-    start = config.trial_offset
-    end = config.trial_offset + config.trials
-    while start < end:
-        yield start, min(size, end - start)
-        start += size
-
-
-def _counts_chunk(config: ExperimentConfig, start: int, size: int) -> np.ndarray:
+def _run_chunk(config: ExperimentConfig, start: int, size: int):
+    """TrialStats, or for stabilize the FidelitySeries, of a chunk of trials."""
     idx = np.arange(start, start + size, dtype=np.uint64)
-    src = StreamBank(config.master_seed, idx)
-    dx, dz = _batch_residuals(config, src)
+    dx, dz, alive = _run(config, StreamBank(config.master_seed, idx))
+    if config.mode == "stabilize":
+        ts = np.array(correction_steps(config.program()), dtype=np.int64)
+        return FidelitySeries(ts, np.array(alive, dtype=np.int64), size)
     joint = CLASS_LUT[dx].astype(np.int64) * 4 + CLASS_LUT[dz]
-    return np.bincount(joint, minlength=16).reshape(4, 4)
+    return TrialStats(np.bincount(joint, minlength=16).reshape(4, 4), size)
 
 
-def _stabilize_chunk(config: ExperimentConfig, start: int, size: int) -> np.ndarray:
-    idx = np.arange(start, start + size, dtype=np.uint64)
-    src = StreamBank(config.master_seed, idx)
-    eps, gamma = config.noise.epsilon, config.noise.gamma
-    dx = np.zeros(size, dtype=_U8)
-    dz = np.zeros(size, dtype=_U8)
-    _memory_steps(src, dx, dz, eps, config.schedule.channel_prefix_steps, "chan")
-    alive = np.zeros(config.t_max, dtype=np.int64)
-    for k in range(config.t_max):
-        _recovery(src, dx, dz, eps, gamma, f"rec{k}")
-        alive[k] = int(np.count_nonzero(X_TRIVIAL[dx] & Z_KEEPS_A1[dz]))
-        if k + 1 < config.t_max:
-            _memory_steps(
-                src, dx, dz, eps, config.schedule.inter_recovery_gap, f"gap{k}"
-            )
-    return alive
-
-
-def _map_chunks(fn, config: ExperimentConfig, threads: int):
-    jobs = list(_chunks(config))
+def run_experiments(configs, threads: int = 1) -> list:
+    """Run several experiments (sweep cells) over one worker pool, merging each
+    cell's chunks in order: a FidelitySeries per stabilize config, TrialStats
+    per other config."""
+    size = batch_size()
+    for config in configs:
+        _warn_small_n(config)
+    jobs = [
+        (cell, start, min(size, config.trial_offset + config.trials - start))
+        for cell, config in enumerate(configs)
+        for start in range(config.trial_offset, config.trial_offset + config.trials, size)
+    ]
     if threads <= 1 or len(jobs) <= 1:
-        return [fn(config, s, n) for s, n in jobs]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        futs = [pool.submit(fn, config, s, n) for s, n in jobs]
-        return [f.result() for f in futs]
+        parts = [_run_chunk(configs[cell], start, n) for cell, start, n in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            futs = [pool.submit(_run_chunk, configs[cell], s, n) for cell, s, n in jobs]
+            parts = [f.result() for f in futs]
+    results = [None] * len(configs)
+    for (cell, _, _), part in zip(jobs, parts):
+        results[cell] = part if results[cell] is None else results[cell] + part
+    return results
+
+
+def run_experiment(config: ExperimentConfig, threads: int = 1):
+    """TrialStats of one sweep-mode experiment, or a stabilize FidelitySeries."""
+    return run_experiments([config], threads)[0]
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> ResidualClass:
     """Simulate a single trial; returns the raw residual's joint class."""
     src = StreamBank(config.master_seed, np.array([trial_index], dtype=np.uint64))
-    dx, dz = _batch_residuals(config, src)
+    dx, dz, _ = _run(config, src)
     return ResidualClass(
         ErrorClass(int(CLASS_LUT[dx[0]])), ErrorClass(int(CLASS_LUT[dz[0]]))
     )
-
-
-def run_memory_experiment(config: ExperimentConfig, threads: int = 1) -> TrialStats:
-    if config.mode != "memory_t20":
-        raise ValueError("run_memory_experiment expects mode='memory_t20'")
-    if config.encoder_noisy:
-        raise ValueError("memory experiment uses an error-free encoded input")
-    _warn_small_n(config)
-    parts = _map_chunks(_counts_chunk, config, threads)
-    return TrialStats(sum(parts), config.trials)
-
-
-def run_ec1_experiment(config: ExperimentConfig, threads: int = 1) -> TrialStats:
-    if config.mode != "ec1":
-        raise ValueError("run_ec1_experiment expects mode='ec1'")
-    _warn_small_n(config)
-    parts = _map_chunks(_counts_chunk, config, threads)
-    return TrialStats(sum(parts), config.trials)
-
-
-def run_zgate_experiment(config: ExperimentConfig, threads: int = 1) -> TrialStats:
-    if config.mode != "zgate":
-        raise ValueError("run_zgate_experiment expects mode='zgate'")
-    _warn_small_n(config)
-    parts = _map_chunks(_counts_chunk, config, threads)
-    return TrialStats(sum(parts), config.trials)
-
-
-def run_stabilization_experiment(
-    config: ExperimentConfig, threads: int = 1
-) -> FidelitySeries:
-    if config.mode != "stabilize":
-        raise ValueError("run_stabilization_experiment expects mode='stabilize'")
-    _warn_small_n(config)
-    sched = config.schedule
-    per = sched.data_exposure_steps
-    ts = np.array(
-        [
-            sched.channel_prefix_steps + (k + 1) * per + k * sched.inter_recovery_gap
-            for k in range(config.t_max)
-        ],
-        dtype=np.int64,
-    )
-    parts = _map_chunks(_stabilize_chunk, config, threads)
-    return FidelitySeries(ts, sum(parts), config.trials)
 
 
 def run_fig5_experiment(
@@ -561,23 +378,12 @@ def run_fig5_experiment(
 ) -> Fig5Result:
     if config.mode != "fig5":
         raise ValueError("run_fig5_experiment expects mode='fig5'")
-    _warn_small_n(config)
     if a_grid is None:
         a_grid = np.sqrt(np.linspace(0.0, 1.0, 21))
     a_grid = np.asarray(a_grid, dtype=float)
-    parts = _map_chunks(_counts_chunk, config, threads)
-    stats = TrialStats(sum(parts), config.trials)
+    stats = run_experiment(config, threads)
     fid = np.array([stats.fidelity_at(a) for a in a_grid])
     return Fig5Result(stats, a_grid, fid)
-
-
-def naked_fidelity(epsilon: float, t: int) -> float:
-    """Unencoded-qubit fidelity (1 - 2 eps/3)^t; Z errors cost nothing."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon out of [0,1]")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return (1.0 - 2.0 * epsilon / 3.0) ** t
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +412,7 @@ class CertificationReport:
 def enumerate_fault_cases(config: ExperimentConfig) -> list[FaultCase]:
     """All (location, Pauli) cases of one noise-free pass through config.mode."""
     rec = RecordingSource(size=1)
-    _batch_residuals(replace(config, noise=NoiseParams.zero(), trials=1), rec)
+    _run(replace(config, noise=NoiseParams.zero(), trials=1), rec)
     cases: list[FaultCase] = []
     for r in rec.records:
         for off in range(r.n):
@@ -629,7 +435,7 @@ def run_fault_plan(
     size = slots.shape[0]
     src = FaultPlanSource(size, slots, codes)
     cfg = replace(config, noise=NoiseParams.zero())
-    return _batch_residuals(cfg, src)
+    return _run(cfg, src)[:2]
 
 
 def certify_single_faults(
@@ -646,15 +452,9 @@ def certify_single_faults(
         mode="memory_t20", noise=NoiseParams.zero(), schedule=schedule, trials=1
     )
     cases = enumerate_fault_cases(config)
+    slots = np.array([[c.slot] for c in cases], dtype=np.int64)
+    codes = np.array([[c.code] for c in cases], dtype=np.uint8)
+    dx, dz = run_fault_plan(config, slots, codes)  # one batch, one trial per case
+    bad = np.nonzero(IDEAL_FAILS[dx] | IDEAL_FAILS[dz])[0]
     n_loc = len({c.slot for c in cases})
-    failures: list[FaultCase] = []
-    step = _batch_size()
-    for lo in range(0, len(cases), step):
-        part = cases[lo : lo + step]
-        slots = np.array([[c.slot] for c in part], dtype=np.int64)
-        codes = np.array([[c.code] for c in part], dtype=np.uint8)
-        dx, dz = run_fault_plan(config, slots, codes)
-        bad = IDEAL_FAILS[dx] | IDEAL_FAILS[dz]
-        for i in np.nonzero(bad)[0]:
-            failures.append(part[int(i)])
-    return CertificationReport(n_loc, len(cases), failures)
+    return CertificationReport(n_loc, len(cases), [cases[int(i)] for i in bad])

@@ -28,13 +28,11 @@ import numpy as np
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_U53_INV = float(2.0**-53)
 _TWO64 = 2**64
 
 # Pauli code (0=I,1=X,2=Y,3=Z) -> does it act on the x / z sector
 PAULI_X_BIT = np.array([0, 1, 1, 0], dtype=np.uint8)
 PAULI_Z_BIT = np.array([0, 0, 1, 1], dtype=np.uint8)
-PAULI_NAMES = ("I", "X", "Y", "Z")
 
 
 def _mix64(z):
@@ -156,53 +154,6 @@ class StreamBank:
         return np.where(err, code, 0).astype(np.uint8)
 
 
-class RngStream:
-    """Scalar per-trial stream satisfying the (master_seed, trial_index) contract."""
-
-    def __init__(self, master_seed: int, trial_index: int):
-        self.master_seed = master_seed
-        self.trial_index = trial_index
-        self._bank = StreamBank(master_seed, np.array([trial_index], dtype=np.uint64))
-
-    def _raw(self) -> np.uint64:
-        return self._bank._raw(1, None)[0, 0]
-
-    def uniform(self) -> float:
-        """Uniform float in the open interval (0, 1)."""
-        return float((int(self._raw()) >> 11) + 0.5) * _U53_INV
-
-    def _depolarize_name(self, p: float) -> str:
-        if p <= 0.0:
-            return "I"
-        z = self._raw()
-        if z >= _thr(p):
-            return "I"
-        if z < _thr(p / 3.0):
-            return "X"
-        if z < _thr(2.0 * p / 3.0):
-            return "Y"
-        return "Z"
-
-    def sample_memory(self, epsilon: float) -> str:
-        return self._depolarize_name(epsilon)
-
-    def sample_one_qubit_gate(self, gamma: float) -> str:
-        return self._depolarize_name(gamma)
-
-    def sample_measurement(self, gamma: float) -> str:
-        return self._depolarize_name(gamma)
-
-    def sample_two_qubit_gate(self, gamma: float) -> tuple[str, str]:
-        if gamma <= 0.0:
-            return ("I", "I")
-        z = self._raw()
-        if z >= _thr(gamma):
-            return ("I", "I")
-        u = float(z) * (2.0**-64)
-        code = 1 + min(int(u * 15.0 / gamma), 14)
-        return (PAULI_NAMES[code >> 2], PAULI_NAMES[code & 3])
-
-
 class FaultPlanSource:
     """Noise source that injects planned Paulis at chosen error locations.
 
@@ -217,9 +168,6 @@ class FaultPlanSource:
     def __init__(self, size: int, slots, codes):
         slots = np.atleast_2d(np.asarray(slots, dtype=np.int64))
         codes = np.atleast_2d(np.asarray(codes, dtype=np.uint8))
-        if slots.shape[0] == 1 and size > 1:
-            slots = np.broadcast_to(slots, (size, slots.shape[1])).copy()
-            codes = np.broadcast_to(codes, (size, codes.shape[1])).copy()
         if slots.shape != codes.shape or slots.shape[0] != size:
             raise ValueError("slots/codes shape mismatch")
         self.size = size

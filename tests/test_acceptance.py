@@ -59,7 +59,7 @@ def _memory_stats(eps, C, trials, seed, t_max=None):
         trials=trials,
         master_seed=seed,
     )
-    return eng.run_memory_experiment(config)
+    return eng.run_experiment(config)
 
 
 @pytest.fixture(scope="module")
@@ -205,7 +205,7 @@ def test_criterion_7_d2_d1_reproduction(memory_grid_inf):
             trials=N_POINT,
             master_seed=SEED + 200 + k,
         )
-        st = eng.run_ec1_experiment(config)
+        st = eng.run_experiment(config)
         ec_pts.append((eps, st.p_ec1, an.binomial_sigma(st.p_ec1 * st.trials, st.trials)))
     d1 = an.fit_through_origin(ec_pts, degree=1).coefficient
     d1_ok = 290.8 / 2 <= d1 <= 290.8 * 2
@@ -243,7 +243,7 @@ def _stabilize_points(eps, seed):
         master_seed=seed,
         t_max=30,
     )
-    series = eng.run_stabilization_experiment(config)
+    series = eng.run_experiment(config)
     return list(
         zip(
             series.t_steps.astype(float),

@@ -11,6 +11,7 @@ import pytest
 from steane_mc import codebook as cb
 from steane_mc.circuit import (
     GROUP_ORDER,
+    MODES,
     Location,
     Network,
     RecoverySchedule,
@@ -19,6 +20,8 @@ from steane_mc.circuit import (
     build_recovery,
     build_syndrome_round,
     census,
+    correction_steps,
+    program,
     verify_encoder,
 )
 from steane_mc.pauli import PauliFrame, apply_cnot, apply_h, apply_pauli, measure_flip
@@ -200,6 +203,16 @@ def test_recovery_census():
     assert c.data_step_count == 20  # 19 recovery steps + 1 channel step
     assert sched.data_exposure_steps == 19
     assert sched.total_steps == 20
+
+
+def test_correction_steps_per_mode():
+    """The CSVs' t_steps: data steps up to each recovery's correction."""
+    sched = RecoverySchedule()
+    steps = {m: correction_steps(program(m, sched, m == "fig5", 3)) for m in MODES}
+    assert steps == {
+        "memory_t20": [20], "fig5": [25], "ec1": [19], "zgate": [21],
+        "stabilize": [20, 40, 60],
+    }
 
 
 def test_schedule_validation():

@@ -206,6 +206,22 @@ def test_env_and_config_precedence(tmp_path, monkeypatch):
     assert _manifest(out)["trials"] == "33"  # flag beats everything
 
 
+def test_malformed_env_config_and_batch_exit_1(tmp_path, monkeypatch, capsys):
+    out = str(tmp_path / "m.csv")
+    argv = ["sweep", "--mode", "memory_t20", "--epsilon", "0", "--out", out, "--threads", "1"]
+    monkeypatch.setenv("STEANE_MC_TRIALS", "ten")
+    assert run(argv) == 1
+    monkeypatch.delenv("STEANE_MC_TRIALS")
+    conf = tmp_path / "conf.txt"
+    conf.write_text("trials = ten\n")
+    assert run(argv + ["--config", str(conf)]) == 1
+    assert run(argv + ["--trials", "ten"]) == 1
+    monkeypatch.setenv("STEANE_MC_BATCH", "-1")
+    assert run(["selftest"]) == 1
+    assert "single-fault certification" not in capsys.readouterr().out
+    assert not os.path.exists(out)
+
+
 def test_fig5_mode_forces_noisy_encoder(tmp_path):
     out = str(tmp_path / "f5.csv")
     rc = run(["sweep", "--mode", "fig5", "--C", "0.1", "--epsilon", "0.002",

@@ -27,20 +27,20 @@ def test_config_validation():
     with pytest.raises(ValueError):
         _cfg(mode="fig5")  # requires noisy encoder
     with pytest.raises(ValueError):
-        eng.run_memory_experiment(_cfg(mode="ec1"))
+        _cfg(encoder_noisy=True)  # memory starts from an error-free encoded input
     with pytest.raises(ValueError):
-        eng.run_memory_experiment(_cfg(encoder_noisy=True))
+        _cfg(mode="stabilize", encoder_noisy=True)
 
 
 def test_zero_noise_totality():
-    st = eng.run_memory_experiment(_cfg(trials=64))
+    st = eng.run_experiment(_cfg(trials=64))
     assert st.counts[0, 0] == 64
     assert st.p_e_strict == 0.0 and st.p_fail_a1 == 0.0 and st.f_a1 == 1.0
-    st = eng.run_ec1_experiment(_cfg(mode="ec1", trials=16))
+    st = eng.run_experiment(_cfg(mode="ec1", trials=16))
     assert st.p_ec1 == 0.0
-    st = eng.run_zgate_experiment(_cfg(mode="zgate", trials=16))
+    st = eng.run_experiment(_cfg(mode="zgate", trials=16))
     assert st.p_fail_a1 == 0.0
-    fs = eng.run_stabilization_experiment(_cfg(mode="stabilize", trials=16, t_max=4))
+    fs = eng.run_experiment(_cfg(mode="stabilize", trials=16, t_max=4))
     assert np.all(fs.fidelity == 1.0)
     fig = eng.run_fig5_experiment(_cfg(mode="fig5", trials=16, encoder_noisy=True))
     assert np.all(fig.fidelity == 1.0)
@@ -84,13 +84,13 @@ def test_scalar_batch_thread_equivalence():
     for i in range(300):
         rc = eng.run_trial(config, i)
         singles[rc.x_class, rc.z_class] += 1
-    st1 = eng.run_memory_experiment(config)
+    st1 = eng.run_experiment(config)
     assert np.array_equal(singles, st1.counts)
     old = os.environ.get("STEANE_MC_BATCH")
     try:
         os.environ["STEANE_MC_BATCH"] = "37"
-        st2 = eng.run_memory_experiment(config)
-        st3 = eng.run_memory_experiment(config, threads=3)
+        st2 = eng.run_experiment(config)
+        st3 = eng.run_experiment(config, threads=3)
     finally:
         if old is None:
             os.environ.pop("STEANE_MC_BATCH", None)
@@ -102,21 +102,21 @@ def test_scalar_batch_thread_equivalence():
 
 @pytest.mark.filterwarnings("ignore:trials=")
 def test_trial_offset_disjoint():
-    a = eng.run_memory_experiment(_cfg(eps=2e-3, trials=500, seed=5))
-    b = eng.run_memory_experiment(_cfg(eps=2e-3, trials=500, seed=5, trial_offset=500))
+    a = eng.run_experiment(_cfg(eps=2e-3, trials=500, seed=5))
+    b = eng.run_experiment(_cfg(eps=2e-3, trials=500, seed=5, trial_offset=500))
     assert not np.array_equal(a.counts, b.counts)  # different trials
-    both = eng.run_memory_experiment(_cfg(eps=2e-3, trials=1000, seed=5))
+    both = eng.run_experiment(_cfg(eps=2e-3, trials=1000, seed=5))
     assert np.array_equal(a.counts + b.counts, both.counts)
 
 
 def test_stabilize_time_axis_and_merge():
-    fs = eng.run_stabilization_experiment(_cfg(mode="stabilize", trials=8, t_max=3))
+    fs = eng.run_experiment(_cfg(mode="stabilize", trials=8, t_max=3))
     assert list(fs.t_steps) == [20, 40, 60]
     merged = fs + fs
     assert merged.trials == 16
     assert np.all(merged.fidelity == 1.0)
     with pytest.raises(ValueError):
-        other = eng.run_stabilization_experiment(
+        other = eng.run_experiment(
             _cfg(mode="stabilize", trials=8, t_max=2)
         )
         _ = fs + other
@@ -124,7 +124,7 @@ def test_stabilize_time_axis_and_merge():
 
 @pytest.mark.filterwarnings("ignore:trials=")
 def test_stabilize_degrades_with_noise():
-    fs = eng.run_stabilization_experiment(
+    fs = eng.run_experiment(
         _cfg(mode="stabilize", eps=3e-3, trials=4000, seed=9, t_max=6)
     )
     f = fs.fidelity
@@ -153,46 +153,50 @@ def test_fig5_symmetry_and_deltas():
 
 
 def test_monotone_degradation():
-    lo = eng.run_memory_experiment(_cfg(eps=1e-3, trials=40_000, seed=2))
-    hi = eng.run_memory_experiment(_cfg(eps=3e-3, trials=40_000, seed=3))
+    lo = eng.run_experiment(_cfg(eps=1e-3, trials=40_000, seed=2))
+    hi = eng.run_experiment(_cfg(eps=3e-3, trials=40_000, seed=3))
     s = math.hypot(lo.stderr_of(lo.p_fail_a1), hi.stderr_of(hi.p_fail_a1))
     assert hi.p_fail_a1 > lo.p_fail_a1 - 3 * s
 
 
 def test_small_n_warning():
     with pytest.warns(UserWarning, match="trials="):
-        eng.run_memory_experiment(_cfg(eps=1e-4, trials=10))
+        eng.run_experiment(_cfg(eps=1e-4, trials=10))
     import warnings as w
 
     with w.catch_warnings():
         w.simplefilter("error")
-        eng.run_memory_experiment(_cfg(eps=0.0, trials=4))  # no rates -> no warning
-
-
-def test_naked_fidelity():
-    assert eng.naked_fidelity(0.5, 0) == 1.0
-    assert eng.naked_fidelity(0.0, 50) == 1.0
-    assert eng.naked_fidelity(0.3, 1) == pytest.approx(0.8)
-    with pytest.raises(ValueError):
-        eng.naked_fidelity(-0.1, 5)
-    with pytest.raises(ValueError):
-        eng.naked_fidelity(0.1, -1)
+        eng.run_experiment(_cfg(eps=0.0, trials=4))  # no rates -> no warning
 
 
 @pytest.mark.filterwarnings("ignore:trials=")
 def test_rejection_cap_enforced(monkeypatch):
     monkeypatch.setattr(eng, "MAX_PREP_ATTEMPTS", 1)
     with pytest.raises(eng.AncillaRejectionError):
-        eng.run_memory_experiment(_cfg(eps=0.9, trials=512, seed=1))
+        eng.run_experiment(_cfg(eps=0.9, trials=512, seed=1))
 
 
 @pytest.mark.filterwarnings("ignore:trials=")
 def test_rejection_loop_still_deterministic():
     # at this rate many preps get rejected and resynthesized
-    a = eng.run_memory_experiment(_cfg(eps=0.2, trials=400, seed=4))
-    b = eng.run_memory_experiment(_cfg(eps=0.2, trials=400, seed=4))
+    a = eng.run_experiment(_cfg(eps=0.2, trials=400, seed=4))
+    b = eng.run_experiment(_cfg(eps=0.2, trials=400, seed=4))
     assert np.array_equal(a.counts, b.counts)
     assert a.counts.sum() == 400
+
+
+def test_batch_size_validation(monkeypatch):
+    monkeypatch.delenv("STEANE_MC_BATCH", raising=False)
+    assert eng.batch_size() == 32768
+    monkeypatch.setenv("STEANE_MC_BATCH", "37")
+    assert eng.batch_size() == 37
+    for raw in ("0", "-1", "ten", "1.5", ""):
+        monkeypatch.setenv("STEANE_MC_BATCH", raw)
+        with pytest.raises(ValueError, match="STEANE_MC_BATCH"):
+            eng.batch_size()
+    monkeypatch.setenv("STEANE_MC_BATCH", "-1")
+    with pytest.raises(ValueError, match="STEANE_MC_BATCH"):
+        eng.run_experiment(_cfg(trials=4))
 
 
 def test_certification_passes():
@@ -211,7 +215,7 @@ def test_fault_case_enumeration_is_stable():
 
 
 def test_trial_stats_accounting_identities():
-    st = eng.run_memory_experiment(_cfg(eps=5e-3, trials=30_000, seed=8))
+    st = eng.run_experiment(_cfg(eps=5e-3, trials=30_000, seed=8))
     assert st.counts.sum() == st.trials
     assert st.f_a1 == pytest.approx(st.eta0 + st.eta3_p)
     w1x = st.counts[1, :].sum()

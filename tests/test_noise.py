@@ -8,10 +8,37 @@ from steane_mc.noise import (
     FaultPlanSource,
     NoiseParams,
     RecordingSource,
-    RngStream,
     StreamBank,
     stream_keys,
 )
+
+_TWO64 = 2**64
+
+
+def _threshold(p: float) -> int:
+    return min(int(p * _TWO64), _TWO64 - 1)
+
+
+def _scalar_raws(seed: int, trial: int, n: int) -> list[int]:
+    """n raw 64-bit draws of one trial, taken one at a time."""
+    bank = StreamBank(seed, np.array([trial], dtype=np.uint64))
+    return [int(bank._raw(1, None)[0, 0]) for _ in range(n)]
+
+
+def _scalar_pauli(z: int, p: float) -> str:
+    """Reference decode of one draw at a memory / one-qubit-gate location."""
+    if z >= _threshold(p):
+        return "I"
+    if z < _threshold(p / 3.0):
+        return "X"
+    return "Y" if z < _threshold(2.0 * p / 3.0) else "Z"
+
+
+def _scalar_pair_code(z: int, p: float) -> int:
+    """Reference decode of one draw at a CNOT location: pair code 0..15."""
+    if z >= _threshold(p):
+        return 0
+    return 1 + min(int(z * 2.0**-64 * (15.0 / p)), 14)
 
 
 def test_noise_params_validation():
@@ -34,27 +61,23 @@ def test_from_ratio():
 
 
 def test_stream_determinism():
-    a = RngStream(123, 7)
-    b = RngStream(123, 7)
-    assert [a.uniform() for _ in range(50)] == [b.uniform() for _ in range(50)]
-    c = RngStream(123, 8)
-    assert [RngStream(123, 7).uniform() for _ in range(1)] != [c.uniform()]
-    d = RngStream(124, 7)
-    assert RngStream(123, 7).uniform() != d.uniform()
+    def draws(seed, trial):
+        bank = StreamBank(seed, np.array([trial], dtype=np.uint64))
+        return bank._raw(50, None)
 
-
-def test_uniform_open_interval():
-    s = RngStream(5, 0)
-    us = [s.uniform() for _ in range(2000)]
-    assert all(0.0 < u < 1.0 for u in us)
+    assert np.array_equal(draws(123, 7), draws(123, 7))
+    assert not np.array_equal(draws(123, 7), draws(123, 8))
+    assert not np.array_equal(draws(123, 7), draws(124, 7))
 
 
 def test_zero_probability_consumes_no_draws():
-    s = RngStream(9, 1)
-    assert s.sample_memory(0.0) == "I"
-    assert s.sample_two_qubit_gate(0.0) == ("I", "I")
-    ref = RngStream(9, 1)
-    assert s.uniform() == ref.uniform()
+    bank = StreamBank(9, np.arange(3, dtype=np.uint64))
+    assert bank.depolarize_steps(0.0, 4, 7) is None
+    assert bank.cnot_pairs(0.0, 5) is None
+    assert bank.depolarize_steps(0.0, 2, 3, idx=np.array([1])) is None
+    assert not bank.counters.any()
+    ref = StreamBank(9, np.arange(3, dtype=np.uint64))
+    assert np.array_equal(bank._raw(3, None), ref._raw(3, None))
 
 
 def _batch_category_counts(p, n_draws, seed=101):
@@ -73,8 +96,7 @@ def _batch_category_counts(p, n_draws, seed=101):
 
 
 def test_memory_distribution_degenerate():
-    s = RngStream(3, 0)
-    assert all(s.sample_memory(0.0) == "I" for _ in range(100))
+    assert StreamBank(3, np.zeros(1, dtype=np.uint64)).depolarize_steps(0.0, 100, 1) is None
     counts = _batch_category_counts(1.0, 300_000)
     assert counts["I"] == 0
     for k in ("X", "Y", "Z"):
@@ -93,8 +115,7 @@ def test_memory_distribution_binomial_bound():
 
 def test_scalar_matches_batch_categories():
     eps = 0.17
-    s = RngStream(77, 3)
-    scal = [s.sample_memory(eps) for _ in range(500)]
+    scal = [_scalar_pauli(z, eps) for z in _scalar_raws(77, 3, 500)]
     bank = StreamBank(77, np.array([3], dtype=np.uint64))
     x, z = bank.depolarize_steps(eps, 500, 1)
     name = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
@@ -122,10 +143,10 @@ def test_two_qubit_distribution():
     assert hist.sum() == n  # distribution sums to 1
     for code in range(1, 16):
         assert abs(hist[code] / n - 0.01) < 5 * sigma
-    s = RngStream(4, 2)
-    pairs = [s.sample_two_qubit_gate(gamma) for _ in range(200)]
-    assert all(p != ("I", "I") or True for p in pairs)
-    assert ("I", "I") in pairs  # gamma is small enough that identities dominate
+    assert abs(hist[0] / n - (1 - gamma)) < 5 * math.sqrt(gamma * (1 - gamma) / n)
+    scal = [_scalar_pair_code(z, gamma) for z in _scalar_raws(4, 2, 200)]
+    batch = StreamBank(4, np.array([2], dtype=np.uint64)).cnot_pairs(gamma, 200)
+    assert scal == batch[0].tolist()
 
 
 def test_chi_square_goodness_of_fit():
