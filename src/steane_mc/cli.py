@@ -94,7 +94,7 @@ def _parse_c(text: str) -> float:
         value = float(text)
     except ValueError:
         raise UsageError(f"bad C value {text!r}") from None
-    if value <= 0:
+    if not value > 0:  # also rejects nan
         raise UsageError(f"C must be positive or 'inf', got {text}")
     return value
 
@@ -218,7 +218,7 @@ def _epsilon_list(args) -> list[float]:
         eps += [float(g) for g in grid]
     if not eps:
         raise UsageError("no epsilon values given (--epsilon or --epsilon-grid)")
-    if any(e < 0 or e > 1 for e in eps):
+    if not all(0 <= e <= 1 for e in eps):  # also rejects nan
         raise UsageError("epsilon values must lie in [0, 1]")
     return eps
 

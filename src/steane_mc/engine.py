@@ -27,7 +27,6 @@ from .circuit import (
     MODES,
     PHASE,
     RecoverySchedule,
-    correction_steps,
     program,
 )
 from .codebook import ErrorClass, ResidualClass
@@ -109,14 +108,15 @@ def _majority3(a, b, c):
 def _execute(ops, src, rates, m, idx=None, prefix=""):
     """Run an op program for m trials (rows idx of src; None: all) on fresh
     registers, prefixing its draw tags.  Returns the frames x, z per register,
-    the flags of the last verification readout, and each fidelity tally."""
+    the flags of the last verification readout, and each fidelity tally as
+    (step, count); a tally sits at its recovery's correction step."""
     x = [np.zeros(m, dtype=_U8), np.zeros(m, dtype=_U8)]
     z = [np.zeros(m, dtype=_U8), np.zeros(m, dtype=_U8)]
     syn = np.zeros((2, 3, m), dtype=_U8)  # [sector, round] syndrome words
     bufs: dict = {}
     reject = None
-    alive: list[int] = []
-    for kind, _, _, args in ops:
+    tallies: list[tuple[int, int]] = []
+    for kind, step, _, args in ops:
         if kind == "xor":
             key, col, r, bits = args
             b = bufs[key]
@@ -177,8 +177,9 @@ def _execute(ops, src, rates, m, idx=None, prefix=""):
             z[DATA] ^= CORR_LUT[_majority3(*syn[PHASE])]
             syn[:] = 0
         elif kind == "tally":
-            alive.append(int(np.count_nonzero(X_TRIVIAL[x[DATA]] & Z_KEEPS_A1[z[DATA]])))
-    return x, z, reject, alive
+            alive = np.count_nonzero(X_TRIVIAL[x[DATA]] & Z_KEEPS_A1[z[DATA]])
+            tallies.append((step, int(alive)))
+    return x, z, reject, tallies
 
 
 def _prepare(attempt, tag, src, rates, m):
@@ -203,8 +204,8 @@ def _prepare(attempt, tag, src, rates, m):
 def _run(config: ExperimentConfig, src):
     """One batch through config's program; returns (dx, dz, tallies)."""
     rates = (config.noise.epsilon, config.noise.gamma)
-    x, z, _, alive = _execute(config.program(), src, rates, src.size)
-    return x[DATA], z[DATA], alive
+    x, z, _, tallies = _execute(config.program(), src, rates, src.size)
+    return x[DATA], z[DATA], tallies
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +328,10 @@ def batch_size() -> int:
 def _run_chunk(config: ExperimentConfig, start: int, size: int):
     """TrialStats, or for stabilize the FidelitySeries, of a chunk of trials."""
     idx = np.arange(start, start + size, dtype=np.uint64)
-    dx, dz, alive = _run(config, StreamBank(config.master_seed, idx))
+    dx, dz, tallies = _run(config, StreamBank(config.master_seed, idx))
     if config.mode == "stabilize":
-        ts = np.array(correction_steps(config.program()), dtype=np.int64)
-        return FidelitySeries(ts, np.array(alive, dtype=np.int64), size)
+        ts, alive = np.array(tallies, dtype=np.int64).T
+        return FidelitySeries(ts, alive, size)
     joint = CLASS_LUT[dx].astype(np.int64) * 4 + CLASS_LUT[dz]
     return TrialStats(np.bincount(joint, minlength=16).reshape(4, 4), size)
 

@@ -14,8 +14,16 @@ Y=2, Z=3; code 0 is the no-error case.
 
 Block sampling: a `depolarize_steps(p, n_steps, width)` call covers
 n_steps * width consecutive locations (step-major) and returns one packed
-width-bit mask column per step; this is purely a batching of draws and
-leaves the per-trial draw sequence unchanged.
+width-bit mask column per step, and `cnot_pairs(p, n)` covers n locations;
+this only batches draws and leaves each trial's draw sequence unchanged.
+The words are hashed in row blocks of about _BLOCK words (256 KB, which
+stays in L2 cache): each block is filled with its counter words and the
+splitmix64 rounds run on it in place, with one scratch buffer reused by
+every round.  Decoding touches only the faults: one `z < T(p)` pass and
+one `flatnonzero` find the hit locations, and only the hits are split into
+X/Y/Z (or given pair codes) and scattered into zeroed masks.  At the rates
+of the threshold sweeps a trial has about 0.3 faults among its 1,508
+locations, so the work per location is one hash and one compare.
 """
 
 from __future__ import annotations
@@ -30,17 +38,26 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _TWO64 = 2**64
 
+_BLOCK = 1 << 15  # uint64 words hashed per row block
+
 # Pauli code (0=I,1=X,2=Y,3=Z) -> does it act on the x / z sector
 PAULI_X_BIT = np.array([0, 1, 1, 0], dtype=np.uint8)
 PAULI_Z_BIT = np.array([0, 0, 1, 1], dtype=np.uint8)
 
 
-def _mix64(z):
-    # uint64 arithmetic wraps mod 2^64 by design
+def _mix64(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer applied to z in place; t is scratch of z's shape."""
+    # uint64 multiplication wraps mod 2^64 by design
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+        np.right_shift(z, 30, out=t)
+        z ^= t
+        z *= _MIX1
+        np.right_shift(z, 27, out=t)
+        z ^= t
+        z *= _MIX2
+        np.right_shift(z, 31, out=t)
+        z ^= t
+    return z
 
 
 def _thr(p: float) -> np.uint64:
@@ -50,9 +67,24 @@ def _thr(p: float) -> np.uint64:
 def stream_keys(master_seed: int, trial_indices: np.ndarray) -> np.ndarray:
     """Per-trial 64-bit stream keys, a pure function of (seed, index)."""
     with np.errstate(over="ignore"):
-        base = _mix64(np.uint64(master_seed & (_TWO64 - 1)) + _GOLDEN)
+        base = np.full(1, master_seed & (_TWO64 - 1), dtype=np.uint64) + _GOLDEN
+        base = _mix64(base, np.empty_like(base))[0]
         idx = trial_indices.astype(np.uint64, copy=False)
-        return _mix64(base + (idx + np.uint64(1)) * _GOLDEN)
+        keys = base + (idx + np.uint64(1)) * _GOLDEN
+        return _mix64(keys, np.empty_like(keys))
+
+
+def _scatter(m: int, n_steps: int, width: int, flat, code):
+    """Packed (x, z) masks, shape (m, n_steps) uint8, holding Pauli code[i]
+    (1=X, 2=Y, 3=Z) at flat location index flat[i] of an (m, n_steps * width)
+    step-major block.  Two Paulis on one location multiply (XOR)."""
+    cell = flat // width
+    bit = (flat % width).astype(np.uint8)
+    x = np.zeros(m * n_steps, dtype=np.uint8)
+    z = np.zeros(m * n_steps, dtype=np.uint8)
+    np.bitwise_xor.at(x, cell, PAULI_X_BIT[code] << bit)
+    np.bitwise_xor.at(z, cell, PAULI_Z_BIT[code] << bit)
+    return x.reshape(m, n_steps), z.reshape(m, n_steps)
 
 
 @dataclass(frozen=True)
@@ -119,9 +151,16 @@ class StreamBank:
             keys, ctr = self.keys, self.counters
         else:
             keys, ctr = self.keys[idx], self.counters[idx]
+        gold = self._gold_offsets(n)
+        z = np.empty((keys.shape[0], n), dtype=np.uint64)
+        rows = max(1, _BLOCK // max(n, 1))
+        t = np.empty((min(rows, z.shape[0]), n), dtype=np.uint64)
         with np.errstate(over="ignore"):
             base = keys + ctr * _GOLDEN
-            z = _mix64(base[:, None] + self._gold_offsets(n))
+            for r in range(0, z.shape[0], rows):
+                block = z[r : r + rows]
+                np.add(base[r : r + rows, None], gold, out=block)
+                _mix64(block, t[: block.shape[0]])
         if idx is None:
             self.counters += np.uint64(n)
         else:
@@ -136,22 +175,21 @@ class StreamBank:
         if p <= 0.0:
             return None
         z = self._raw(n_steps * width, idx)
-        xb = z < _thr(2.0 * p / 3.0)
-        zb = (z >= _thr(p / 3.0)) & (z < _thr(p))
-        m = z.shape[0]
-        xp = np.packbits(xb.reshape(m * n_steps, width), axis=1, bitorder="little")
-        zp = np.packbits(zb.reshape(m * n_steps, width), axis=1, bitorder="little")
-        return xp[:, 0].reshape(m, n_steps), zp[:, 0].reshape(m, n_steps)
+        hit = np.flatnonzero(z < _thr(p))
+        v = z.ravel()[hit]
+        code = 1 + (v >= _thr(p / 3.0)).astype(np.uint8) + (v >= _thr(2.0 * p / 3.0))
+        return _scatter(z.shape[0], n_steps, width, hit, code)
 
     def cnot_pairs(self, p: float, n: int, idx=None, tag=""):
         """n two-qubit gate locations; (m, n) pair codes 0..15, or None."""
         if p <= 0.0:
             return None
         z = self._raw(n, idx)
-        err = z < _thr(p)
-        u = z.astype(np.float64) * (2.0**-64)
-        code = 1 + np.minimum((u * (15.0 / p)).astype(np.int64), 14)
-        return np.where(err, code, 0).astype(np.uint8)
+        hit = np.flatnonzero(z < _thr(p))
+        u = z.ravel()[hit] * 2.0**-64
+        out = np.zeros(z.shape, dtype=np.uint8)
+        out.ravel()[hit] = 1 + np.minimum((u * (15.0 / p)).astype(np.int64), 14)
+        return out
 
 
 class FaultPlanSource:
@@ -190,13 +228,9 @@ class FaultPlanSource:
         return rows, rel[rows, cols], codes[rows, cols], slots.shape[0]
 
     def depolarize_steps(self, p: float, n_steps: int, width: int, idx=None, tag=""):
-        rows, pos, code, m = self._planned(n_steps * width, idx)
-        x = np.zeros((m, n_steps), dtype=np.uint8)
-        z = np.zeros((m, n_steps), dtype=np.uint8)
-        for r, off, c in zip(rows, pos, code):
-            x[r, off // width] ^= PAULI_X_BIT[c] << (off % width)
-            z[r, off // width] ^= PAULI_Z_BIT[c] << (off % width)
-        return x, z
+        n = n_steps * width
+        rows, pos, code, m = self._planned(n, idx)
+        return _scatter(m, n_steps, width, rows * n + pos, code)
 
     def cnot_pairs(self, p: float, n: int, idx=None, tag=""):
         rows, pos, code, m = self._planned(n, idx)

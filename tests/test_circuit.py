@@ -213,6 +213,9 @@ def test_correction_steps_per_mode():
         "memory_t20": [20], "fig5": [25], "ec1": [19], "zgate": [21],
         "stabilize": [20, 40, 60],
     }
+    # the engine reads stabilize's t_steps off its tallies
+    tallies = [op.step for op in program("stabilize", sched, False, 3) if op.kind == "tally"]
+    assert tallies == steps["stabilize"]
 
 
 def test_schedule_validation():

@@ -222,6 +222,22 @@ def test_malformed_env_config_and_batch_exit_1(tmp_path, monkeypatch, capsys):
     assert not os.path.exists(out)
 
 
+def test_non_finite_inputs_exit_1(tmp_path, capsys):
+    out = str(tmp_path / "n.csv")
+    tail = ["--trials", "10", "--out", out, "--threads", "1"]
+    for argv in (
+        ["sweep", "--epsilon", "nan"],
+        ["sweep", "--epsilon", "inf"],
+        ["sweep", "--epsilon-grid", "nan:1e-3:3"],
+        ["sweep", "--epsilon", "1e-3", "--C", "nan"],
+        ["sweep", "--epsilon", "1e-3", "--C", "-inf"],
+        ["stabilize", "--epsilon", "nan", "--t-max", "1"],
+    ):
+        assert run(argv + tail) == 1, argv
+        assert "usage error" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_fig5_mode_forces_noisy_encoder(tmp_path):
     out = str(tmp_path / "f5.csv")
     rc = run(["sweep", "--mode", "fig5", "--C", "0.1", "--epsilon", "0.002",

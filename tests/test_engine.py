@@ -6,8 +6,8 @@ import pytest
 
 from steane_mc import engine as eng
 from steane_mc.codebook import ErrorClass
-from steane_mc.circuit import RecoverySchedule
-from steane_mc.noise import NoiseParams
+from steane_mc.circuit import ATTEMPT, RecoverySchedule
+from steane_mc.noise import NoiseParams, RecordingSource, StreamBank
 
 INF = math.inf
 
@@ -183,6 +183,36 @@ def test_rejection_loop_still_deterministic():
     b = eng.run_experiment(_cfg(eps=0.2, trials=400, seed=4))
     assert np.array_equal(a.counts, b.counts)
     assert a.counts.sum() == 400
+
+
+class _RetryCountingBank(StreamBank):
+    """StreamBank that counts each trial's extra ancilla attempts: only a
+    rejected prep's rerun passes row indices, and each attempt draws one /mem."""
+
+    def __init__(self, master_seed, trial_indices):
+        super().__init__(master_seed, trial_indices)
+        self.retries = np.zeros(self.size, dtype=np.uint64)
+
+    def depolarize_steps(self, p, n_steps, width, idx=None, tag=""):
+        if idx is not None and tag.endswith("/mem"):
+            self.retries[idx] += np.uint64(1)
+        return super().depolarize_steps(p, n_steps, width, idx, tag)
+
+
+@pytest.mark.filterwarnings("ignore:trials=")
+def test_draw_counters_match_location_count():
+    """Each trial draws one word per error location of the recorded pass, plus
+    one attempt's worth for every ancilla it had to resynthesize."""
+    cfg = _cfg(eps=3e-4, C=1.0, trials=4096, seed=12)  # every rate > 0
+    rec = RecordingSource()
+    eng._run(cfg, rec)
+    attempt = RecordingSource()
+    eng._execute(ATTEMPT, attempt, (0.0, 0.0), 1)
+    assert (rec.cursor, attempt.cursor) == (1508, 42)
+    bank = _RetryCountingBank(cfg.master_seed, np.arange(cfg.trials))
+    eng._run(cfg, bank)
+    assert bank.retries.any() and not bank.retries.all()
+    assert np.array_equal(bank.counters, rec.cursor + attempt.cursor * bank.retries)
 
 
 def test_batch_size_validation(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from steane_mc.noise import (
+    _BLOCK,
     FaultPlanSource,
     NoiseParams,
     RecordingSource,
@@ -13,6 +14,7 @@ from steane_mc.noise import (
 )
 
 _TWO64 = 2**64
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _threshold(p: float) -> int:
@@ -39,6 +41,71 @@ def _scalar_pair_code(z: int, p: float) -> int:
     if z >= _threshold(p):
         return 0
     return 1 + min(int(z * 2.0**-64 * (15.0 / p)), 14)
+
+
+def _dense_mix64(z):
+    """splitmix64's finalizer, allocating a temporary per operation."""
+    with np.errstate(over="ignore"):
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+
+def _dense_raw(bank, n, idx):
+    """Reference draws: the next n words of the rows idx of bank, in one
+    (m, n) pass; reads the counters without advancing them."""
+    keys, ctr = (bank.keys, bank.counters) if idx is None else (bank.keys[idx], bank.counters[idx])
+    with np.errstate(over="ignore"):
+        gold = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN
+        return _dense_mix64((keys + ctr * _GOLDEN)[:, None] + gold)
+
+
+def _dense_depolarize(z, p, n_steps, width):
+    """Reference decode: threshold every draw, pack width bits per step."""
+    t = lambda q: np.uint64(_threshold(q))  # noqa: E731
+    xb = z < t(2.0 * p / 3.0)
+    zb = (z >= t(p / 3.0)) & (z < t(p))
+    m = z.shape[0]
+    xp = np.packbits(xb.reshape(m * n_steps, width), axis=1, bitorder="little")
+    zp = np.packbits(zb.reshape(m * n_steps, width), axis=1, bitorder="little")
+    return xp[:, 0].reshape(m, n_steps), zp[:, 0].reshape(m, n_steps)
+
+
+def _dense_pairs(z, p):
+    """Reference decode: a pair code for every draw, zeroed where no error."""
+    u = z.astype(np.float64) * (2.0**-64)
+    code = 1 + np.minimum((u * (15.0 / p)).astype(np.int64), 14)
+    return np.where(z < np.uint64(_threshold(p)), code, 0).astype(np.uint8)
+
+
+@pytest.mark.parametrize("seed", [0, 77, _TWO64 - 1])
+def test_stream_bank_matches_dense_reference(seed):
+    """Blocked hashing and sparse decoding give the dense decoder's output
+    exactly, within one hash block, across several blocks of rows, and with
+    one row per block (n > _BLOCK); row subsets advance only their counters."""
+    m = 12
+    bank = StreamBank(seed, np.arange(1000, 1000 + m, dtype=np.uint64))
+    subsets = [None, np.array([0, 5, 11]), np.array([3]), np.arange(1, m), np.array([9, 2])]
+    k = 0
+    for p in (1e-4, 0.17, 2.0 / 3.0, 1.0):
+        for width in range(1, 8):
+            for n_steps in (1, 5, 2 * _BLOCK // (m * width), _BLOCK // width + 1):
+                n = n_steps * width
+                idx = subsets[k % len(subsets)]
+                rows = np.arange(m) if idx is None else idx
+                k += 1
+                before = bank.counters.copy()
+                ref = _dense_depolarize(_dense_raw(bank, n, idx), p, n_steps, width)
+                got = bank.depolarize_steps(p, n_steps, width, idx=idx)
+                assert all(g.dtype == np.uint8 and g.shape == (rows.size, n_steps) for g in got)
+                assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+                before[rows] += np.uint64(n)
+                assert np.array_equal(bank.counters, before)
+                ref = _dense_pairs(_dense_raw(bank, n, idx), p)
+                got = bank.cnot_pairs(p, n, idx=idx)
+                assert got.dtype == np.uint8 and np.array_equal(got, ref)
+                before[rows] += np.uint64(n)
+                assert np.array_equal(bank.counters, before)
 
 
 def test_noise_params_validation():
