@@ -34,7 +34,7 @@ from .circuit import (
     correction_steps,
     verify_encoder,
 )
-from .noise import NoiseParams
+from .noise import STREAM_VERSION, NoiseParams
 
 ENV_PREFIX = "STEANE_MC_"
 
@@ -295,6 +295,10 @@ _STABILIZE_DEFAULTS = dict(_CELL_DEFAULTS, t_max=10, out="stabilize.csv")
 def _run_cells(args, argv, command, columns, settings, cell_rows, **config_kw) -> int:
     """Run one experiment per (C, epsilon) cell over one worker pool, then write
     the rows cell_rows(config, result) with the command's manifest `settings`."""
+    if args.trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
+    if args.threads < 0:
+        raise UsageError(f"--threads must be >= 0 (0: all cores), got {args.threads}")
     c_values = [_parse_c(c) for c in args.C]
     eps_values = _epsilon_list(args)
     threads = args.threads or (os.cpu_count() or 1)
@@ -324,6 +328,7 @@ def _run_cells(args, argv, command, columns, settings, cell_rows, **config_kw) -
             ("trials", str(args.trials)),
             ("seed", str(args.seed)),
             ("threads", str(threads)),
+            ("stream_version", str(STREAM_VERSION)),
         ]
         + settings
         + _schedule_manifest(schedule),
@@ -363,6 +368,8 @@ def cmd_sweep(args, argv) -> int:
 
 def cmd_stabilize(args, argv) -> int:
     args = _resolve(args, _STABILIZE_DEFAULTS)
+    if args.t_max < 1:
+        raise UsageError(f"--t-max must be >= 1, got {args.t_max}")
 
     def cell_rows(config, series):
         noise = config.noise

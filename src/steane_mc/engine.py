@@ -5,14 +5,23 @@ packed uint8 bit mask per trial and register, and each op becomes a few
 numpy operations across the batch.  Noise comes from a source: `StreamBank`
 for Monte Carlo trials, `FaultPlanSource` for planned faults,
 `RecordingSource` to number the error locations.  Randomness is keyed by
-(master_seed, trial_index, draw), so results are independent of batch size,
-worker count and chunk order; a scalar trial is just a batch of one.
+(master_seed, trial_index, location class, fault ordinal), so results are
+independent of batch size, worker count and chunk order; a scalar trial is
+just a batch of one.
+
+A Monte Carlo chunk first skips its fault-free trials.  `_nominal_locations`
+counts, per noise class (kind, p), the locations of one pass in which no
+ancilla is rejected.  A trial with no fault among those locations rejects no
+ancilla, so it consumes exactly them and ends with residual 0: it counts as
+class (0, 0) and as alive at every stabilize tally without being run.  The
+program runs only on the other trials, through a `StreamBank` of theirs.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -37,6 +46,7 @@ from .noise import (
     NoiseParams,
     RecordingSource,
     StreamBank,
+    fault_free,
 )
 
 MAX_PREP_ATTEMPTS = 100
@@ -201,6 +211,20 @@ def _prepare(attempt, tag, src, rates, m):
     return ax, az
 
 
+def _nominal_locations(ops, rates) -> Counter:
+    """Locations per noise class (kind, p), p > 0, of one pass of ops in which
+    no ancilla is rejected: each prep op counts its attempt once."""
+    counts: Counter = Counter()
+    for kind, _, _, args in ops:
+        if kind == "prep":
+            counts += _nominal_locations(args[0], rates)
+        elif kind == "pauli1" and rates[args[0]] > 0:
+            counts[kind, rates[args[0]]] += args[1] * args[2]
+        elif kind == "pauli2" and rates[GAMMA] > 0:
+            counts[kind, rates[GAMMA]] += args[0]
+    return counts
+
+
 def _run(config: ExperimentConfig, src):
     """One batch through config's program; returns (dx, dz, tallies)."""
     rates = (config.noise.epsilon, config.noise.gamma)
@@ -326,14 +350,21 @@ def batch_size() -> int:
 
 
 def _run_chunk(config: ExperimentConfig, start: int, size: int):
-    """TrialStats, or for stabilize the FidelitySeries, of a chunk of trials."""
+    """TrialStats, or for stabilize the FidelitySeries, of a chunk of trials.
+    Only the trials with a fault among their nominal locations are run."""
+    rates = (config.noise.epsilon, config.noise.gamma)
+    nominal = _nominal_locations(config.program(), rates)
     idx = np.arange(start, start + size, dtype=np.uint64)
-    dx, dz, tallies = _run(config, StreamBank(config.master_seed, idx))
+    live = idx[~fault_free(config.master_seed, idx, nominal)]
+    dx, dz, tallies = _run(config, StreamBank(config.master_seed, live))
+    clean = size - live.size
     if config.mode == "stabilize":
         ts, alive = np.array(tallies, dtype=np.int64).T
-        return FidelitySeries(ts, alive, size)
+        return FidelitySeries(ts, alive + clean, size)
     joint = CLASS_LUT[dx].astype(np.int64) * 4 + CLASS_LUT[dz]
-    return TrialStats(np.bincount(joint, minlength=16).reshape(4, 4), size)
+    counts = np.bincount(joint, minlength=16)
+    counts[0] += clean
+    return TrialStats(counts.reshape(4, 4), size)
 
 
 def run_experiments(configs, threads: int = 1) -> list:

@@ -1,29 +1,37 @@
 """Seeded stochastic error-location sampling for the depolarizing model.
 
-Randomness is counter-based: draw t of trial i under master seed s is the
-splitmix64 hash of (s, i, t), so any slice of trials can be simulated on
-any worker in any order and reproduce bit-identical results.  A channel
-with probability exactly 0 consumes no draws.
+Error locations fall into classes: a sampler kind (`pauli1`, the memory,
+one-qubit gate and measurement locations of `depolarize_steps`; `pauli2`,
+the CNOT locations of `cnot_pairs`) together with its probability p.  Every
+location of a class faults independently with probability p, so a trial's
+faults in one class are sampled by their gaps: the number of fault-free
+locations before the next fault is geometric, floor(ln(1-u) / ln(1-p)) for
+a uniform u (the rare-error sampling of Stim, Gidney arXiv:2103.02202).
+A fault strikes X, Y or Z with probability 1/3 each at a `pauli1`
+location, and one of the 15 pair codes with probability 1/15 each at a
+`pauli2` location.  Pair codes 1..15 encode (control_pauli, target_pauli)
+base 4 with I=0, X=1, Y=2, Z=3; code 0 is the no-error case.
 
-One 64-bit word decides each error location.  Category thresholds are
-integers T(p) = floor(p * 2^64):
-  memory / 1q gate / measurement:  z < T(p/3) -> X, < T(2p/3) -> Y, < T(p) -> Z
-  two-qubit gate:                  z < T(p) -> pair code 1 + floor(15 u / p)
-Pair codes 1..15 encode (control_pauli, target_pauli) base 4 with I=0, X=1,
-Y=2, Z=3; code 0 is the no-error case.
+Randomness is counter-based.  Trial i under master seed s has a key (the
+splitmix64 hash of (s, i)); class (kind, p) of that trial has a key hashed
+from it and (kind, p); fault k of the class takes words 2k (the u of the
+gap before it) and 2k+1 (its Pauli or pair code) of the splitmix64 stream
+of that key.  So any slice of trials reproduces bit-identically on any
+worker in any order, and the faults depend only on how many locations of a
+class a trial has consumed, not on how calls split them: one call of
+n1 + n2 locations returns what calls of n1 and n2 return.
 
-Block sampling: a `depolarize_steps(p, n_steps, width)` call covers
-n_steps * width consecutive locations (step-major) and returns one packed
-width-bit mask column per step, and `cnot_pairs(p, n)` covers n locations;
-this only batches draws and leaves each trial's draw sequence unchanged.
-The words are hashed in row blocks of about _BLOCK words (256 KB, which
-stays in L2 cache): each block is filled with its counter words and the
-splitmix64 rounds run on it in place, with one scratch buffer reused by
-every round.  Decoding touches only the faults: one `z < T(p)` pass and
-one `flatnonzero` find the hit locations, and only the hits are split into
-X/Y/Z (or given pair codes) and scattered into zeroed masks.  At the rates
-of the threshold sweeps a trial has about 0.3 faults among its 1,508
-locations, so the work per location is one hash and one compare.
+Each trial keeps, per class, the distance to its next fault.  A call over n
+locations compares that distance with n for its rows and walks only the
+rows that fault, so it costs O(rows + faults), not O(rows * n).  A channel
+with p = 0 consumes no locations.  `fault_free` reads only the first gaps
+and tells which trials have no fault among a given number of locations per
+class; the engine skips those trials, whose residual is exactly 0.
+
+`STREAM_VERSION` names this stream in the sweep and stabilize manifests.
+Version 1 hashed one word per location and decoded it by thresholds;
+version 2 is the gap sampler.  Data rows are byte-identical for any worker
+count and batch size within a stream version.
 """
 
 from __future__ import annotations
@@ -33,12 +41,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+STREAM_VERSION = 2
+
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _TWO64 = 2**64
-
-_BLOCK = 1 << 15  # uint64 words hashed per row block
+_GAP_MAX = float(2**62)  # "no fault in reach"; keeps every distance inside int64
+_KINDS = {"pauli1": 1, "pauli2": 2}
 
 # Pauli code (0=I,1=X,2=Y,3=Z) -> does it act on the x / z sector
 PAULI_X_BIT = np.array([0, 1, 1, 0], dtype=np.uint8)
@@ -60,10 +70,6 @@ def _mix64(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     return z
 
 
-def _thr(p: float) -> np.uint64:
-    return np.uint64(min(int(p * _TWO64), _TWO64 - 1))
-
-
 def stream_keys(master_seed: int, trial_indices: np.ndarray) -> np.ndarray:
     """Per-trial 64-bit stream keys, a pure function of (seed, index)."""
     with np.errstate(over="ignore"):
@@ -72,6 +78,46 @@ def stream_keys(master_seed: int, trial_indices: np.ndarray) -> np.ndarray:
         idx = trial_indices.astype(np.uint64, copy=False)
         keys = base + (idx + np.uint64(1)) * _GOLDEN
         return _mix64(keys, np.empty_like(keys))
+
+
+def _words(keys: np.ndarray, j) -> np.ndarray:
+    """Word j (an int, or one per key) of each key's splitmix64 stream."""
+    with np.errstate(over="ignore"):
+        z = keys + (np.asarray(j, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
+    return _mix64(z, np.empty_like(z))
+
+
+def _class_keys(keys: np.ndarray, kind: str, p: float) -> np.ndarray:
+    """Per-trial keys of location class (kind, p), from the trials' keys."""
+    salt = _words(np.float64(p).reshape(1).view(np.uint64), _KINDS[kind])
+    k = keys ^ salt
+    return _mix64(k, np.empty_like(k))
+
+
+def _gaps(words: np.ndarray, p: float) -> np.ndarray:
+    """Fault-free locations before the next fault, floor(ln(1-u) / ln(1-p)),
+    with u = (top 52 bits + 1/2) / 2^52 strictly inside (0, 1).  p = 1 gives
+    0; a gap too long to reach (p = 1e-300, say) is capped at _GAP_MAX."""
+    u = ((words >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / np.log1p(-np.float64(p))  # -0.0 at p = 1
+        g = np.log1p(-u) * inv
+    return np.minimum(g, _GAP_MAX).astype(np.int64)
+
+
+def _below(words: np.ndarray, k: int) -> np.ndarray:
+    """Integers in [0, k) from the top 32 bits of each word (bias < k / 2^32)."""
+    return (((words >> np.uint64(32)) * np.uint64(k)) >> np.uint64(32)).astype(np.uint8)
+
+
+def fault_free(master_seed: int, trial_indices, locations: dict) -> np.ndarray:
+    """True for each trial whose first n locations of class (kind, p) hold no
+    fault, for every (kind, p) -> n in `locations` (each p > 0)."""
+    keys = stream_keys(master_seed, np.asarray(trial_indices, dtype=np.uint64))
+    ok = np.ones(keys.shape, dtype=bool)
+    for (kind, p), n in locations.items():
+        ok &= _Class(keys, kind, p).ahead >= n
+    return ok
 
 
 def _scatter(m: int, n_steps: int, width: int, flat, code):
@@ -123,12 +169,22 @@ class NoiseParams:
         return cls(0.0, 0.0, math.inf)
 
 
-class StreamBank:
-    """Vectorized per-trial uniform streams for a batch of trial indices.
+class _Class:
+    """Gap state of one location class (kind, p) for the trials of a bank."""
 
-    Every sampling call advances each covered trial's private draw counter
-    by the number of locations, independent of the other trials, so
-    rejection loops keep streams aligned across batch shapes and workers.
+    def __init__(self, keys: np.ndarray, kind: str, p: float):
+        self.key = _class_keys(keys, kind, p)
+        self.ordinal = np.zeros(keys.shape, dtype=np.int64)  # faults drawn so far
+        self.ahead = _gaps(_words(self.key, 0), p)  # locations before the next fault
+
+
+class StreamBank:
+    """Per-trial fault streams for a batch of trial indices.
+
+    Every sampling call with p > 0 advances each covered trial's `counters`
+    (locations consumed) by the number of locations, independent of the
+    other trials, so rejection loops keep streams aligned across batch
+    shapes and workers.
     """
 
     def __init__(self, master_seed: int, trial_indices: np.ndarray):
@@ -136,36 +192,32 @@ class StreamBank:
         self.keys = stream_keys(master_seed, trial_indices)
         self.counters = np.zeros(trial_indices.shape, dtype=np.uint64)
         self.size = trial_indices.shape[0]
-        self._gold: dict[int, np.ndarray] = {}
+        self._classes: dict[tuple[str, float], _Class] = {}
 
-    def _gold_offsets(self, n: int) -> np.ndarray:
-        ar = self._gold.get(n)
-        if ar is None:
-            with np.errstate(over="ignore"):
-                ar = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN
-            self._gold[n] = ar
-        return ar
-
-    def _raw(self, n: int, idx) -> np.ndarray:
+    def _faults(self, kind: str, p: float, n: int, idx):
+        """(rows, offsets, code words) of the faults among the next n
+        locations of class (kind, p), rows counted within idx (None: all
+        trials); advances the class and the rows' counters by n."""
+        c = self._classes.get((kind, p))
+        if c is None:
+            c = self._classes[(kind, p)] = _Class(self.keys, kind, p)
+        rows = np.flatnonzero((c.ahead if idx is None else c.ahead[idx]) < n)
+        at = rows if idx is None else idx[rows]
+        found = [(rows[:0], c.ahead[:0], self.keys[:0])]  # typed empties: no fault at all
+        while rows.size:
+            off, k = c.ahead[at], c.ordinal[at]
+            found.append((rows, off, _words(c.key[at], 2 * k + 1)))
+            c.ordinal[at] = k + 1
+            c.ahead[at] = off + 1 + _gaps(_words(c.key[at], 2 * k + 2), p)
+            more = c.ahead[at] < n
+            rows, at = rows[more], at[more]
         if idx is None:
-            keys, ctr = self.keys, self.counters
-        else:
-            keys, ctr = self.keys[idx], self.counters[idx]
-        gold = self._gold_offsets(n)
-        z = np.empty((keys.shape[0], n), dtype=np.uint64)
-        rows = max(1, _BLOCK // max(n, 1))
-        t = np.empty((min(rows, z.shape[0]), n), dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            base = keys + ctr * _GOLDEN
-            for r in range(0, z.shape[0], rows):
-                block = z[r : r + rows]
-                np.add(base[r : r + rows, None], gold, out=block)
-                _mix64(block, t[: block.shape[0]])
-        if idx is None:
+            c.ahead -= n
             self.counters += np.uint64(n)
         else:
+            c.ahead[idx] -= n
             self.counters[idx] += np.uint64(n)
-        return z
+        return tuple(np.concatenate(a) for a in zip(*found))
 
     def depolarize_steps(self, p: float, n_steps: int, width: int, idx=None, tag=""):
         """n_steps * width depolarizing locations, packed width bits per step.
@@ -174,21 +226,18 @@ class StreamBank:
         """
         if p <= 0.0:
             return None
-        z = self._raw(n_steps * width, idx)
-        hit = np.flatnonzero(z < _thr(p))
-        v = z.ravel()[hit]
-        code = 1 + (v >= _thr(p / 3.0)).astype(np.uint8) + (v >= _thr(2.0 * p / 3.0))
-        return _scatter(z.shape[0], n_steps, width, hit, code)
+        n = n_steps * width
+        rows, off, words = self._faults("pauli1", p, n, idx)
+        m = self.size if idx is None else len(idx)
+        return _scatter(m, n_steps, width, rows * n + off, 1 + _below(words, 3))
 
     def cnot_pairs(self, p: float, n: int, idx=None, tag=""):
         """n two-qubit gate locations; (m, n) pair codes 0..15, or None."""
         if p <= 0.0:
             return None
-        z = self._raw(n, idx)
-        hit = np.flatnonzero(z < _thr(p))
-        u = z.ravel()[hit] * 2.0**-64
-        out = np.zeros(z.shape, dtype=np.uint8)
-        out.ravel()[hit] = 1 + np.minimum((u * (15.0 / p)).astype(np.int64), 14)
+        rows, off, words = self._faults("pauli2", p, n, idx)
+        out = np.zeros((self.size if idx is None else len(idx), n), dtype=np.uint8)
+        out[rows, off] = 1 + _below(words, 15)
         return out
 
 

@@ -238,6 +238,23 @@ def test_non_finite_inputs_exit_1(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_out_of_range_flags_exit_1(tmp_path, monkeypatch, capsys):
+    out = str(tmp_path / "b.csv")
+    base = ["--epsilon", "1e-3", "--trials", "5", "--out", out]
+    for argv in (
+        ["sweep", *base, "--threads", "-3"],
+        ["stabilize", *base, "--threads", "-1", "--t-max", "2"],
+        ["sweep", "--epsilon", "1e-3", "--trials", "0", "--out", out, "--threads", "1"],
+        ["stabilize", "--epsilon", "1e-3", "--trials", "-2", "--out", out, "--threads", "1"],
+        ["stabilize", *base, "--threads", "1", "--t-max", "0"],
+    ):
+        assert run(argv) == 1, argv
+        assert "usage error" in capsys.readouterr().err
+    monkeypatch.setenv("STEANE_MC_THREADS", "-3")
+    assert run(["sweep", *base]) == 1
+    assert not os.path.exists(out)
+
+
 def test_fig5_mode_forces_noisy_encoder(tmp_path):
     out = str(tmp_path / "f5.csv")
     rc = run(["sweep", "--mode", "fig5", "--C", "0.1", "--epsilon", "0.002",

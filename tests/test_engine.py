@@ -215,6 +215,37 @@ def test_draw_counters_match_location_count():
     assert np.array_equal(bank.counters, rec.cursor + attempt.cursor * bank.retries)
 
 
+@pytest.mark.filterwarnings("ignore:trials=")
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        _cfg(eps=3e-4, C=1.0, trials=3000, seed=21),
+        _cfg(mode="fig5", eps=2e-3, C=0.5, trials=3000, seed=22, encoder_noisy=True),
+        _cfg(mode="stabilize", eps=1e-4, C=2.0, trials=3000, seed=23, t_max=3),
+    ],
+    ids=["memory_t20", "fig5", "stabilize"],
+)
+def test_fault_free_skip_is_exact(cfg):
+    """A chunk that skips its fault-free trials counts what running every
+    trial of it through one StreamBank counts."""
+    start = 5000
+    part = eng._run_chunk(cfg, start, cfg.trials)
+    bank = StreamBank(cfg.master_seed, np.arange(start, start + cfg.trials, dtype=np.uint64))
+    dx, dz, tallies = eng._run(cfg, bank)
+    if cfg.mode == "stabilize":
+        assert [(int(t), int(a)) for t, a in zip(part.t_steps, part.alive)] == tallies
+        assert 0 < tallies[-1][1] < cfg.trials
+    else:
+        joint = eng.CLASS_LUT[dx].astype(np.int64) * 4 + eng.CLASS_LUT[dz]
+        assert np.array_equal(part.counts.ravel(), np.bincount(joint, minlength=16))
+        assert 0 < part.counts[0, 0] < cfg.trials
+    clean = eng.fault_free(
+        cfg.master_seed, np.arange(start, start + cfg.trials),
+        eng._nominal_locations(cfg.program(), (cfg.noise.epsilon, cfg.noise.gamma)),
+    )
+    assert 0 < clean.sum() < cfg.trials  # both paths taken
+
+
 def test_batch_size_validation(monkeypatch):
     monkeypatch.delenv("STEANE_MC_BATCH", raising=False)
     assert eng.batch_size() == 32768

@@ -11,6 +11,8 @@ ancilla verification rejects often (so the resynthesis loop runs):
 A change to the draw order, to a draw's arguments, to a gate, or to how
 chunks are merged across workers changes a digest.  Such a change alters
 published numbers and has to say so (a `stream_version` manifest key).
+The sweep and stabilize rows are pinned under STREAM_VERSION, and must not
+move with the worker count or the chunk size (STEANE_MC_BATCH).
 """
 
 import hashlib
@@ -26,14 +28,15 @@ pytestmark = pytest.mark.filterwarnings("ignore:trials=")
 SEED = "2024"
 EPS = "2e-2"
 TRIALS = "1500"
+STREAM_VERSION = "2"  # the random stream the row digests below were recorded under
 
 SWEEP_ROWS = {
-    "memory_t20": "ba122eaf0600dade115e391626c0179940c6f0fb73d667d3dcbd453b970cea20",
-    "ec1": "06f14081a9c8520155f3a9a5b6c846d9089ba746783f5694d56d7d138ad44b97",
-    "zgate": "2cb547b4b95fb8d635fe7ce7c0dc9ead499f93072931e70409ecb13788e76630",
-    "fig5": "725f22c84e9e422d7ff96a6b82a27a7c585fc44c9af5121b6ef6b5cd730063c0",
+    "memory_t20": "705e48390cce94f7687ce924e8d4defe9112c872289e9dc94de426ba4eda4f1b",
+    "ec1": "4ec513726c29f71095c27cf5a2168f554ccac7e13fb7dd58bd781c74be349378",
+    "zgate": "2a57fd79b053b4532e3d36b57aad364bc15290f082fb9808c2d3cecc91ef282e",
+    "fig5": "064ff93ce144b9d0bb56d254600dd9292dceccc1c41446d4e93b857c002e46c4",
 }
-STABILIZE_ROWS = "54ea5fbc37db7a5b9ebb8f6a54f8bf1726db150f8fc79150bd3ebb2607d6bc75"
+STABILIZE_ROWS = "108b64d213fbed855dc9fc036cedafe7715ae61ee4a26fc70a19d6c17f192c00"
 FAULT_OUTCOMES = {
     "memory_t20": "855d86186b192872038928af082d7fde4cb0a86944863d30686b9430888e225d",
     "ec1": "9b758f9dda3c3dca49b8257c32edd08d13e979454da1d1541375256042a78201",
@@ -63,18 +66,32 @@ def _config(mode):
     )
 
 
+def _manifest(path) -> dict:
+    with open(path) as fh:
+        return dict(l[2:].rstrip("\n").split(" = ", 1) for l in fh if l.startswith("# "))
+
+
 @pytest.mark.parametrize(
-    "mode,threads",
-    [("memory_t20", 1), ("memory_t20", 2), ("ec1", 1), ("zgate", 1), ("fig5", 1)],
+    "mode,threads,batch",
+    [
+        # 400: small chunks, so that two workers share the chunks of both cells
+        pytest.param("memory_t20", 1, "400", id="memory_t20-1"),
+        pytest.param("memory_t20", 2, "400", id="memory_t20-2"),
+        pytest.param("ec1", 1, "400", id="ec1-1"),
+        pytest.param("zgate", 1, "400", id="zgate-1"),
+        pytest.param("fig5", 1, "400", id="fig5-1"),
+        pytest.param("memory_t20", 1, "7", id="memory_t20-1-batch7"),
+        pytest.param("memory_t20", 2, "32768", id="memory_t20-2-batch32768"),
+    ],
 )
-def test_sweep_rows_pinned(mode, threads, tmp_path, monkeypatch):
-    # small chunks, so that two workers share the chunks of both cells
-    monkeypatch.setenv("STEANE_MC_BATCH", "400")
+def test_sweep_rows_pinned(mode, threads, batch, tmp_path, monkeypatch):
+    monkeypatch.setenv("STEANE_MC_BATCH", batch)
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--mode", mode, "--C", "inf", "--C", "1", "--epsilon", EPS,
             "--trials", TRIALS, "--seed", SEED, "--threads", str(threads),
             "--out", str(out)]
     assert cli.main(argv) == 0
+    assert _manifest(out)["stream_version"] == STREAM_VERSION
     assert _sha(_data_rows(out)) == SWEEP_ROWS[mode]
 
 
@@ -83,6 +100,7 @@ def test_stabilize_rows_pinned(tmp_path):
     argv = ["stabilize", "--C", "inf", "--C", "1", "--epsilon", EPS, "--t-max", "4",
             "--trials", TRIALS, "--seed", SEED, "--threads", "1", "--out", str(out)]
     assert cli.main(argv) == 0
+    assert _manifest(out)["stream_version"] == STREAM_VERSION
     assert _sha(_data_rows(out)) == STABILIZE_ROWS
 
 

@@ -5,105 +5,94 @@ import pytest
 from scipy import stats
 
 from steane_mc.noise import (
-    _BLOCK,
     FaultPlanSource,
     NoiseParams,
     RecordingSource,
     StreamBank,
+    fault_free,
     stream_keys,
 )
 
-_TWO64 = 2**64
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_M64 = 2**64 - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_KIND = {"pauli1": 1, "pauli2": 2}
 
 
-def _threshold(p: float) -> int:
-    return min(int(p * _TWO64), _TWO64 - 1)
+def _mix(z: int) -> int:
+    """splitmix64's finalizer on a Python int."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
 
 
-def _scalar_raws(seed: int, trial: int, n: int) -> list[int]:
-    """n raw 64-bit draws of one trial, taken one at a time."""
-    bank = StreamBank(seed, np.array([trial], dtype=np.uint64))
-    return [int(bank._raw(1, None)[0, 0]) for _ in range(n)]
+def _word(key: int, j: int) -> int:
+    return _mix((key + (j + 1) * _GOLDEN) & _M64)
 
 
-def _scalar_pauli(z: int, p: float) -> str:
-    """Reference decode of one draw at a memory / one-qubit-gate location."""
-    if z >= _threshold(p):
-        return "I"
-    if z < _threshold(p / 3.0):
-        return "X"
-    return "Y" if z < _threshold(2.0 * p / 3.0) else "Z"
+def _reference_faults(seed: int, trial: int, kind: str, p: float):
+    """The stream as documented, one fault at a time in Python integers:
+    yields (location, code) of class (kind, p) of one trial."""
+    key = _mix((_mix((seed + _GOLDEN) & _M64) + (trial + 1) * _GOLDEN) & _M64)
+    bits = int(np.float64(p).reshape(1).view(np.uint64)[0])
+    key = _mix(key ^ _word(bits, _KIND[kind]))
+    k, loc = 0, -1
+    while True:
+        u = ((_word(key, 2 * k) >> 12) + 0.5) * 2.0**-52
+        with np.errstate(divide="ignore"):  # p = 1: ln(1-p) = -inf, gap 0
+            loc += 1 + int(min(np.log1p(-u) / np.log1p(-p), 2.0**62))
+        choices = 3 if kind == "pauli1" else 15
+        yield loc, 1 + (((_word(key, 2 * k + 1) >> 32) * choices) >> 32)
+        k += 1
 
 
-def _scalar_pair_code(z: int, p: float) -> int:
-    """Reference decode of one draw at a CNOT location: pair code 0..15."""
-    if z >= _threshold(p):
-        return 0
-    return 1 + min(int(z * 2.0**-64 * (15.0 / p)), 14)
+def _dense(seed, trials, kind, p, n):
+    """(len(trials), n) fault codes of the first n locations of a class."""
+    out = np.zeros((len(trials), n), dtype=np.uint8)
+    for r, t in enumerate(trials):
+        for loc, code in _reference_faults(seed, int(t), kind, p):
+            if loc >= n:
+                break
+            out[r, loc] = code
+    return out
 
 
-def _dense_mix64(z):
-    """splitmix64's finalizer, allocating a temporary per operation."""
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+def _unpack(x, z, width):
+    """Pauli codes 0..3 per location of packed (x, z) masks, step-major."""
+    shifts = np.arange(width, dtype=np.uint8)
+    xb = (x[:, :, None] >> shifts) & 1
+    zb = (z[:, :, None] >> shifts) & 1
+    code = np.array([[0, 3], [1, 2]], dtype=np.uint8)[xb, zb]  # [x][z] -> I,Z,X,Y
+    return code.reshape(x.shape[0], -1)
 
 
-def _dense_raw(bank, n, idx):
-    """Reference draws: the next n words of the rows idx of bank, in one
-    (m, n) pass; reads the counters without advancing them."""
-    keys, ctr = (bank.keys, bank.counters) if idx is None else (bank.keys[idx], bank.counters[idx])
-    with np.errstate(over="ignore"):
-        gold = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN
-        return _dense_mix64((keys + ctr * _GOLDEN)[:, None] + gold)
-
-
-def _dense_depolarize(z, p, n_steps, width):
-    """Reference decode: threshold every draw, pack width bits per step."""
-    t = lambda q: np.uint64(_threshold(q))  # noqa: E731
-    xb = z < t(2.0 * p / 3.0)
-    zb = (z >= t(p / 3.0)) & (z < t(p))
-    m = z.shape[0]
-    xp = np.packbits(xb.reshape(m * n_steps, width), axis=1, bitorder="little")
-    zp = np.packbits(zb.reshape(m * n_steps, width), axis=1, bitorder="little")
-    return xp[:, 0].reshape(m, n_steps), zp[:, 0].reshape(m, n_steps)
-
-
-def _dense_pairs(z, p):
-    """Reference decode: a pair code for every draw, zeroed where no error."""
-    u = z.astype(np.float64) * (2.0**-64)
-    code = 1 + np.minimum((u * (15.0 / p)).astype(np.int64), 14)
-    return np.where(z < np.uint64(_threshold(p)), code, 0).astype(np.uint8)
-
-
-@pytest.mark.parametrize("seed", [0, 77, _TWO64 - 1])
+@pytest.mark.parametrize("seed", [0, 77, 2**64 - 1])
 def test_stream_bank_matches_dense_reference(seed):
-    """Blocked hashing and sparse decoding give the dense decoder's output
-    exactly, within one hash block, across several blocks of rows, and with
-    one row per block (n > _BLOCK); row subsets advance only their counters."""
-    m = 12
-    bank = StreamBank(seed, np.arange(1000, 1000 + m, dtype=np.uint64))
-    subsets = [None, np.array([0, 5, 11]), np.array([3]), np.arange(1, m), np.array([9, 2])]
-    k = 0
-    for p in (1e-4, 0.17, 2.0 / 3.0, 1.0):
-        for width in range(1, 8):
-            for n_steps in (1, 5, 2 * _BLOCK // (m * width), _BLOCK // width + 1):
-                n = n_steps * width
+    """Calls of any size, row subsets among them, give the faults of the
+    one-fault-at-a-time reference; a subset advances only its rows."""
+    m = 9
+    trials = np.arange(1000, 1000 + m, dtype=np.uint64)
+    bank = StreamBank(seed, trials)
+    subsets = [None, np.array([0, 5, 8]), np.array([3]), np.arange(1, m), np.array([7, 2])]
+    for p in (1e-3, 0.17, 2.0 / 3.0, 1.0):
+        for kind in ("pauli1", "pauli2"):
+            total = 400
+            ref = _dense(seed, trials, kind, p, total)
+            used = np.zeros(m, dtype=np.int64)
+            for k, (n_steps, width) in enumerate([(1, 1), (5, 7), (3, 2), (40, 1), (2, 4)]):
                 idx = subsets[k % len(subsets)]
                 rows = np.arange(m) if idx is None else idx
-                k += 1
+                n = n_steps * width
                 before = bank.counters.copy()
-                ref = _dense_depolarize(_dense_raw(bank, n, idx), p, n_steps, width)
-                got = bank.depolarize_steps(p, n_steps, width, idx=idx)
-                assert all(g.dtype == np.uint8 and g.shape == (rows.size, n_steps) for g in got)
-                assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
-                before[rows] += np.uint64(n)
-                assert np.array_equal(bank.counters, before)
-                ref = _dense_pairs(_dense_raw(bank, n, idx), p)
-                got = bank.cnot_pairs(p, n, idx=idx)
-                assert got.dtype == np.uint8 and np.array_equal(got, ref)
+                if kind == "pauli1":
+                    got = bank.depolarize_steps(p, n_steps, width, idx=idx)
+                    assert all(g.dtype == np.uint8 and g.shape == (rows.size, n_steps) for g in got)
+                    got = _unpack(*got, width)
+                else:
+                    got = bank.cnot_pairs(p, n, idx=idx)
+                    assert got.dtype == np.uint8 and got.shape == (rows.size, n)
+                want = np.stack([ref[r, used[r] : used[r] + n] for r in rows])
+                assert np.array_equal(got, want), (p, kind, n_steps, width)
+                used[rows] += n
                 before[rows] += np.uint64(n)
                 assert np.array_equal(bank.counters, before)
 
@@ -127,14 +116,14 @@ def test_from_ratio():
     assert NoiseParams.from_ratio(1e-3, math.inf).gamma == 0.0
 
 
-def test_stream_determinism():
-    def draws(seed, trial):
-        bank = StreamBank(seed, np.array([trial], dtype=np.uint64))
-        return bank._raw(50, None)
+def _codes(seed, trials, p=0.3, n=200):
+    return StreamBank(seed, np.asarray(trials, dtype=np.uint64)).cnot_pairs(p, n)
 
-    assert np.array_equal(draws(123, 7), draws(123, 7))
-    assert not np.array_equal(draws(123, 7), draws(123, 8))
-    assert not np.array_equal(draws(123, 7), draws(124, 7))
+
+def test_stream_determinism():
+    assert np.array_equal(_codes(123, [7]), _codes(123, [7]))
+    assert not np.array_equal(_codes(123, [7]), _codes(123, [8]))
+    assert not np.array_equal(_codes(123, [7]), _codes(124, [7]))
 
 
 def test_zero_probability_consumes_no_draws():
@@ -144,7 +133,23 @@ def test_zero_probability_consumes_no_draws():
     assert bank.depolarize_steps(0.0, 2, 3, idx=np.array([1])) is None
     assert not bank.counters.any()
     ref = StreamBank(9, np.arange(3, dtype=np.uint64))
-    assert np.array_equal(bank._raw(3, None), ref._raw(3, None))
+    assert np.array_equal(bank.cnot_pairs(0.4, 30), ref.cnot_pairs(0.4, 30))
+
+
+def test_extreme_probabilities():
+    """p = 1 faults every location; p = 1e-300 (and the smallest subnormal)
+    neither faults nor overflows, and still consumes its locations."""
+    bank = StreamBank(5, np.arange(64, dtype=np.uint64))
+    x, z = bank.depolarize_steps(1.0, 50, 7)
+    assert np.all((x | z) == 0x7F)
+    assert np.all(bank.cnot_pairs(1.0, 300) > 0)
+    with np.errstate(all="raise"):
+        for p in (1e-300, 5e-324):
+            for _ in range(3):
+                x, z = bank.depolarize_steps(p, 10_000, 7)
+                assert not x.any() and not z.any()
+                assert not bank.cnot_pairs(p, 10_000).any()
+    assert np.all(bank.counters == 350 + 300 + 2 * 3 * 80_000)
 
 
 def _batch_category_counts(p, n_draws, seed=101):
@@ -181,13 +186,28 @@ def test_memory_distribution_binomial_bound():
 
 
 def test_scalar_matches_batch_categories():
+    """A bank of one trial, one location per call, samples what the batch does."""
     eps = 0.17
-    scal = [_scalar_pauli(z, eps) for z in _scalar_raws(77, 3, 500)]
-    bank = StreamBank(77, np.array([3], dtype=np.uint64))
-    x, z = bank.depolarize_steps(eps, 500, 1)
-    name = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
-    batch = [name[(int(x[0, i]), int(z[0, i]))] for i in range(500)]
-    assert scal == batch
+    x, z = StreamBank(77, np.arange(5, dtype=np.uint64)).depolarize_steps(eps, 500, 1)
+    for trial in range(5):
+        bank = StreamBank(77, np.array([trial], dtype=np.uint64))
+        one = [bank.depolarize_steps(eps, 1, 1) for _ in range(500)]
+        assert [int(a[0, 0]) for a, _ in one] == x[trial].tolist()
+        assert [int(b[0, 0]) for _, b in one] == z[trial].tolist()
+
+
+@pytest.mark.parametrize("p", [1e-3, 0.17, 2.0 / 3.0])
+@pytest.mark.parametrize("kind", ["pauli1", "pauli2"])
+def test_fault_rate_within_5_sigma(p, kind):
+    rows, n = 400, 2500
+    bank = StreamBank(31, np.arange(rows, dtype=np.uint64))
+    if kind == "pauli1":
+        x, z = bank.depolarize_steps(p, n, 1)
+        faults = np.count_nonzero(x | z)
+    else:
+        faults = np.count_nonzero(bank.cnot_pairs(p, n))
+    total = rows * n
+    assert abs(faults / total - p) < 5 * math.sqrt(p * (1 - p) / total)
 
 
 def test_gate_sampler_distribution():
@@ -211,9 +231,8 @@ def test_two_qubit_distribution():
     for code in range(1, 16):
         assert abs(hist[code] / n - 0.01) < 5 * sigma
     assert abs(hist[0] / n - (1 - gamma)) < 5 * math.sqrt(gamma * (1 - gamma) / n)
-    scal = [_scalar_pair_code(z, gamma) for z in _scalar_raws(4, 2, 200)]
-    batch = StreamBank(4, np.array([2], dtype=np.uint64)).cnot_pairs(gamma, 200)
-    assert scal == batch[0].tolist()
+    chi2 = stats.chisquare(hist[1:]).statistic
+    assert chi2 < stats.chi2.ppf(1 - 1e-3, df=14)
 
 
 def test_chi_square_goodness_of_fit():
@@ -231,12 +250,19 @@ def test_chi_square_goodness_of_fit():
 
 
 def test_adjacent_stream_independence():
-    n = 100_000
-    bank = StreamBank(42, np.array([100, 101], dtype=np.uint64))
-    z = bank._raw(n, None)
-    u = ((z >> np.uint64(11)) + 0.5) * 2.0**-53
-    r = np.corrcoef(u[0], u[1])[0, 1]
-    assert abs(r) < 5 / math.sqrt(n)
+    """Fault indicators of adjacent trials, and of the classes of one trial,
+    are uncorrelated (|r| < 5 / sqrt(n))."""
+    rows, per_row, p = 2000, 200, 0.3
+    bank = StreamBank(42, np.arange(100, 100 + rows, dtype=np.uint64))
+    mem = np.bitwise_or(*bank.depolarize_steps(p, per_row, 1)).astype(bool)
+    gate = np.bitwise_or(*bank.depolarize_steps(0.2, per_row, 1)).astype(bool)
+    pair = bank.cnot_pairs(p, per_row).astype(bool)
+    series = [mem[0::2], mem[1::2], gate[0::2], pair[0::2], pair[1::2]]
+    n = series[0].size
+    for i in range(len(series)):
+        for j in range(i + 1, len(series)):
+            r = np.corrcoef(series[i].ravel(), series[j].ravel())[0, 1]
+            assert abs(r) < 5 / math.sqrt(n), (i, j, r)
 
 
 def test_stream_keys_pure_function():
@@ -255,6 +281,26 @@ def test_subset_draws_match_full():
     assert np.array_equal(full[1][idx], sub[1])
     # counters advanced only for the subset
     assert list(bank2.counters) == [0, 6, 0, 0, 6, 0]
+    # a bank of the subset's trials alone samples the same faults
+    alone = StreamBank(8, np.array([1, 4], dtype=np.uint64)).depolarize_steps(0.4, 2, 3)
+    assert np.array_equal(alone[0], sub[0]) and np.array_equal(alone[1], sub[1])
+
+
+def test_fault_free_reads_the_first_gaps():
+    """fault_free marks exactly the trials whose first n locations of every
+    listed class sample no fault."""
+    seed, trials = 3, np.arange(500, 900, dtype=np.uint64)
+    classes = {("pauli1", 0.01): 40, ("pauli2", 0.02): 15, ("pauli1", 0.003): 120}
+    bank = StreamBank(seed, trials)
+    clean = np.ones(trials.size, dtype=bool)
+    for (kind, p), n in classes.items():
+        if kind == "pauli1":
+            clean &= ~np.bitwise_or(*bank.depolarize_steps(p, n, 1)).any(axis=1)
+        else:
+            clean &= ~bank.cnot_pairs(p, n).any(axis=1)
+    got = fault_free(seed, trials, classes)
+    assert np.array_equal(got, clean) and got.any() and not got.all()
+    assert fault_free(seed, trials, {}).all()
 
 
 def test_fault_plan_single():
