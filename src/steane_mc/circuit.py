@@ -184,21 +184,19 @@ def census(net: Network) -> Census:
 
 @dataclass(frozen=True)
 class RecoverySchedule:
-    """Step accounting for one full recovery (three rounds plus correction)."""
+    """Step accounting for one full recovery (three rounds plus correction).
 
-    rounds: int = 3
-    steps_per_round: int = 6
-    correction_steps: int = 1
+    The majority vote needs exactly 3 rounds, the interaction layout spans 6
+    data steps and the correction one, so only the idle steps around a
+    recovery are settable."""
+
+    rounds = 3  # unannotated: class constants, not dataclass fields
+    steps_per_round = 6
+    correction_steps = 1
     channel_prefix_steps: int = 1
     inter_recovery_gap: int = 1
 
     def __post_init__(self) -> None:
-        if self.rounds != 3:
-            raise ValueError("majority-vote recovery is defined for exactly 3 rounds")
-        if self.steps_per_round != 6:
-            raise ValueError("the interaction layout spans exactly 6 data steps")
-        if self.correction_steps != 1:
-            raise ValueError("correction takes exactly one step")
         if self.channel_prefix_steps < 0 or self.inter_recovery_gap < 0:
             raise ValueError("step counts must be non-negative")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence, TextIO, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -89,10 +89,7 @@ class CodeTables:
 
     cperp_words: frozenset[int]
     c_words: frozenset[int]
-    h_rows: tuple[int, int, int]
-    syndrome_to_leader: dict[int, int]
-    # index by the 7-bit error int
-    effective_weight_lut: np.ndarray
+    # effective weight, which is also the class index, by the 7-bit error int
     class_lut: np.ndarray
 
 
@@ -100,20 +97,10 @@ def build_tables() -> CodeTables:
     """Construct the code tables; deterministic and cheap (128 vectors)."""
     cperp = _span(H_ROWS)
     c = _span(H_ROWS + (ALL_ONES,))
-    leaders = {0: 0}
-    for j in range(1, 8):
-        leaders[syndrome_of(1 << (j - 1)).position] = 1 << (j - 1)
     w_eff = np.empty(128, dtype=np.uint8)
     for e in range(128):
         w_eff[e] = min(bin(e ^ u).count("1") for u in cperp)
-    return CodeTables(
-        cperp_words=cperp,
-        c_words=c,
-        h_rows=H_ROWS,
-        syndrome_to_leader=leaders,
-        effective_weight_lut=w_eff,
-        class_lut=w_eff.copy(),  # class index == effective weight
-    )
+    return CodeTables(cperp_words=cperp, c_words=c, class_lut=w_eff)
 
 
 _TABLES: CodeTables | None = None
@@ -138,7 +125,7 @@ def syndrome_of(e: ErrorLike) -> Syndrome:
 
 def effective_weight(e: ErrorLike) -> int:
     """Min weight of e modulo C_perp; always in 0..3."""
-    return int(tables().effective_weight_lut[as_int(e)])
+    return int(tables().class_lut[as_int(e)])
 
 
 def classify(e: ErrorLike) -> ErrorClass:
@@ -200,22 +187,6 @@ def overlap_factor(cls: ResidualClass, a: float) -> float:
     if z_log:
         return (a * a - b_sq) ** 2
     return 1.0
-
-
-def dump_tables(stream: TextIO) -> None:
-    """Write the word lists and syndrome map as CSV, one 7-char vector per row."""
-
-    def fmt(v: int) -> str:
-        return "".join(str((v >> i) & 1) for i in range(N_QUBITS))
-
-    t = tables()
-    stream.write("table,key,vector\n")
-    for w in sorted(t.cperp_words):
-        stream.write(f"cperp,,{fmt(w)}\n")
-    for w in sorted(t.c_words):
-        stream.write(f"c,,{fmt(w)}\n")
-    for s in range(8):
-        stream.write(f"syndrome_leader,{s},{fmt(t.syndrome_to_leader[s])}\n")
 
 
 def enumerate_by_class() -> dict[ErrorClass, list[int]]:

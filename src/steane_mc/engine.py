@@ -54,7 +54,7 @@ MAX_PREP_ATTEMPTS = 100
 _U8 = np.uint8
 
 CLASS_LUT = codebook.tables().class_lut  # 7-bit residual -> class 0..3
-CORR_LUT = np.array([0, 1, 2, 4, 8, 16, 32, 64], dtype=_U8)  # syndrome -> mask
+CORR_LUT = np.array([codebook.correction_for(s) for s in range(8)], dtype=_U8)
 PARITY = np.array([bin(i).count("1") & 1 for i in range(256)], dtype=_U8)
 X_TRIVIAL = CLASS_LUT == 0  # residual acts trivially on |0_L> (x sector)
 Z_KEEPS_A1 = (CLASS_LUT == 0) | (CLASS_LUT == 3)  # in C: |0_L> unaffected
@@ -83,10 +83,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.trial_offset < 0:
             raise ValueError("trial_offset must be >= 0")
-        if self.mode == "fig5" and not self.encoder_noisy:
-            raise ValueError("fig5 mode requires a noisy encoding network")
-        if self.mode in ("memory_t20", "stabilize") and self.encoder_noisy:
-            raise ValueError(f"{self.mode} mode starts from an error-free encoded input")
+        if self.encoder_noisy != (self.mode == "fig5"):
+            raise ValueError("the noisy encoding network runs in fig5 mode and only there")
         if self.mode == "stabilize" and self.t_max < 1:
             raise ValueError("stabilize mode needs t_max >= 1")
 
@@ -270,10 +268,6 @@ class TrialStats:
         return self._p(self.counts[3, 3])
 
     @property
-    def p_detectable(self) -> float:
-        return 1.0 - (self.eta0 + self.eta3_b + self.eta3_p + self.eta_y)
-
-    @property
     def p_e_strict(self) -> float:
         """Either sector fails under ideal recovery (raw class 2 or 3)."""
         return 1.0 - self._p(self.counts[:2, :2].sum())
@@ -328,17 +322,6 @@ class FidelitySeries:
     def stderr(self) -> np.ndarray:
         f = self.fidelity
         return np.sqrt(np.maximum(f * (1.0 - f), 0.0) / self.trials)
-
-
-@dataclass
-class Fig5Result:
-    stats: TrialStats
-    a_grid: np.ndarray
-    fidelity: np.ndarray
-
-    @property
-    def delta_eta3(self) -> float:
-        return self.stats.delta_eta3
 
 
 def batch_size() -> int:
@@ -403,19 +386,6 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> ResidualClass:
     return ResidualClass(
         ErrorClass(int(CLASS_LUT[dx[0]])), ErrorClass(int(CLASS_LUT[dz[0]]))
     )
-
-
-def run_fig5_experiment(
-    config: ExperimentConfig, a_grid=None, threads: int = 1
-) -> Fig5Result:
-    if config.mode != "fig5":
-        raise ValueError("run_fig5_experiment expects mode='fig5'")
-    if a_grid is None:
-        a_grid = np.sqrt(np.linspace(0.0, 1.0, 21))
-    a_grid = np.asarray(a_grid, dtype=float)
-    stats = run_experiment(config, threads)
-    fid = np.array([stats.fidelity_at(a) for a in a_grid])
-    return Fig5Result(stats, a_grid, fid)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ count and batch size within a stream version.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,38 +135,27 @@ def _scatter(m: int, n_steps: int, width: int, flat, code):
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """Memory error per qubit per step, intrinsic gate error, and their ratio."""
+    """Memory error per qubit per step and its ratio C = epsilon / gamma to
+    the intrinsic gate error gamma; C = inf is the gamma = 0 limit."""
 
     epsilon: float
-    gamma: float
-    ratio_C: float = field(default=math.inf)
+    ratio_C: float = math.inf
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon out of [0,1]: {self.epsilon}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma out of [0,1]: {self.gamma}")
-        if math.isinf(self.ratio_C):
-            if self.gamma != 0.0:
-                raise ValueError("ratio_C = inf requires gamma = 0")
-        else:
-            if self.ratio_C <= 0:
-                raise ValueError(f"ratio_C must be positive: {self.ratio_C}")
-            expect = self.epsilon / self.ratio_C
-            tol = 1e-12 * max(abs(expect), abs(self.gamma), 1e-300)
-            if abs(self.gamma - expect) > tol:
-                raise ValueError(
-                    f"gamma {self.gamma} inconsistent with epsilon/C = {expect}"
-                )
+        if not self.ratio_C > 0:  # also rejects nan
+            raise ValueError(f"ratio_C must be positive: {self.ratio_C}")
+        if self.gamma > 1.0:
+            raise ValueError(f"gamma = epsilon / C out of [0,1]: {self.gamma}")
 
-    @classmethod
-    def from_ratio(cls, epsilon: float, ratio_C: float) -> "NoiseParams":
-        gamma = 0.0 if math.isinf(ratio_C) else epsilon / ratio_C
-        return cls(epsilon=epsilon, gamma=gamma, ratio_C=ratio_C)
+    @property
+    def gamma(self) -> float:
+        return 0.0 if math.isinf(self.ratio_C) else self.epsilon / self.ratio_C
 
     @classmethod
     def zero(cls) -> "NoiseParams":
-        return cls(0.0, 0.0, math.inf)
+        return cls(0.0)
 
 
 class _Class:

@@ -101,7 +101,7 @@ def test_crossing_against_brentq():
     root = an.crossing(f, g)
     oracle = optimize.brentq(lambda e: f(e) - g(e), 1e-8, 1e-1, xtol=1e-16)
     assert root == pytest.approx(oracle, rel=1e-8)
-    assert root == pytest.approx(3.9e-4, rel=0.02)
+    assert root == pytest.approx(an.PUBLISHED_THRESHOLDS_INF["eps_pth"], rel=0.02)
 
 
 def test_crossing_errors_and_trivia():
@@ -126,12 +126,13 @@ def test_g1_combine_reproduces_reference_table():
 def test_thresholds_from_reference_row():
     inf_row = an.PUBLISHED_TABLE1[-1]
     ts = an.thresholds_from(inf_row)
-    assert ts.eps_mth == pytest.approx(2.9e-5, rel=0.02)
-    assert ts.eps_thg1 == pytest.approx(2.7e-5, rel=0.02)
-    assert ts.eps_thg2 == pytest.approx(1.36e-5, rel=0.02)
+    published = an.PUBLISHED_THRESHOLDS_INF
+    assert ts.eps_mth == pytest.approx(published["eps_mth"], rel=0.02)
+    assert ts.eps_thg1 == pytest.approx(published["eps_thg1"], rel=0.02)
+    assert ts.eps_thg2 == pytest.approx(1.36e-5, rel=0.02)  # published 1.3e-5, truncated
     assert ts.eps_thg2 == ts.eps_thg1 / 2.0
     assert ts.eps_mth * inf_row.D2 == pytest.approx(1.0)
-    assert ts.eps_pth == pytest.approx(3.9e-4, rel=0.02)
+    assert ts.eps_pth == pytest.approx(published["eps_pth"], rel=0.02)
 
 
 def test_pth_matches_small_eps_closed_form():

@@ -219,9 +219,9 @@ def test_correction_steps_per_mode():
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # fixed by the majority vote, not settable
         RecoverySchedule(rounds=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         RecoverySchedule(steps_per_round=5)
     with pytest.raises(ValueError):
         RecoverySchedule(channel_prefix_steps=-1)

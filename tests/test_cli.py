@@ -162,8 +162,9 @@ def test_thresholds_paper_table(tmp_path):
     block = _data_block(out)
     rows = [dict(zip(block[0].rstrip().split(","), l.rstrip().split(","))) for l in block[1:]]
     inf_row = [r for r in rows if r["C"] == "inf"][0]
-    assert float(inf_row["eps_mth"]) == pytest.approx(2.9e-5, rel=0.02)
-    assert float(inf_row["eps_pth"]) == pytest.approx(3.9e-4, rel=0.02)
+    published = an.PUBLISHED_THRESHOLDS_INF
+    assert float(inf_row["eps_mth"]) == pytest.approx(published["eps_mth"], rel=0.02)
+    assert float(inf_row["eps_pth"]) == pytest.approx(published["eps_pth"], rel=0.02)
     assert float(inf_row["eps_thg2"]) == pytest.approx(1.36e-5, rel=0.02)
     assert len(rows) == 7
 
@@ -232,6 +233,7 @@ def test_non_finite_inputs_exit_1(tmp_path, capsys):
         ["sweep", "--epsilon", "1e-3", "--C", "nan"],
         ["sweep", "--epsilon", "1e-3", "--C", "-inf"],
         ["stabilize", "--epsilon", "nan", "--t-max", "1"],
+        ["sweep", "--epsilon", "abc"],
     ):
         assert run(argv + tail) == 1, argv
         assert "usage error" in capsys.readouterr().err
@@ -247,9 +249,13 @@ def test_out_of_range_flags_exit_1(tmp_path, monkeypatch, capsys):
         ["sweep", "--epsilon", "1e-3", "--trials", "0", "--out", out, "--threads", "1"],
         ["stabilize", "--epsilon", "1e-3", "--trials", "-2", "--out", out, "--threads", "1"],
         ["stabilize", *base, "--threads", "1", "--t-max", "0"],
+        ["sweep", "--epsilon", "0.5", "--C", "1e-5", "--trials", "5", "--out", out, "--threads", "1"],
+        ["sweep", *base, "--mode", "memory_t20", "--encoder-noisy"],
     ):
         assert run(argv) == 1, argv
         assert "usage error" in capsys.readouterr().err
+    monkeypatch.setenv("STEANE_MC_EPSILON", "abc")
+    assert run(["sweep", "--trials", "5", "--out", out, "--threads", "1"]) == 1
     monkeypatch.setenv("STEANE_MC_THREADS", "-3")
     assert run(["sweep", *base]) == 1
     assert not os.path.exists(out)

@@ -5,7 +5,6 @@ effective weights) are built from scratch in the tests and never call the
 lookup-table paths they validate.
 """
 
-import io
 from itertools import combinations
 
 import numpy as np
@@ -174,16 +173,6 @@ def test_overlap_factor():
     assert cb.overlap_factor(mk(T, L), a) == pytest.approx((a * a - b2) ** 2)
     with pytest.raises(ValueError):
         cb.overlap_factor(mk(T, T), 1.5)
-
-
-def test_dump_tables():
-    buf = io.StringIO()
-    cb.dump_tables(buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "table,key,vector"
-    vectors = [line.split(",")[2] for line in lines[1:]]
-    assert len(vectors) == 8 + 16 + 8
-    assert all(len(v) == 7 and set(v) <= {"0", "1"} for v in vectors)
 
 
 def test_as_int_validation():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from steane_mc import engine as eng
-from steane_mc.codebook import ErrorClass
+from steane_mc.codebook import ErrorClass, ResidualClass, overlap_factor
 from steane_mc.circuit import ATTEMPT, RecoverySchedule
 from steane_mc.noise import NoiseParams, RecordingSource, StreamBank
 
@@ -14,7 +14,7 @@ INF = math.inf
 
 def _cfg(mode="memory_t20", eps=0.0, C=INF, trials=1, seed=0, **kw):
     return eng.ExperimentConfig(
-        mode=mode, noise=NoiseParams.from_ratio(eps, C), trials=trials,
+        mode=mode, noise=NoiseParams(eps, C), trials=trials,
         master_seed=seed, **kw
     )
 
@@ -30,6 +30,8 @@ def test_config_validation():
         _cfg(encoder_noisy=True)  # memory starts from an error-free encoded input
     with pytest.raises(ValueError):
         _cfg(mode="stabilize", encoder_noisy=True)
+    with pytest.raises(ValueError):
+        _cfg(mode="ec1", encoder_noisy=True)  # only fig5 runs the noisy encoder
 
 
 def test_zero_noise_totality():
@@ -42,8 +44,8 @@ def test_zero_noise_totality():
     assert st.p_fail_a1 == 0.0
     fs = eng.run_experiment(_cfg(mode="stabilize", trials=16, t_max=4))
     assert np.all(fs.fidelity == 1.0)
-    fig = eng.run_fig5_experiment(_cfg(mode="fig5", trials=16, encoder_noisy=True))
-    assert np.all(fig.fidelity == 1.0)
+    st = eng.run_experiment(_cfg(mode="fig5", trials=16, encoder_noisy=True))
+    assert all(st.fidelity_at(a) == 1.0 for a in np.sqrt(np.linspace(0.0, 1.0, 21)))
 
 
 @pytest.mark.filterwarnings("ignore:trials=")
@@ -135,21 +137,23 @@ def test_stabilize_degrades_with_noise():
 def test_fig5_symmetry_and_deltas():
     cfg = eng.ExperimentConfig(
         mode="fig5",
-        noise=NoiseParams(2e-3, 2e-2, 0.1),
+        noise=NoiseParams(2e-3, 0.1),
         trials=20_000,
         master_seed=17,
         encoder_noisy=True,
     )
-    res = eng.run_fig5_experiment(cfg, a_grid=[0.0, 0.5, 1 / math.sqrt(2), 1.0])
-    assert res.fidelity[0] == pytest.approx(res.fidelity[-1], abs=1e-15)
-    assert res.delta_eta3 == pytest.approx(res.stats.eta3_b - res.stats.eta3_p)
-    mid = res.stats.fidelity_at(1 / math.sqrt(2))
-    assert mid == pytest.approx(res.stats.eta0 + res.stats.eta3_p + res.delta_eta3)
-    total = (
-        res.stats.eta0 + res.stats.eta3_b + res.stats.eta3_p + res.stats.eta_y
-        + res.stats.p_detectable
-    )
-    assert total == pytest.approx(1.0)
+    st = eng.run_experiment(cfg)
+    assert st.fidelity_at(0.0) == pytest.approx(st.fidelity_at(1.0), abs=1e-15)
+    mid = st.fidelity_at(1 / math.sqrt(2))
+    assert mid == pytest.approx(st.eta0 + st.eta3_p + st.delta_eta3)
+    # the per-class overlaps of codebook are an independent reference for F(a)
+    for a in np.sqrt(np.linspace(0.0, 1.0, 21)):
+        ref = sum(
+            st.counts[x, z] * overlap_factor(ResidualClass(ErrorClass(x), ErrorClass(z)), a)
+            for x in range(4)
+            for z in range(4)
+        ) / st.trials
+        assert abs(ref - st.fidelity_at(a)) <= 1e-12, a
 
 
 def test_monotone_degradation():

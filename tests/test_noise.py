@@ -98,22 +98,25 @@ def test_stream_bank_matches_dense_reference(seed):
 
 
 def test_noise_params_validation():
-    NoiseParams(0.1, 0.05, 2.0)
+    NoiseParams(0.1, 2.0)
     NoiseParams.zero()
     with pytest.raises(ValueError):
-        NoiseParams(1.5, 0.0, math.inf)
+        NoiseParams(1.5, math.inf)
     with pytest.raises(ValueError):
-        NoiseParams(0.1, 0.2, math.inf)  # inf ratio demands gamma = 0
+        NoiseParams(0.1, -1.0)
     with pytest.raises(ValueError):
-        NoiseParams(0.1, 0.02, 2.0)  # inconsistent with eps / C
+        NoiseParams(0.1, math.nan)
     with pytest.raises(ValueError):
-        NoiseParams(0.1, 0.05, -1.0)
+        NoiseParams(0.5, 1e-5)  # gamma = epsilon / C above 1
+    with pytest.raises(TypeError):
+        NoiseParams(0.1, 0.05, 2.0)  # gamma is derived, not given
 
 
 def test_from_ratio():
-    p = NoiseParams.from_ratio(3e-4, 1.5)
+    p = NoiseParams(3e-4, 1.5)
     assert p.gamma == pytest.approx(2e-4)
-    assert NoiseParams.from_ratio(1e-3, math.inf).gamma == 0.0
+    assert p.gamma == 3e-4 / 1.5  # exactly the quotient the rows print
+    assert NoiseParams(1e-3).gamma == 0.0
 
 
 def _codes(seed, trials, p=0.3, n=200):
