@@ -265,18 +265,6 @@ def uncorrected_error_probability(epsilon: float, t: int) -> float:
     return 1.0 - (1.0 - 2.0 * epsilon / 3.0) ** t
 
 
-def naked_gate_reference(epsilon: float, ratio_C: float) -> float:
-    """Unencoded one-qubit-gate failure rate (2 eps/3)(2 + 1/C)."""
-    return (2.0 * epsilon / 3.0) * (2.0 + _inv_c(ratio_C))
-
-
-def perfect_recovery_reference(eta: float) -> float:
-    """Error-free-recovery fidelity floor (1-eta)^7 + 7 eta (1-eta)^6."""
-    if not 0.0 <= eta <= 1.0:
-        raise AnalysisError("eta must lie in [0, 1]")
-    return (1.0 - eta) ** 7 + 7.0 * eta * (1.0 - eta) ** 6
-
-
 def thresholds_from(
     row: TableRow,
     slope_fit: FitResult | None = None,

@@ -15,8 +15,9 @@ of the qubits' x bits: a verification flag or a syndrome bit); I (idle block,
 every step of a memory draw XORed in); P (majority vote and correction);
 pauli1/pauli2 (a tagged noise draw over one-qubit / CNOT locations);
 xor/pair (one column of a draw onto a register); prep (the shared ATTEMPT,
-placed at its step and qubits, rerun for rejected trials); tally (stabilize
-fidelity count).
+placed at its step and qubits, rerun for rejected trials); tally (the data
+residual's joint class counts, taken after each recovery's correction step
+and its memory errors).
 
 Locations are numbered per trial in draw order, the random stream's
 contract, and draw order is not step order; where the draw ops sit fixes
@@ -358,7 +359,8 @@ def _round(tag: str, rnd: int, t0: int, base: int) -> list[Op]:
 
 
 def _recovery(tag: str, t0: int, base: int, schedule: RecoverySchedule) -> list[Op]:
-    """Three rounds from data step t0, then the majority-vote correction step."""
+    """Three rounds from data step t0, then the majority-vote correction step
+    and the class tally of the residual it leaves, placed at that step."""
     ops: list[Op] = []
     for rnd in range(schedule.rounds):
         step = t0 + rnd * schedule.steps_per_round
@@ -366,26 +368,26 @@ def _recovery(tag: str, t0: int, base: int, schedule: RecoverySchedule) -> list[
     step = t0 + schedule.rounds * schedule.steps_per_round
     ops.append(Op("P", step, DATA_QUBITS))
     ops += [_draw(EPS, 1, N_DATA, tag + "/corr/mem"), _xor(step, "mem", 0, DATA, DATA_QUBITS)]
+    ops.append(Op("tally", step, ()))
     return ops
 
 
 def program(
-    mode: str,
-    schedule: RecoverySchedule = RecoverySchedule(),
-    encoder_noisy: bool = False,
-    t_max: int = 1,
+    mode: str, schedule: RecoverySchedule = RecoverySchedule(), t_max: int = 1
 ) -> Iterator[Op]:
     """The op program of one experiment mode, op by op; data steps count from 1.
 
-    An optional noisy encoder, then: ec1 one recovery; zgate an idle step,
-    the transversal-Z step, one recovery; memory_t20 and fig5 the channel
-    prefix, one recovery; stabilize the prefix, then t_max recoveries, each
-    followed by a fidelity tally and an idle gap.  Ops are made as they are
-    read, so a long stabilize program is never held in memory at once."""
+    fig5 starts with the noisy encoder, then: ec1 one recovery; zgate an idle
+    step, the transversal-Z step, one recovery; memory_t20 and fig5 the
+    channel prefix, one recovery; stabilize the prefix, then t_max
+    recoveries with an idle gap between them.  Every recovery ends in a
+    tally, so a sweep mode has one and stabilize t_max.  Ops are made as
+    they are read, so a long stabilize program is never held in memory at
+    once."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     t = 1
-    if encoder_noisy:
+    if mode == "fig5":
         yield from _gate_table(ENCODER_STEPS, DATA, DATA_QUBITS, t, "enc", hoist=False)
         t += len(ENCODER_STEPS)
     if mode == "zgate":
@@ -402,15 +404,9 @@ def program(
     for k in range(t_max):
         yield from _recovery(f"rec{k}", t, N_DATA + 90 * k, schedule)
         t += schedule.data_exposure_steps
-        yield Op("tally", t - 1, ())
         if k + 1 < t_max:
             yield from _idle(schedule.inter_recovery_gap, f"gap{k}", t)
             t += schedule.inter_recovery_gap
-
-
-def correction_steps(ops) -> list[int]:
-    """The data step of each recovery's correction: the CSVs' t_steps."""
-    return [op.step for op in ops if op.kind == "P"]
 
 
 # ---------------------------------------------------------------------------

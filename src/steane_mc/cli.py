@@ -31,7 +31,6 @@ from .circuit import (
     build_recovery,
     build_syndrome_round,
     census,
-    correction_steps,
     verify_encoder,
 )
 from .noise import STREAM_VERSION, NoiseParams
@@ -183,8 +182,12 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
-    """Fill options not given on the command line from env, then config file."""
+    """Fill options not given on the command line from env, then config file.
+    A config key that names none of the command's options is a usage error."""
     conf = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    unknown = sorted(set(conf) - set(defaults))
+    if unknown:
+        raise UsageError(f"unknown key(s) {', '.join(unknown)} in config {args.config}")
     for dest, default in defaults.items():
         if getattr(args, dest, None) is not None:
             continue
@@ -293,7 +296,7 @@ _STABILIZE_DEFAULTS = dict(_CELL_DEFAULTS, t_max=10, out="stabilize.csv")
 
 def _run_cells(args, argv, command, columns, settings, cell_rows, **config_kw) -> int:
     """Run one experiment per (C, epsilon) cell over one worker pool, then write
-    the rows cell_rows(config, result) with the command's manifest `settings`.
+    the rows cell_rows(config, tallies) with the command's manifest `settings`.
     The configs check their own bounds; a value out of them is a usage error."""
     if args.threads < 0:
         raise UsageError(f"--threads must be >= 0 (0: all cores), got {args.threads}")
@@ -349,11 +352,11 @@ def cmd_sweep(args, argv) -> int:
         )
     encoder_noisy = mode == "fig5"
 
-    def cell_rows(config, stats):
+    def cell_rows(config, tallies):
+        (stats,) = tallies
         noise = config.noise
-        t_steps = correction_steps(config.program())[0]
         yield [
-            mode, noise.ratio_C, noise.epsilon, noise.gamma, t_steps,
+            mode, noise.ratio_C, noise.epsilon, noise.gamma, stats.t_steps,
             config.trials, config.master_seed,
             stats.p_e_strict, stats.p_fail_a1, stats.stderr_of(stats.p_fail_a1),
             stats.eta0, stats.eta3_b, stats.eta3_p, stats.eta_y,
@@ -370,13 +373,12 @@ def cmd_sweep(args, argv) -> int:
 def cmd_stabilize(args, argv) -> int:
     args = _resolve(args, _STABILIZE_DEFAULTS)
 
-    def cell_rows(config, series):
+    def cell_rows(config, tallies):
         noise = config.noise
-        for k in range(config.t_max):
+        for k, stats in enumerate(tallies, 1):
             yield [
                 "stabilize", noise.ratio_C, noise.epsilon, noise.gamma,
-                k + 1, int(series.t_steps[k]),
-                float(series.fidelity[k]), float(series.stderr[k]),
+                k, stats.t_steps, stats.f_a1, stats.stderr_of(stats.f_a1),
                 config.trials, config.master_seed,
             ]
 

@@ -13,12 +13,17 @@ A Monte Carlo chunk first skips its fault-free trials.  `_nominal_locations`
 counts, per noise class (kind, p), the locations of one pass in which no
 ancilla is rejected.  A trial with no fault among those locations rejects no
 ancilla, so it consumes exactly them and ends with residual 0: it counts as
-class (0, 0) and as alive at every stabilize tally without being run.  The
-program runs only on the other trials, through a `StreamBank` of theirs.
+class (0, 0) at every tally without being run.  The program runs only on the
+other trials, through a `StreamBank` of theirs.
+
+Every recovery of a program ends in a tally op, which counts the joint
+(x, z) residual classes at its correction step.  An experiment's result is
+one `TrialStats` per tally: one for a sweep mode, t_max for stabilize.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from collections import Counter
@@ -38,7 +43,6 @@ from .circuit import (
     RecoverySchedule,
     program,
 )
-from .codebook import ErrorClass, ResidualClass
 from .noise import (
     PAULI_X_BIT,
     PAULI_Z_BIT,
@@ -56,8 +60,6 @@ _U8 = np.uint8
 CLASS_LUT = codebook.tables().class_lut  # 7-bit residual -> class 0..3
 CORR_LUT = np.array([codebook.correction_for(s) for s in range(8)], dtype=_U8)
 PARITY = np.array([bin(i).count("1") & 1 for i in range(256)], dtype=_U8)
-X_TRIVIAL = CLASS_LUT == 0  # residual acts trivially on |0_L> (x sector)
-Z_KEEPS_A1 = (CLASS_LUT == 0) | (CLASS_LUT == 3)  # in C: |0_L> unaffected
 IDEAL_FAILS = CLASS_LUT >= 2  # ideal recovery leaves a logical error
 
 
@@ -89,7 +91,7 @@ class ExperimentConfig:
             raise ValueError("stabilize mode needs t_max >= 1")
 
     def program(self):
-        return program(self.mode, self.schedule, self.encoder_noisy, self.t_max)
+        return program(self.mode, self.schedule, self.t_max)
 
 
 def _warn_small_n(config: ExperimentConfig) -> None:
@@ -116,14 +118,14 @@ def _majority3(a, b, c):
 def _execute(ops, src, rates, m, idx=None, prefix=""):
     """Run an op program for m trials (rows idx of src; None: all) on fresh
     registers, prefixing its draw tags.  Returns the frames x, z per register,
-    the flags of the last verification readout, and each fidelity tally as
-    (step, count); a tally sits at its recovery's correction step."""
+    the flags of the last verification readout, and each tally as (step,
+    joint class counts indexed 4 * x_class + z_class)."""
     x = [np.zeros(m, dtype=_U8), np.zeros(m, dtype=_U8)]
     z = [np.zeros(m, dtype=_U8), np.zeros(m, dtype=_U8)]
     syn = np.zeros((2, 3, m), dtype=_U8)  # [sector, round] syndrome words
     bufs: dict = {}
     reject = None
-    tallies: list[tuple[int, int]] = []
+    tallies: list[tuple[int, np.ndarray]] = []
     for kind, step, _, args in ops:
         if kind == "xor":
             key, col, r, bits = args
@@ -185,8 +187,8 @@ def _execute(ops, src, rates, m, idx=None, prefix=""):
             z[DATA] ^= CORR_LUT[_majority3(*syn[PHASE])]
             syn[:] = 0
         elif kind == "tally":
-            alive = np.count_nonzero(X_TRIVIAL[x[DATA]] & Z_KEEPS_A1[z[DATA]])
-            tallies.append((step, int(alive)))
+            joint = CLASS_LUT[x[DATA]] * 4 + CLASS_LUT[z[DATA]]
+            tallies.append((step, np.bincount(joint, minlength=16)))
     return x, z, reject, tallies
 
 
@@ -237,13 +239,19 @@ def _run(config: ExperimentConfig, src):
 
 @dataclass
 class TrialStats:
-    """Joint residual-class counts over N trials, with derived probabilities."""
+    """Joint residual-class counts over N trials at one tally, with derived
+    probabilities."""
 
+    t_steps: int  # data step of the tally: its recovery's correction step
     counts: np.ndarray  # (4, 4) int64 indexed [x_class][z_class]
     trials: int
 
     def __add__(self, other: "TrialStats") -> "TrialStats":
-        return TrialStats(self.counts + other.counts, self.trials + other.trials)
+        if self.t_steps != other.t_steps:
+            raise ValueError("cannot merge tallies of different steps")
+        return TrialStats(
+            self.t_steps, self.counts + other.counts, self.trials + other.trials
+        )
 
     def _p(self, count: float) -> float:
         return count / self.trials
@@ -299,31 +307,6 @@ class TrialStats:
         return self.eta0 + self.eta3_p + 4.0 * a * a * (1.0 - a * a) * self.delta_eta3
 
 
-@dataclass
-class FidelitySeries:
-    """Mean fidelity after each recovery, at absolute time-step coordinates."""
-
-    t_steps: np.ndarray  # (k,) int64
-    alive: np.ndarray  # (k,) int64 count of trials with x in C_perp, z in C
-    trials: int
-
-    def __add__(self, other: "FidelitySeries") -> "FidelitySeries":
-        if not np.array_equal(self.t_steps, other.t_steps):
-            raise ValueError("cannot merge series with different time axes")
-        return FidelitySeries(
-            self.t_steps, self.alive + other.alive, self.trials + other.trials
-        )
-
-    @property
-    def fidelity(self) -> np.ndarray:
-        return self.alive / self.trials
-
-    @property
-    def stderr(self) -> np.ndarray:
-        f = self.fidelity
-        return np.sqrt(np.maximum(f * (1.0 - f), 0.0) / self.trials)
-
-
 def batch_size() -> int:
     """Trials per chunk: STEANE_MC_BATCH, default 32768."""
     raw = os.environ.get("STEANE_MC_BATCH", "32768").strip()
@@ -332,28 +315,34 @@ def batch_size() -> int:
     return int(raw)
 
 
-def _run_chunk(config: ExperimentConfig, start: int, size: int):
-    """TrialStats, or for stabilize the FidelitySeries, of a chunk of trials.
-    Only the trials with a fault among their nominal locations are run."""
+def _run_chunk(config: ExperimentConfig, start: int, size: int) -> list[TrialStats]:
+    """TrialStats per tally of a chunk of trials.  Only the trials with a
+    fault among their nominal locations are run."""
     rates = (config.noise.epsilon, config.noise.gamma)
     nominal = _nominal_locations(config.program(), rates)
     idx = np.arange(start, start + size, dtype=np.uint64)
     live = idx[~fault_free(config.master_seed, idx, nominal)]
-    dx, dz, tallies = _run(config, StreamBank(config.master_seed, live))
-    clean = size - live.size
-    if config.mode == "stabilize":
-        ts, alive = np.array(tallies, dtype=np.int64).T
-        return FidelitySeries(ts, alive + clean, size)
-    joint = CLASS_LUT[dx].astype(np.int64) * 4 + CLASS_LUT[dz]
-    counts = np.bincount(joint, minlength=16)
-    counts[0] += clean
-    return TrialStats(counts.reshape(4, 4), size)
+    _, _, tallies = _run(config, StreamBank(config.master_seed, live))
+    out = []
+    for step, counts in tallies:
+        counts[0] += size - live.size  # the skipped trials: class (0, 0)
+        out.append(TrialStats(step, counts.reshape(4, 4), size))
+    return out
 
 
-def run_experiments(configs, threads: int = 1) -> list:
-    """Run several experiments (sweep cells) over one worker pool, merging each
-    cell's chunks in order: a FidelitySeries per stabilize config, TrialStats
-    per other config."""
+def _live_share(config: ExperimentConfig) -> float:
+    """Expected share of config's trials that a chunk runs: those with a
+    fault among the nominal locations."""
+    rates = (config.noise.epsilon, config.noise.gamma)
+    nominal = _nominal_locations(config.program(), rates)
+    return 1.0 - math.prod((1.0 - p) ** n for (_, p), n in nominal.items())
+
+
+def run_experiments(configs, threads: int = 1) -> list[list[TrialStats]]:
+    """Run several experiments (sweep cells) over one worker pool; returns
+    each config's TrialStats per tally, merged over its chunks in order.
+    The pool gets the costliest chunks (size x live share) first, so it
+    does not end on them."""
     size = batch_size()
     for config in configs:
         _warn_small_n(config)
@@ -365,27 +354,22 @@ def run_experiments(configs, threads: int = 1) -> list:
     if threads <= 1 or len(jobs) <= 1:
         parts = [_run_chunk(configs[cell], start, n) for cell, start, n in jobs]
     else:
+        live = [_live_share(config) for config in configs]
+        order = sorted(range(len(jobs)), key=lambda j: -jobs[j][2] * live[jobs[j][0]])
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            futs = [pool.submit(_run_chunk, configs[cell], s, n) for cell, s, n in jobs]
-            parts = [f.result() for f in futs]
+            futs = {j: pool.submit(_run_chunk, configs[jobs[j][0]], *jobs[j][1:]) for j in order}
+            parts = [futs[j].result() for j in range(len(jobs))]
     results = [None] * len(configs)
     for (cell, _, _), part in zip(jobs, parts):
-        results[cell] = part if results[cell] is None else results[cell] + part
+        prev = results[cell]
+        results[cell] = part if prev is None else [a + b for a, b in zip(prev, part)]
     return results
 
 
-def run_experiment(config: ExperimentConfig, threads: int = 1):
-    """TrialStats of one sweep-mode experiment, or a stabilize FidelitySeries."""
+def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[TrialStats]:
+    """TrialStats per tally of one experiment: one for a sweep mode, t_max
+    for stabilize."""
     return run_experiments([config], threads)[0]
-
-
-def run_trial(config: ExperimentConfig, trial_index: int) -> ResidualClass:
-    """Simulate a single trial; returns the raw residual's joint class."""
-    src = StreamBank(config.master_seed, np.array([trial_index], dtype=np.uint64))
-    dx, dz, _ = _run(config, src)
-    return ResidualClass(
-        ErrorClass(int(CLASS_LUT[dx[0]])), ErrorClass(int(CLASS_LUT[dz[0]]))
-    )
 
 
 # ---------------------------------------------------------------------------

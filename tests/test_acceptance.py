@@ -59,7 +59,8 @@ def _memory_stats(eps, C, trials, seed, t_max=None):
         trials=trials,
         master_seed=seed,
     )
-    return eng.run_experiment(config)
+    (st,) = eng.run_experiment(config)
+    return st
 
 
 @pytest.fixture(scope="module")
@@ -202,7 +203,7 @@ def test_criterion_7_d2_d1_reproduction(memory_grid_inf):
             trials=N_POINT,
             master_seed=SEED + 200 + k,
         )
-        st = eng.run_experiment(config)
+        (st,) = eng.run_experiment(config)
         ec_pts.append((eps, st.p_ec1, an.binomial_sigma(st.p_ec1 * st.trials, st.trials)))
     d1 = an.fit_through_origin(ec_pts, degree=1).coefficient
     d1_ok = 290.8 / 2 <= d1 <= 290.8 * 2
@@ -240,14 +241,10 @@ def _stabilize_points(eps, seed):
         master_seed=seed,
         t_max=30,
     )
-    series = eng.run_experiment(config)
-    return list(
-        zip(
-            series.t_steps.astype(float),
-            series.fidelity,
-            np.maximum(series.stderr, an.binomial_sigma(0, series.trials)),
-        )
-    )
+    return [
+        (float(st.t_steps), st.f_a1, max(st.stderr_of(st.f_a1), an.binomial_sigma(0, st.trials)))
+        for st in eng.run_experiment(config)
+    ]
 
 
 def _window_detail(pts, n, fit):
@@ -301,7 +298,8 @@ def test_criterion_8_stabilization():
     saturating shape.  At eps = 1e-3 the same covariance changes sigma_A of
     the 6-point window by 2%, against a margin of ~26 sigma_A.
 
-    F is the raw overlap with |0_L> (`FidelitySeries.alive`), as in fig5.
+    F is the raw overlap with |0_L> (`TrialStats.f_a1` of each tally), as in
+    fig5.
     """
     t0 = time.time()
     pts_lo = _stabilize_points(1e-4, SEED + 300)
@@ -369,7 +367,7 @@ def test_criterion_9_amplitude_study():
         encoder_noisy=True,
     )
     a2_grid = np.linspace(0.0, 1.0, 21)
-    stats = eng.run_experiment(config)
+    (stats,) = eng.run_experiment(config)
     fidelity = np.array([stats.fidelity_at(a) for a in np.sqrt(a2_grid)])
     delta_ok = abs(stats.delta_eta3) <= 1e-1
     sym_ok = fidelity[0] == fidelity[-1]

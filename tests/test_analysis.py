@@ -151,20 +151,6 @@ def test_thresholds_with_slope_fit():
     assert ts.eps_sth == pytest.approx(2.0 / (3.0 * 3000.0), rel=1e-6)
 
 
-def test_perfect_recovery_reference():
-    assert an.perfect_recovery_reference(0.0) == 1.0
-    assert an.perfect_recovery_reference(1.0) == 0.0
-    assert an.perfect_recovery_reference(0.1) == pytest.approx(0.8503056, abs=1e-6)
-    with pytest.raises(an.AnalysisError):
-        an.perfect_recovery_reference(1.2)
-
-
-def test_naked_gate_reference():
-    assert an.naked_gate_reference(0.0, 1.0) == 0.0
-    assert an.naked_gate_reference(3e-5, math.inf) == pytest.approx(4e-5)
-    assert an.naked_gate_reference(1e-3, 1.0) == pytest.approx(2e-3)
-
-
 def test_binomial_sigma_half_count():
     assert an.binomial_sigma(0, 100) > 0
     assert an.binomial_sigma(0, 100) == pytest.approx(an.binomial_sigma(100, 100))

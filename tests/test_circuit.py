@@ -20,7 +20,6 @@ from steane_mc.circuit import (
     build_recovery,
     build_syndrome_round,
     census,
-    correction_steps,
     program,
     verify_encoder,
 )
@@ -205,17 +204,21 @@ def test_recovery_census():
     assert sched.total_steps == 20
 
 
-def test_correction_steps_per_mode():
-    """The CSVs' t_steps: data steps up to each recovery's correction."""
+def test_tally_at_each_correction_step():
+    """Every recovery ends in a tally at its correction step (the CSVs'
+    t_steps), after that step's memory errors."""
     sched = RecoverySchedule()
-    steps = {m: correction_steps(program(m, sched, m == "fig5", 3)) for m in MODES}
+    steps = {}
+    for mode in MODES:
+        ops = list(program(mode, sched, 3))
+        tallies = [i for i, op in enumerate(ops) if op.kind == "tally"]
+        steps[mode] = [ops[i].step for i in tallies]
+        assert steps[mode] == [op.step for op in ops if op.kind == "P"]
+        assert all(ops[i - 1][:2] == ("xor", ops[i].step) for i in tallies)
     assert steps == {
         "memory_t20": [20], "fig5": [25], "ec1": [19], "zgate": [21],
         "stabilize": [20, 40, 60],
     }
-    # the engine reads stabilize's t_steps off its tallies
-    tallies = [op.step for op in program("stabilize", sched, False, 3) if op.kind == "tally"]
-    assert tallies == steps["stabilize"]
 
 
 def test_schedule_validation():

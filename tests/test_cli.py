@@ -216,6 +216,10 @@ def test_malformed_env_config_and_batch_exit_1(tmp_path, monkeypatch, capsys):
     conf = tmp_path / "conf.txt"
     conf.write_text("trials = ten\n")
     assert run(argv + ["--config", str(conf)]) == 1
+    for key in ("trails", "t_max"):  # misspelt; an option of stabilize only
+        conf.write_text(f"{key} = 5\n")
+        assert run(argv + ["--config", str(conf)]) == 1
+        assert key in capsys.readouterr().err
     assert run(argv + ["--trials", "ten"]) == 1
     monkeypatch.setenv("STEANE_MC_BATCH", "-1")
     assert run(["selftest"]) == 1

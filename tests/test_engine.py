@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,16 +36,16 @@ def test_config_validation():
 
 
 def test_zero_noise_totality():
-    st = eng.run_experiment(_cfg(trials=64))
+    (st,) = eng.run_experiment(_cfg(trials=64))
     assert st.counts[0, 0] == 64
     assert st.p_e_strict == 0.0 and st.p_fail_a1 == 0.0 and st.f_a1 == 1.0
-    st = eng.run_experiment(_cfg(mode="ec1", trials=16))
+    (st,) = eng.run_experiment(_cfg(mode="ec1", trials=16))
     assert st.p_ec1 == 0.0
-    st = eng.run_experiment(_cfg(mode="zgate", trials=16))
+    (st,) = eng.run_experiment(_cfg(mode="zgate", trials=16))
     assert st.p_fail_a1 == 0.0
-    fs = eng.run_experiment(_cfg(mode="stabilize", trials=16, t_max=4))
-    assert np.all(fs.fidelity == 1.0)
-    st = eng.run_experiment(_cfg(mode="fig5", trials=16, encoder_noisy=True))
+    tallies = eng.run_experiment(_cfg(mode="stabilize", trials=16, t_max=4))
+    assert len(tallies) == 4 and all(st.f_a1 == 1.0 for st in tallies)
+    (st,) = eng.run_experiment(_cfg(mode="fig5", trials=16, encoder_noisy=True))
     assert all(st.fidelity_at(a) == 1.0 for a in np.sqrt(np.linspace(0.0, 1.0, 21)))
 
 
@@ -74,25 +75,20 @@ def test_forced_double_channel_x_miscorrects_to_logical():
     assert np.all(dz == 0)
 
 
-def test_run_trial_matches_fault_free():
-    rc = eng.run_trial(_cfg(), 0)
-    assert rc.x_class is ErrorClass.TRIVIAL and rc.z_class is ErrorClass.TRIVIAL
-
-
 @pytest.mark.filterwarnings("ignore:trials=")
 def test_scalar_batch_thread_equivalence():
     config = _cfg(eps=2e-3, C=1.0, trials=300, seed=5)
     singles = np.zeros((4, 4), dtype=np.int64)
     for i in range(300):
-        rc = eng.run_trial(config, i)
-        singles[rc.x_class, rc.z_class] += 1
-    st1 = eng.run_experiment(config)
+        (st,) = eng.run_experiment(replace(config, trials=1, trial_offset=i))
+        singles += st.counts
+    (st1,) = eng.run_experiment(config)
     assert np.array_equal(singles, st1.counts)
     old = os.environ.get("STEANE_MC_BATCH")
     try:
         os.environ["STEANE_MC_BATCH"] = "37"
-        st2 = eng.run_experiment(config)
-        st3 = eng.run_experiment(config, threads=3)
+        (st2,) = eng.run_experiment(config)
+        (st3,) = eng.run_experiment(config, threads=3)
     finally:
         if old is None:
             os.environ.pop("STEANE_MC_BATCH", None)
@@ -104,32 +100,28 @@ def test_scalar_batch_thread_equivalence():
 
 @pytest.mark.filterwarnings("ignore:trials=")
 def test_trial_offset_disjoint():
-    a = eng.run_experiment(_cfg(eps=2e-3, trials=500, seed=5))
-    b = eng.run_experiment(_cfg(eps=2e-3, trials=500, seed=5, trial_offset=500))
+    (a,) = eng.run_experiment(_cfg(eps=2e-3, trials=500, seed=5))
+    (b,) = eng.run_experiment(_cfg(eps=2e-3, trials=500, seed=5, trial_offset=500))
     assert not np.array_equal(a.counts, b.counts)  # different trials
-    both = eng.run_experiment(_cfg(eps=2e-3, trials=1000, seed=5))
+    (both,) = eng.run_experiment(_cfg(eps=2e-3, trials=1000, seed=5))
     assert np.array_equal(a.counts + b.counts, both.counts)
 
 
 def test_stabilize_time_axis_and_merge():
-    fs = eng.run_experiment(_cfg(mode="stabilize", trials=8, t_max=3))
-    assert list(fs.t_steps) == [20, 40, 60]
-    merged = fs + fs
-    assert merged.trials == 16
-    assert np.all(merged.fidelity == 1.0)
-    with pytest.raises(ValueError):
-        other = eng.run_experiment(
-            _cfg(mode="stabilize", trials=8, t_max=2)
-        )
-        _ = fs + other
+    tallies = eng.run_experiment(_cfg(mode="stabilize", trials=8, t_max=3))
+    assert [st.t_steps for st in tallies] == [20, 40, 60]
+    merged = tallies[1] + tallies[1]
+    assert (merged.t_steps, merged.trials, merged.f_a1) == (40, 16, 1.0)
+    with pytest.raises(ValueError, match="different steps"):
+        _ = tallies[0] + tallies[1]
 
 
 @pytest.mark.filterwarnings("ignore:trials=")
 def test_stabilize_degrades_with_noise():
-    fs = eng.run_experiment(
+    tallies = eng.run_experiment(
         _cfg(mode="stabilize", eps=3e-3, trials=4000, seed=9, t_max=6)
     )
-    f = fs.fidelity
+    f = np.array([st.f_a1 for st in tallies])
     assert f[0] > f[-1]
     assert np.all((0.0 <= f) & (f <= 1.0))
 
@@ -142,7 +134,7 @@ def test_fig5_symmetry_and_deltas():
         master_seed=17,
         encoder_noisy=True,
     )
-    st = eng.run_experiment(cfg)
+    (st,) = eng.run_experiment(cfg)
     assert st.fidelity_at(0.0) == pytest.approx(st.fidelity_at(1.0), abs=1e-15)
     mid = st.fidelity_at(1 / math.sqrt(2))
     assert mid == pytest.approx(st.eta0 + st.eta3_p + st.delta_eta3)
@@ -157,8 +149,8 @@ def test_fig5_symmetry_and_deltas():
 
 
 def test_monotone_degradation():
-    lo = eng.run_experiment(_cfg(eps=1e-3, trials=40_000, seed=2))
-    hi = eng.run_experiment(_cfg(eps=3e-3, trials=40_000, seed=3))
+    (lo,) = eng.run_experiment(_cfg(eps=1e-3, trials=40_000, seed=2))
+    (hi,) = eng.run_experiment(_cfg(eps=3e-3, trials=40_000, seed=3))
     s = math.hypot(lo.stderr_of(lo.p_fail_a1), hi.stderr_of(hi.p_fail_a1))
     assert hi.p_fail_a1 > lo.p_fail_a1 - 3 * s
 
@@ -183,8 +175,8 @@ def test_rejection_cap_enforced(monkeypatch):
 @pytest.mark.filterwarnings("ignore:trials=")
 def test_rejection_loop_still_deterministic():
     # at this rate many preps get rejected and resynthesized
-    a = eng.run_experiment(_cfg(eps=0.2, trials=400, seed=4))
-    b = eng.run_experiment(_cfg(eps=0.2, trials=400, seed=4))
+    (a,) = eng.run_experiment(_cfg(eps=0.2, trials=400, seed=4))
+    (b,) = eng.run_experiment(_cfg(eps=0.2, trials=400, seed=4))
     assert np.array_equal(a.counts, b.counts)
     assert a.counts.sum() == 400
 
@@ -230,19 +222,19 @@ def test_draw_counters_match_location_count():
     ids=["memory_t20", "fig5", "stabilize"],
 )
 def test_fault_free_skip_is_exact(cfg):
-    """A chunk that skips its fault-free trials counts what running every
-    trial of it through one StreamBank counts."""
+    """A chunk that skips its fault-free trials counts, at every tally, what
+    running every trial of it through one StreamBank counts."""
     start = 5000
-    part = eng._run_chunk(cfg, start, cfg.trials)
+    parts = eng._run_chunk(cfg, start, cfg.trials)
     bank = StreamBank(cfg.master_seed, np.arange(start, start + cfg.trials, dtype=np.uint64))
     dx, dz, tallies = eng._run(cfg, bank)
-    if cfg.mode == "stabilize":
-        assert [(int(t), int(a)) for t, a in zip(part.t_steps, part.alive)] == tallies
-        assert 0 < tallies[-1][1] < cfg.trials
-    else:
-        joint = eng.CLASS_LUT[dx].astype(np.int64) * 4 + eng.CLASS_LUT[dz]
-        assert np.array_equal(part.counts.ravel(), np.bincount(joint, minlength=16))
-        assert 0 < part.counts[0, 0] < cfg.trials
+    assert [(st.t_steps, st.counts.ravel().tolist()) for st in parts] == [
+        (step, counts.tolist()) for step, counts in tallies
+    ]
+    # every program ends in a tally, so the last one classifies the final residual
+    joint = eng.CLASS_LUT[dx].astype(np.int64) * 4 + eng.CLASS_LUT[dz]
+    assert np.array_equal(tallies[-1][1], np.bincount(joint, minlength=16))
+    assert 0 < parts[-1].counts[0, 0] < cfg.trials
     clean = eng.fault_free(
         cfg.master_seed, np.arange(start, start + cfg.trials),
         eng._nominal_locations(cfg.program(), (cfg.noise.epsilon, cfg.noise.gamma)),
@@ -280,7 +272,7 @@ def test_fault_case_enumeration_is_stable():
 
 
 def test_trial_stats_accounting_identities():
-    st = eng.run_experiment(_cfg(eps=5e-3, trials=30_000, seed=8))
+    (st,) = eng.run_experiment(_cfg(eps=5e-3, trials=30_000, seed=8))
     assert st.counts.sum() == st.trials
     assert st.f_a1 == pytest.approx(st.eta0 + st.eta3_p)
     w1x = st.counts[1, :].sum()
