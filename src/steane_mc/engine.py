@@ -1,28 +1,43 @@
-"""Monte Carlo experiments: the interpreter of the circuit's op program.
+"""Monte Carlo experiments: fault signatures, and the interpreter they come from.
 
 `_execute` runs a `circuit.program()` on a batch of trials.  Each frame is a
 packed uint8 bit mask per trial and register, and each op becomes a few
-numpy operations across the batch.  Noise comes from a source: `StreamBank`
-for Monte Carlo trials, `FaultPlanSource` for planned faults,
-`RecordingSource` to number the error locations.  Randomness is keyed by
-(master_seed, trial_index, location class, fault ordinal), so results are
-independent of batch size, worker count and chunk order; a scalar trial is
-just a batch of one.
+numpy operations across the batch.  Noise comes from a source:
+`FaultPlanSource` for planned faults, `RecordingSource` to number the error
+locations, `StreamBank` for random ones.  The interpreter serves fault plans
+(certification, the differential test), location recording and the
+signature tables; Monte Carlo trials do not run it.
 
-A Monte Carlo chunk first skips its fault-free trials.  `_nominal_locations`
-counts, per noise class (kind, p), the locations of one pass in which no
-ancilla is rejected.  A trial with no fault among those locations rejects no
-ancilla, so it consumes exactly them and ends with residual 0: it counts as
-class (0, 0) at every tally without being run.  The program runs only on the
-other trials, through a `StreamBank` of theirs.
+Every op except a rejected ancilla's rerun, the majority vote `P` and the
+tally is linear over GF(2) in the Pauli frame.  So a single fault acts
+through a fixed signature: the data frame and the 18 syndrome bits it leaves
+before the correction, and whether it alone makes its ancilla attempt's
+verification fire.  `_table` reads the signature of every single fault of a
+program off one linear run of `_execute` (reruns off, `P` left out), once per
+(mode, schedule) and process, on first use.  A Monte Carlo trial then draws
+its faults from its `StreamBank`, maps each to its location and Pauli, walks
+its ancilla attempts in draw order (an attempt whose flags XOR to 1 is
+discarded, and its retry takes the next locations of each class, as the
+stream gives them), XORs the signatures it keeps, and applies the majority
+vote and the class lookup.  Stabilize reuses one recovery's table for every
+recovery; the residual a recovery inherits adds its syndromes through the
+signatures of a data error ahead of the recovery.
 
-Every recovery of a program ends in a tally op, which counts the joint
-(x, z) residual classes at its correction step.  An experiment's result is
-one `TrialStats` per tally: one for a sweep mode, t_max for stabilize.
+Randomness is keyed by (master_seed, trial_index, location class, fault
+ordinal), so results are independent of batch size, worker count and chunk
+order; a scalar trial is just a batch of one.  A chunk first skips its
+fault-free trials: a trial with no fault among the nominal locations (one
+pass, no ancilla rejected) ends with residual 0, so it counts as class
+(0, 0) at every tally without being run.
+
+Every recovery of a program ends in a tally, which counts the joint (x, z)
+residual classes at its correction step.  An experiment's result is one
+`TrialStats` per tally: one for a sweep mode, t_max for stabilize.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
@@ -85,6 +100,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.trial_offset < 0:
             raise ValueError("trial_offset must be >= 0")
+        if not 0 <= self.master_seed < 2**64:  # the stream keys read 64 bits of it
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.master_seed}")
         if self.encoder_noisy != (self.mode == "fig5"):
             raise ValueError("the noisy encoding network runs in fig5 mode and only there")
         if self.mode == "stabilize" and self.t_max < 1:
@@ -115,11 +132,15 @@ def _majority3(a, b, c):
     return np.where(a == b, a, np.where(b == c, b, np.where(a == c, a, 0)))
 
 
-def _execute(ops, src, rates, m, idx=None, prefix=""):
+def _execute(ops, src, rates, m, idx=None, prefix="", flags=None):
     """Run an op program for m trials (rows idx of src; None: all) on fresh
     registers, prefixing its draw tags.  Returns the frames x, z per register,
-    the flags of the last verification readout, and each tally as (step,
-    joint class counts indexed 4 * x_class + z_class)."""
+    the syndrome words, the flags of the last verification readout, and each
+    tally as (step, joint class counts indexed 4 * x_class + z_class).
+
+    Given a list `flags`, the run stays linear in its faults: each prep op
+    appends its attempt's verification flags to it instead of rerunning the
+    rejected trials, and P leaves the syndromes uncorrected."""
     x = [np.zeros(m, dtype=_U8), np.zeros(m, dtype=_U8)]
     z = [np.zeros(m, dtype=_U8), np.zeros(m, dtype=_U8)]
     syn = np.zeros((2, 3, m), dtype=_U8)  # [sector, round] syndrome words
@@ -181,21 +202,25 @@ def _execute(ops, src, rates, m, idx=None, prefix=""):
                 x[r] ^= np.bitwise_xor.reduce(b[0], axis=1)
                 z[r] ^= np.bitwise_xor.reduce(b[1], axis=1)
         elif kind == "prep":
-            x[ANC], z[ANC] = _prepare(*args, src, rates, m)
-        elif kind == "P":
+            x[ANC], z[ANC] = _prepare(*args, src, rates, m, flags)
+        elif kind == "P" and flags is None:
             x[DATA] ^= CORR_LUT[_majority3(*syn[BIT])]
             z[DATA] ^= CORR_LUT[_majority3(*syn[PHASE])]
             syn[:] = 0
         elif kind == "tally":
             joint = CLASS_LUT[x[DATA]] * 4 + CLASS_LUT[z[DATA]]
             tallies.append((step, np.bincount(joint, minlength=16)))
-    return x, z, reject, tallies
+    return x, z, syn, reject, tallies
 
 
-def _prepare(attempt, tag, src, rates, m):
-    """Verified ancillas for m trials, resynthesizing each rejected one."""
-    x, z, reject, _ = _execute(attempt, src, rates, m, prefix=tag)
+def _prepare(attempt, tag, src, rates, m, flags=None):
+    """Verified ancillas for m trials, resynthesizing each rejected one;
+    given a list `flags`, one attempt each, its flags appended to it."""
+    x, z, _, reject, _ = _execute(attempt, src, rates, m, prefix=tag)
     ax, az = x[ANC], z[ANC]
+    if flags is not None:
+        flags.append(reject)
+        return ax, az
     idx = np.nonzero(reject)[0]
     attempts = 1
     while idx.size:
@@ -203,7 +228,7 @@ def _prepare(attempt, tag, src, rates, m):
             raise AncillaRejectionError(
                 f"{idx.size} trials exceeded {MAX_PREP_ATTEMPTS} ancilla attempts"
             )
-        x, z, rej, _ = _execute(attempt, src, rates, idx.size, idx, tag)
+        x, z, _, rej, _ = _execute(attempt, src, rates, idx.size, idx, tag)
         ax[idx] = x[ANC]
         az[idx] = z[ANC]
         idx = idx[rej]
@@ -211,25 +236,290 @@ def _prepare(attempt, tag, src, rates, m):
     return ax, az
 
 
-def _nominal_locations(ops, rates) -> Counter:
-    """Locations per noise class (kind, p), p > 0, of one pass of ops in which
-    no ancilla is rejected: each prep op counts its attempt once."""
-    counts: Counter = Counter()
-    for kind, _, _, args in ops:
-        if kind == "prep":
-            counts += _nominal_locations(args[0], rates)
-        elif kind == "pauli1" and rates[args[0]] > 0:
-            counts[kind, rates[args[0]]] += args[1] * args[2]
-        elif kind == "pauli2" and rates[GAMMA] > 0:
-            counts[kind, rates[GAMMA]] += args[0]
-    return counts
-
-
 def _run(config: ExperimentConfig, src):
     """One batch through config's program; returns (dx, dz, tallies)."""
     rates = (config.noise.epsilon, config.noise.gamma)
-    x, z, _, tallies = _execute(config.program(), src, rates, src.size)
+    x, z, _, _, tallies = _execute(config.program(), src, rates, src.size)
     return x[DATA], z[DATA], tallies
+
+
+# ---------------------------------------------------------------------------
+# fault signatures: the Monte Carlo kernel
+# ---------------------------------------------------------------------------
+
+# A signature word holds what a set of faults leaves before the correction:
+# the data frame's x in bits 0-6 and z in bits 7-13, and the syndrome word
+# [sector, round] in the 3 bits from _SYN + 3 * (3 * sector + round).
+_SYN = 14
+_SIG = np.uint32
+_NINE = np.arange(512)
+# one sector's 9 syndrome bits (3 rounds) -> the correction its majority vote applies
+CORRECT9 = CORR_LUT[_majority3(_NINE & 7, _NINE >> 3 & 7, _NINE >> 6)]
+_CODE = np.array([0, 1, 3, 2], dtype=_U8)  # x bit + 2 z bit -> Pauli code X=1, Y=2, Z=3
+_CALL_BYTES = 1 << 17  # most sampler output of one call, unless 32 bytes a trial is more
+
+
+def _correct(sig):
+    """The data residual (x, z) that signature words leave after the majority
+    vote's correction."""
+    x = (sig & 0x7F) ^ CORRECT9[sig >> (_SYN + 9 * BIT) & 0x1FF]
+    z = (sig >> 7 & 0x7F) ^ CORRECT9[sig >> (_SYN + 9 * PHASE) & 0x1FF]
+    return x, z
+
+
+def _draws(ops):
+    """(kind, rate, n, prep) of each noise draw of one pass of ops, in draw
+    order, reading each prep op's attempt once: rate indexes (epsilon, gamma),
+    n counts locations and prep numbers the prep op whose attempt draws it
+    (-1: none)."""
+    preps = 0
+    for kind, _, _, args in ops:
+        if kind == "prep":
+            yield from ((k, r, n, preps) for k, r, n, _ in _draws(args[0]))
+            preps += 1
+        elif kind == "pauli1":
+            yield kind, args[0], args[1] * args[2], -1
+        elif kind == "pauli2":
+            yield kind, GAMMA, args[0], -1
+
+
+@dataclass(frozen=True)
+class _Table:
+    """The signatures of every single fault of one op program."""
+
+    sig: np.ndarray  # signature word per fault case, in enumerate_fault_cases order
+    flag: np.ndarray  # per case: alone, it makes its attempt's verification fire
+    case0: np.ndarray  # per location (slot): its first case; Pauli code c is case0 + c - 1
+    prep: np.ndarray  # per location: the prep op whose attempt draws it (-1: none)
+    draws: tuple  # (kind, rate, prep, slots) per draw op, in draw order
+    steps: tuple  # data step of each tally
+
+
+@functools.cache
+def _table(mode: str, schedule: RecoverySchedule) -> _Table:
+    """Run every single fault of mode's program, one trial each, through one
+    linear pass of `_execute`."""
+    config = ExperimentConfig(mode, NoiseParams.zero(), schedule, encoder_noisy=mode == "fig5")
+    draws, n_slots = [], 0
+    for kind, rate, n, prep in _draws(config.program()):
+        draws.append((kind, rate, prep, np.arange(n_slots, n_slots + n)))
+        n_slots += n
+    # the cases of enumerate_fault_cases: codes 1..3 of a one-qubit location, 1..15 of a CNOT
+    n_codes = np.concatenate([np.full(len(s), 15 if k == "pauli2" else 3) for k, _, _, s in draws])
+    case0 = np.cumsum(n_codes) - n_codes
+    slots = np.repeat(np.arange(n_slots), n_codes)
+    codes = np.arange(len(slots)) - case0[slots] + 1
+    src = FaultPlanSource(len(slots), slots[:, None], codes[:, None])
+    flags: list = []
+    x, z, syn, _, tallies = _execute(config.program(), src, (0.0, 0.0), len(slots), flags=flags)
+    shifts = _SYN + 3 * np.arange(syn.shape[0] * syn.shape[1], dtype=_SIG)
+    words = syn.reshape(len(shifts), -1).astype(_SIG) << shifts[:, None]
+    sig = x[DATA].astype(_SIG) | z[DATA].astype(_SIG) << 7 | np.bitwise_or.reduce(words)
+    return _Table(
+        sig,
+        np.any(flags, axis=0),
+        case0,
+        np.concatenate([np.full(len(s), p) for _, _, p, s in draws]),
+        tuple(draws),
+        tuple(step for step, _ in tallies),
+    )
+
+
+@dataclass(frozen=True)
+class _Segment:
+    """The draws of one recovery at given rates, as location classes
+    (kind, p), p > 0, each listing its locations in draw order."""
+
+    classes: tuple  # (kind, p) per class
+    n: np.ndarray  # locations per class
+    base: np.ndarray  # where each class starts in loc
+    loc: np.ndarray  # table slot of every location, class after class
+    start: np.ndarray  # (preps + 1, classes) first offset of each attempt; last row: n
+    alen: np.ndarray  # locations of one attempt per class
+
+
+def _segment(draws, rates) -> _Segment:
+    locs: dict = {}  # class -> slot arrays in draw order
+    seen: dict = {}  # prep -> locations per class drawn before its attempt
+    for kind, rate, prep, slots in draws:
+        if prep >= 0 and prep not in seen:
+            seen[prep] = {c: sum(map(len, v)) for c, v in locs.items()}
+        if rates[rate] > 0:
+            locs.setdefault((kind, rates[rate]), []).append(slots)
+    classes = tuple(locs)
+    n = np.array([sum(map(len, locs[c])) for c in classes], dtype=np.int64)
+    start = [[seen[a].get(c, 0) for c in classes] for a in sorted(seen)] + [list(n)]
+    # every prep op runs the one shared attempt, so any attempt gives the lengths
+    alen = [sum(len(s) for k, r, p, s in draws if p == 0 and (k, rates[r]) == c) for c in classes]
+    return _Segment(
+        classes,
+        n,
+        np.cumsum(n) - n,
+        np.concatenate([np.zeros(0, np.int64), *(s for c in classes for s in locs[c])]),
+        np.array(start, dtype=np.int64).reshape(len(start), len(classes)),
+        np.array(alen, dtype=np.int64),
+    )
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """What the kernel needs of one (mode, schedule, t_max, noise)."""
+
+    table: _Table
+    segments: tuple  # the _Segment of each tally's recovery, in order
+    steps: tuple  # data step of each tally
+    nominal: Counter  # locations per class of one pass with no ancilla rejected
+    residual: np.ndarray | None  # (2, 128): signature of an incoming x / z residual
+
+
+def _plan(config: ExperimentConfig) -> _Plan:
+    t_max = config.t_max if config.mode == "stabilize" else 1
+    return _build_plan(config.mode, config.schedule, t_max, config.noise)
+
+
+@functools.lru_cache(maxsize=64)  # far more than the cells of a sweep; a plan is tens of kB
+def _build_plan(mode, schedule, t_max, noise) -> _Plan:
+    rates = (noise.epsilon, noise.gamma)
+    if mode != "stabilize":
+        table = _table(mode, schedule)
+        segments, steps, residual = (_segment(table.draws, rates),), table.steps, None
+    else:
+        # One recovery's table, led by a one-step channel prefix: a data error
+        # there stands for the prefix, the gaps and the residual that reach
+        # a recovery, none of which the recovery's gates change.
+        table = _table("memory_t20", replace(schedule, channel_prefix_steps=1))
+        (kind, rate, _, qubits), rec = table.draws[0], table.draws[1:]
+
+        def block(n_steps):
+            return _segment(((kind, rate, -1, np.tile(qubits, n_steps)),) + rec, rates)
+
+        rest = block(schedule.inter_recovery_gap)
+        segments = (block(schedule.channel_prefix_steps),) + (rest,) * (t_max - 1)
+        s0, s1 = (op.step for op in program(mode, schedule, 2) if op.kind == "tally")
+        steps = tuple(s0 + k * (s1 - s0) for k in range(t_max))
+        units = table.sig[table.case0[qubits] + np.array([[0], [2]])]  # X, Z on each qubit
+        bits = (np.arange(128)[:, None] >> np.arange(len(qubits))) & 1
+        residual = np.bitwise_xor.reduce(np.where(bits, units[:, None], _SIG(0)), axis=2)
+    nominal: Counter = Counter()
+    for seg in segments:
+        nominal.update(dict(zip(seg.classes, seg.n.tolist())))
+    return _Plan(table, segments, steps, nominal, residual)
+
+
+def _nonzero(a):
+    """np.nonzero of a mostly zero 2-D uint8 array, read 8 bytes at a time."""
+    m, k = a.shape
+    if k % 8:
+        a = np.concatenate([a, np.zeros((m, -k % 8), dtype=a.dtype)], axis=1)
+    n_words = a.shape[1] // 8
+    rows, words = np.divmod(np.flatnonzero(a.view(np.uint64)), n_words)
+    i, j = np.nonzero(a.reshape(m, n_words, 8)[rows, words])
+    return rows[i], 8 * words[i] + j
+
+
+def _sample(bank: StreamBank, kind: str, p: float, n: int, idx, tag: str):
+    """(rows, offsets, codes) of the faults among the next n locations of
+    class (kind, p) for bank rows idx (None: all), through its samplers.
+
+    A call returns at most _CALL_BYTES, or 32 bytes a trial if more, and,
+    but for the last few locations, a multiple of 8 bytes a trial: one
+    byte holds a CNOT location, or 8 one-qubit locations."""
+    per_byte = 1 if kind == "pauli2" else 8
+    m = bank.size if idx is None else len(idx)
+    piece = max(32, _CALL_BYTES // max(m, 1)) // 8 * 8 * per_byte
+    found, first = [], 0
+    while first < n:
+        rest = n - first  # take whole 8-byte rows, else whole bytes, else the last few
+        k = min(piece, rest - rest % (8 * per_byte)) or rest - rest % per_byte or rest
+        if kind == "pauli2":
+            pairs = bank.cnot_pairs(p, k, idx, tag)
+            rows, off = _nonzero(pairs)
+            found.append((rows, first + off, pairs[rows, off]))
+        else:
+            width = min(k, 8)
+            x, z = bank.depolarize_steps(p, k // width, width, idx, tag)
+            rows, col = _nonzero(x | z)
+            xs, zs = x[rows, col], z[rows, col]
+            bits = np.unpackbits((xs | zs)[:, None], axis=1, count=width, bitorder="little")
+            i, b = np.nonzero(bits)
+            code = _CODE[(xs[i] >> b & 1) + 2 * (zs[i] >> b & 1)]
+            found.append((rows[i], first + col[i] * width + b, code))
+        first += k
+    return tuple(np.concatenate(a) for a in zip(*found))
+
+
+def _signatures(table: _Table, seg: _Segment, bank: StreamBank) -> np.ndarray:
+    """XOR of the signatures of the faults each trial of bank keeps in one
+    recovery.
+
+    The recovery's locations are drawn class by class.  Each trial walks its
+    attempts in draw order; at the first one whose flags XOR to 1, the faults
+    before it are kept, its own are dropped, and its retry takes the next
+    locations of each class, so every later location sits one attempt
+    further down the stream, which is drawn that much further.  Then the
+    walk resumes at the retry."""
+    m, k_max = bank.size, len(seg.start) - 1
+    acc = np.zeros(m, dtype=_SIG)
+    shift = np.zeros((m, len(seg.classes)), dtype=np.int64)  # retry locations so far
+    last, tries = np.full(m, -1), np.zeros(m, dtype=np.int64)
+
+    def draw(rows, n, tag):
+        """Faults among the next n[c] locations of each class c of rows,
+        as (row, class, stream offset, code)."""
+        found = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0, _U8),)]
+        for c, (kind, p) in enumerate(seg.classes):
+            if n[c]:
+                r, off, code = _sample(bank, kind, p, int(n[c]), rows, tag)
+                r = r if rows is None else rows[r]
+                found.append((r, np.full(r.size, c), seg.n[c] + shift[r, c] - n[c] + off, code))
+        return [np.concatenate(a) for a in zip(*found)]
+
+    row, cls, at, code = draw(None, seg.n, "pass")
+    while row.size:
+        nominal = at - shift[row, cls]
+        slot = seg.loc[seg.base[cls] + nominal]
+        case = table.case0[slot] + code - 1
+        flagged = table.flag[case]
+        pairs = row[flagged] * k_max + table.prep[slot[flagged]]
+        keys, count = np.unique(pairs, return_counts=True)
+        keys = keys[count % 2 == 1]  # trial * k_max + attempt of every rejected attempt
+        rejected, first = np.unique(keys // k_max, return_index=True)
+        attempt = np.full(m, k_max)
+        attempt[rejected] = keys[first] % k_max
+        begin = seg.start[attempt[row], cls]
+        keep = nominal < begin
+        np.bitwise_xor.at(acc, row[keep], table.sig[case[keep]])
+        if not rejected.size:
+            break
+        again = last[rejected] == attempt[rejected]
+        tries[rejected] = np.where(again, tries[rejected] + 1, 1)
+        last[rejected] = attempt[rejected]
+        over = np.count_nonzero(tries[rejected] >= MAX_PREP_ATTEMPTS)
+        if over:
+            raise AncillaRejectionError(
+                f"{over} trials exceeded {MAX_PREP_ATTEMPTS} ancilla attempts"
+            )
+        later = nominal >= begin + seg.alen[cls]
+        pending = (row[later], cls[later], at[later], code[later])
+        shift[rejected] += seg.alen
+        retried = draw(rejected, seg.alen, "retry")
+        row, cls, at, code = (np.concatenate(a) for a in zip(pending, retried))
+    return acc
+
+
+def _kernel(config: ExperimentConfig, bank: StreamBank):
+    """Every trial of bank through config's signature tables; returns each
+    tally as (step, joint class counts), as `_run` does."""
+    plan = _plan(config)
+    x = z = np.zeros(bank.size, dtype=_SIG)
+    tallies = []
+    for seg, step in zip(plan.segments, plan.steps):
+        acc = _signatures(plan.table, seg, bank)
+        if plan.residual is not None:
+            acc ^= plan.residual[0][x] ^ plan.residual[1][z]
+        x, z = _correct(acc)
+        tallies.append((step, np.bincount(CLASS_LUT[x] * 4 + CLASS_LUT[z], minlength=16)))
+    return tallies
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +607,11 @@ def batch_size() -> int:
 
 def _run_chunk(config: ExperimentConfig, start: int, size: int) -> list[TrialStats]:
     """TrialStats per tally of a chunk of trials.  Only the trials with a
-    fault among their nominal locations are run."""
-    rates = (config.noise.epsilon, config.noise.gamma)
-    nominal = _nominal_locations(config.program(), rates)
+    fault among their nominal locations are run, through the signature kernel."""
     idx = np.arange(start, start + size, dtype=np.uint64)
-    live = idx[~fault_free(config.master_seed, idx, nominal)]
-    _, _, tallies = _run(config, StreamBank(config.master_seed, live))
+    live = idx[~fault_free(config.master_seed, idx, _plan(config).nominal)]
     out = []
-    for step, counts in tallies:
+    for step, counts in _kernel(config, StreamBank(config.master_seed, live)):
         counts[0] += size - live.size  # the skipped trials: class (0, 0)
         out.append(TrialStats(step, counts.reshape(4, 4), size))
     return out
@@ -333,8 +620,7 @@ def _run_chunk(config: ExperimentConfig, start: int, size: int) -> list[TrialSta
 def _live_share(config: ExperimentConfig) -> float:
     """Expected share of config's trials that a chunk runs: those with a
     fault among the nominal locations."""
-    rates = (config.noise.epsilon, config.noise.gamma)
-    nominal = _nominal_locations(config.program(), rates)
+    nominal = _plan(config).nominal
     return 1.0 - math.prod((1.0 - p) ** n for (_, p), n in nominal.items())
 
 
@@ -351,10 +637,10 @@ def run_experiments(configs, threads: int = 1) -> list[list[TrialStats]]:
         for cell, config in enumerate(configs)
         for start in range(config.trial_offset, config.trial_offset + config.trials, size)
     ]
+    live = [_live_share(config) for config in configs]  # plans built before any fork
     if threads <= 1 or len(jobs) <= 1:
         parts = [_run_chunk(configs[cell], start, n) for cell, start, n in jobs]
     else:
-        live = [_live_share(config) for config in configs]
         order = sorted(range(len(jobs)), key=lambda j: -jobs[j][2] * live[jobs[j][0]])
         with ProcessPoolExecutor(max_workers=threads) as pool:
             futs = {j: pool.submit(_run_chunk, configs[jobs[j][0]], *jobs[j][1:]) for j in order}

@@ -255,6 +255,10 @@ def test_out_of_range_flags_exit_1(tmp_path, monkeypatch, capsys):
         ["stabilize", *base, "--threads", "1", "--t-max", "0"],
         ["sweep", "--epsilon", "0.5", "--C", "1e-5", "--trials", "5", "--out", out, "--threads", "1"],
         ["sweep", *base, "--mode", "memory_t20", "--encoder-noisy"],
+        # the random stream reads 64 bits of the seed, so these would alias
+        ["sweep", *base, "--threads", "1", "--seed", "-1"],
+        ["sweep", *base, "--threads", "1", "--seed", str(2**64)],
+        ["stabilize", *base, "--threads", "1", "--t-max", "2", "--seed", str(2**64 + 5)],
     ):
         assert run(argv) == 1, argv
         assert "usage error" in capsys.readouterr().err

@@ -1,5 +1,5 @@
 import math
-import os
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +33,10 @@ def test_config_validation():
         _cfg(mode="stabilize", encoder_noisy=True)
     with pytest.raises(ValueError):
         _cfg(mode="ec1", encoder_noisy=True)  # only fig5 runs the noisy encoder
+    for seed in (-1, 2**64):  # the stream would alias them to 2^64 - 1 and 0
+        with pytest.raises(ValueError, match="seed"):
+            _cfg(seed=seed)
+    assert _cfg(seed=2**64 - 1).master_seed == 2**64 - 1
 
 
 def test_zero_noise_totality():
@@ -76,26 +80,27 @@ def test_forced_double_channel_x_miscorrects_to_logical():
 
 
 @pytest.mark.filterwarnings("ignore:trials=")
-def test_scalar_batch_thread_equivalence():
-    config = _cfg(eps=2e-3, C=1.0, trials=300, seed=5)
-    singles = np.zeros((4, 4), dtype=np.int64)
-    for i in range(300):
-        (st,) = eng.run_experiment(replace(config, trials=1, trial_offset=i))
-        singles += st.counts
-    (st1,) = eng.run_experiment(config)
-    assert np.array_equal(singles, st1.counts)
-    old = os.environ.get("STEANE_MC_BATCH")
-    try:
-        os.environ["STEANE_MC_BATCH"] = "37"
-        (st2,) = eng.run_experiment(config)
-        (st3,) = eng.run_experiment(config, threads=3)
-    finally:
-        if old is None:
-            os.environ.pop("STEANE_MC_BATCH", None)
-        else:
-            os.environ["STEANE_MC_BATCH"] = old
-    assert np.array_equal(st1.counts, st2.counts)
-    assert np.array_equal(st1.counts, st3.counts)
+def test_scalar_batch_thread_equivalence(monkeypatch):
+    for config in (
+        _cfg(eps=2e-3, C=1.0, trials=300, seed=5),
+        _cfg(mode="stabilize", eps=2e-3, C=1.0, trials=300, seed=6, t_max=3),
+    ):
+        whole = eng.run_experiment(config)
+        singles = [np.zeros((4, 4), dtype=np.int64) for _ in whole]
+        for i in range(300):
+            tallies = eng.run_experiment(replace(config, trials=1, trial_offset=i))
+            for total, st in zip(singles, tallies, strict=True):
+                total += st.counts
+        monkeypatch.setenv("STEANE_MC_BATCH", "37")
+        batched = eng.run_experiment(config)
+        pooled = eng.run_experiment(config, threads=3)
+        monkeypatch.delenv("STEANE_MC_BATCH")
+        for run in (batched, pooled):
+            for a, b in zip(whole, run, strict=True):
+                assert (a.t_steps, a.trials) == (b.t_steps, b.trials)
+                assert np.array_equal(a.counts, b.counts)
+        for total, st in zip(singles, whole):
+            assert np.array_equal(total, st.counts)
 
 
 @pytest.mark.filterwarnings("ignore:trials=")
@@ -183,15 +188,18 @@ def test_rejection_loop_still_deterministic():
 
 class _RetryCountingBank(StreamBank):
     """StreamBank that counts each trial's extra ancilla attempts: only a
-    rejected prep's rerun passes row indices, and each attempt draws one /mem."""
+    rejected prep's rerun passes row indices, and each attempt draws one /mem.
+    `per_prep` counts them per (trial, prep tag)."""
 
     def __init__(self, master_seed, trial_indices):
         super().__init__(master_seed, trial_indices)
         self.retries = np.zeros(self.size, dtype=np.uint64)
+        self.per_prep = Counter()
 
     def depolarize_steps(self, p, n_steps, width, idx=None, tag=""):
         if idx is not None and tag.endswith("/mem"):
             self.retries[idx] += np.uint64(1)
+            self.per_prep.update((int(i), tag) for i in idx)
         return super().depolarize_steps(p, n_steps, width, idx, tag)
 
 
@@ -211,23 +219,41 @@ def test_draw_counters_match_location_count():
     assert np.array_equal(bank.counters, rec.cursor + attempt.cursor * bank.retries)
 
 
+def _kernel_matches_interpreter(cfg, start, bank_type=StreamBank):
+    """The signature kernel and the interpreter on one StreamBank each, over
+    the same trials: equal tallies, equal locations consumed per trial.
+    Returns the interpreter's (bank, dx, dz, tallies)."""
+    trials = np.arange(start, start + cfg.trials, dtype=np.uint64)
+    bank, ref = StreamBank(cfg.master_seed, trials), bank_type(cfg.master_seed, trials)
+    kernel = eng._kernel(cfg, bank)
+    dx, dz, tallies = eng._run(cfg, ref)
+    assert [(step, counts.tolist()) for step, counts in kernel] == [
+        (step, counts.tolist()) for step, counts in tallies
+    ]
+    assert np.array_equal(bank.counters, ref.counters)
+    return ref, dx, dz, tallies
+
+
 @pytest.mark.filterwarnings("ignore:trials=")
 @pytest.mark.parametrize(
     "cfg",
     [
         _cfg(eps=3e-4, C=1.0, trials=3000, seed=21),
+        _cfg(mode="ec1", eps=1e-3, C=0.5, trials=3000, seed=24),
+        _cfg(mode="zgate", eps=1e-3, C=0.5, trials=3000, seed=25),
         _cfg(mode="fig5", eps=2e-3, C=0.5, trials=3000, seed=22, encoder_noisy=True),
         _cfg(mode="stabilize", eps=1e-4, C=2.0, trials=3000, seed=23, t_max=3),
     ],
-    ids=["memory_t20", "fig5", "stabilize"],
+    ids=["memory_t20", "ec1", "zgate", "fig5", "stabilize"],
 )
 def test_fault_free_skip_is_exact(cfg):
-    """A chunk that skips its fault-free trials counts, at every tally, what
-    running every trial of it through one StreamBank counts."""
+    """A chunk that skips its fault-free trials and runs the rest through the
+    signature kernel counts, at every tally, what running every trial of it
+    through the interpreter on one StreamBank counts; the kernel alone
+    matches the interpreter trial for trial in locations consumed."""
     start = 5000
     parts = eng._run_chunk(cfg, start, cfg.trials)
-    bank = StreamBank(cfg.master_seed, np.arange(start, start + cfg.trials, dtype=np.uint64))
-    dx, dz, tallies = eng._run(cfg, bank)
+    _, dx, dz, tallies = _kernel_matches_interpreter(cfg, start)
     assert [(st.t_steps, st.counts.ravel().tolist()) for st in parts] == [
         (step, counts.tolist()) for step, counts in tallies
     ]
@@ -235,11 +261,41 @@ def test_fault_free_skip_is_exact(cfg):
     joint = eng.CLASS_LUT[dx].astype(np.int64) * 4 + eng.CLASS_LUT[dz]
     assert np.array_equal(tallies[-1][1], np.bincount(joint, minlength=16))
     assert 0 < parts[-1].counts[0, 0] < cfg.trials
-    clean = eng.fault_free(
-        cfg.master_seed, np.arange(start, start + cfg.trials),
-        eng._nominal_locations(cfg.program(), (cfg.noise.epsilon, cfg.noise.gamma)),
-    )
+    trials = np.arange(start, start + cfg.trials)
+    clean = eng.fault_free(cfg.master_seed, trials, eng._plan(cfg).nominal)
     assert 0 < clean.sum() < cfg.trials  # both paths taken
+
+
+@pytest.mark.filterwarnings("ignore:trials=")
+@pytest.mark.parametrize("mode", ["memory_t20", "stabilize"])
+@pytest.mark.parametrize("C", [1.0, 0.5])
+def test_kernel_matches_interpreter_at_high_rate(mode, C):
+    """At eps = 2e-2 most trials reject an ancilla, and some reject the same
+    prep more than once, so the kernel's retries are exercised in depth."""
+    cfg = _cfg(mode=mode, eps=2e-2, C=C, trials=600, seed=31, t_max=2)
+    ref, *_ = _kernel_matches_interpreter(cfg, 0, _RetryCountingBank)
+    assert max(ref.per_prep.values()) >= 2
+
+
+@pytest.mark.filterwarnings("ignore:trials=")
+def test_run_chunk_runs_no_interpreter(monkeypatch):
+    """Once a config's plan is built, Monte Carlo chunks never interpret ops."""
+    configs = [
+        _cfg(eps=2e-2, C=0.5, trials=50, seed=3),
+        _cfg(mode="stabilize", eps=2e-2, C=1.0, trials=50, seed=3, t_max=3),
+        _cfg(mode="fig5", eps=2e-2, C=0.5, trials=50, seed=3, encoder_noisy=True),
+    ]
+    for cfg in configs:
+        eng._plan(cfg)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the interpreter ran")
+
+    monkeypatch.setattr(eng, "_execute", forbidden)
+    monkeypatch.setattr(eng, "_prepare", forbidden)
+    for cfg in configs:
+        tallies = eng._run_chunk(cfg, 0, 50)
+        assert [st.counts.sum() for st in tallies] == [50] * len(eng._plan(cfg).steps)
 
 
 def test_batch_size_validation(monkeypatch):
