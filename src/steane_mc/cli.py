@@ -110,14 +110,15 @@ def write_csv(path, manifest: list[tuple[str, str]], columns, rows) -> None:
         raise IOError(f"cannot write {path}: {exc}") from exc
 
 
-def read_csv(path):
-    """Returns (manifest pairs, columns, raw string rows)."""
+def read_csv(path, need=()):
+    """Returns (manifest pairs, columns, raw string rows); every data row
+    must have the header's field count and the header every column in need."""
     manifest: list[tuple[str, str]] = []
     columns: list[str] | None = None
     rows: list[list[str]] = []
     try:
         with open(path) as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 line = line.rstrip("\n")
                 if not line:
                     continue
@@ -127,11 +128,20 @@ def read_csv(path):
                 elif columns is None:
                     columns = line.split(",")
                 else:
-                    rows.append(line.split(","))
+                    fields = line.split(",")
+                    if len(fields) != len(columns):
+                        raise UsageError(
+                            f"{path} line {number}: {len(fields)} fields, "
+                            f"the header has {len(columns)}"
+                        )
+                    rows.append(fields)
     except OSError as exc:
         raise IOError(f"cannot read {path}: {exc}") from exc
     if columns is None:
         raise UsageError(f"{path} contains no data header")
+    missing = [c for c in need if c not in columns]
+    if missing:
+        raise UsageError(f"{path} lacks column(s) {', '.join(missing)}")
     return manifest, columns, rows
 
 
@@ -403,17 +413,26 @@ def _fit_row(model, c_text, eps_text, fit: analysis.FitResult):
     ]
 
 
+# the input columns each fit model reads
+_FIT_NEEDS = {
+    "quad": ("C", "epsilon", "trials", "P_fail_a1"),
+    "lin": ("C", "epsilon", "trials", "p_ec1"),
+    "line": ("C", "epsilon", "trials", "t_steps", "F", "stderr"),
+    "slope2": ("model", "C", "epsilon", "c1"),
+    "slope3": ("model", "C", "epsilon", "c1"),
+    "quad-free": ("C", "epsilon", "trials", "P_fail_a1"),
+}
+
+
 def cmd_fit(args, argv) -> int:
     model = args.model
-    _, columns, raw_rows = read_csv(args.infile)
+    _, columns, raw_rows = read_csv(args.infile, _FIT_NEEDS[model])
     dicts = _rows_as_dicts(columns, raw_rows)
     if not dicts:
         raise UsageError(f"{args.infile} has no data rows")
     rows = []
     if model in ("quad", "lin", "quad-free"):
         ycol = "p_ec1" if model == "lin" else "P_fail_a1"
-        if ycol not in columns:
-            raise UsageError(f"{args.infile} lacks column {ycol}")
         groups: dict[str, list[dict]] = {}
         for d in dicts:
             groups.setdefault(d["C"], []).append(d)
@@ -431,9 +450,6 @@ def cmd_fit(args, argv) -> int:
                 fit = analysis.fit_free_quadratic(pts)
             rows.append(_fit_row(model, c_text, "", fit))
     elif model == "line":
-        for col in ("t_steps", "F", "stderr"):
-            if col not in columns:
-                raise UsageError(f"{args.infile} lacks column {col} (stabilize output)")
         groups = {}
         for d in dicts:
             groups.setdefault((d["C"], d["epsilon"]), []).append(d)
@@ -448,9 +464,7 @@ def cmd_fit(args, argv) -> int:
                 for d in grp
             ]
             rows.append(_fit_row("line", c_text, eps_text, analysis.fit_line(pts)))
-    elif model in ("slope2", "slope3"):
-        if "c1" not in columns or "model" not in columns:
-            raise UsageError(f"{args.infile} is not a fit CSV (need model=line rows)")
+    else:
         groups = {}
         for d in dicts:
             if d["model"] == "line":
@@ -461,8 +475,6 @@ def cmd_fit(args, argv) -> int:
         for c_text, grp in groups.items():
             pts = [(float(d["epsilon"]), float(d["c1"])) for d in grp]
             rows.append(_fit_row(model, c_text, "", analysis.fit_slope_poly(pts, degree)))
-    else:
-        raise UsageError(f"unknown fit model {model!r}")
     man = _base_manifest("fit", argv, [("model", model), ("input", args.infile)])
     write_csv(args.out, man, FIT_COLUMNS, rows)
     print(f"wrote {len(rows)} fit rows to {args.out}")
@@ -483,7 +495,7 @@ def _threshold_row(row: analysis.TableRow, slope_fit=None):
 def cmd_thresholds(args, argv) -> int:
     slope_fits: dict[float, analysis.FitResult] = {}
     if args.slopes:
-        _, columns, raw = read_csv(args.slopes)
+        _, columns, raw = read_csv(args.slopes, ("model", "C", "c1", "c2", "c3"))
         for d in _rows_as_dicts(columns, raw):
             if d["model"] in ("slope2", "slope3"):
                 coeffs = [float(d[c]) for c in ("c1", "c2", "c3") if d[c] != ""]
@@ -496,7 +508,7 @@ def cmd_thresholds(args, argv) -> int:
     else:
         if not args.fits:
             raise UsageError("need --fits CSV or --use-paper-table")
-        _, columns, raw = read_csv(args.fits)
+        _, columns, raw = read_csv(args.fits, ("model", "C", "c1"))
         d2 = {}
         d1 = {}
         for d in _rows_as_dicts(columns, raw):
@@ -581,8 +593,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--t-max", dest="t_max", type=int, help="number of recoveries")
 
     p = sub.add_parser("fit", help="fit coefficients from sweep/stabilize CSVs")
-    p.add_argument("--model", required=True,
-                   choices=["quad", "lin", "line", "slope2", "slope3", "quad-free"])
+    p.add_argument("--model", required=True, choices=list(_FIT_NEEDS))
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default="fits.csv")
 

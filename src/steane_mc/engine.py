@@ -14,8 +14,9 @@ through a fixed signature: the data frame and the 18 syndrome bits it leaves
 before the correction, and whether it alone makes its ancilla attempt's
 verification fire.  `_table` reads the signature of every single fault of a
 program off one linear run of `_execute` (reruns off, `P` left out), once per
-(mode, schedule) and process, on first use.  A Monte Carlo trial then draws
-its faults from its `StreamBank`, maps each to its location and Pauli, walks
+(mode, schedule) and process, on first use.  A Monte Carlo trial then reads
+its faults from its `StreamBank` as a sparse list (`StreamBank.faults`, one
+call per location class and draw), maps each to its location and Pauli, walks
 its ancilla attempts in draw order (an attempt whose flags XOR to 1 is
 discarded, and its retry takes the next locations of each class, as the
 stream gives them), XORs the signatures it keeps, and applies the majority
@@ -38,7 +39,6 @@ residual classes at its correction step.  An experiment's result is one
 from __future__ import annotations
 
 import functools
-import math
 import os
 import warnings
 from collections import Counter
@@ -255,8 +255,6 @@ _SIG = np.uint32
 _NINE = np.arange(512)
 # one sector's 9 syndrome bits (3 rounds) -> the correction its majority vote applies
 CORRECT9 = CORR_LUT[_majority3(_NINE & 7, _NINE >> 3 & 7, _NINE >> 6)]
-_CODE = np.array([0, 1, 3, 2], dtype=_U8)  # x bit + 2 z bit -> Pauli code X=1, Y=2, Z=3
-_CALL_BYTES = 1 << 17  # most sampler output of one call, unless 32 bytes a trial is more
 
 
 def _correct(sig):
@@ -406,48 +404,6 @@ def _build_plan(mode, schedule, t_max, noise) -> _Plan:
     return _Plan(table, segments, steps, nominal, residual)
 
 
-def _nonzero(a):
-    """np.nonzero of a mostly zero 2-D uint8 array, read 8 bytes at a time."""
-    m, k = a.shape
-    if k % 8:
-        a = np.concatenate([a, np.zeros((m, -k % 8), dtype=a.dtype)], axis=1)
-    n_words = a.shape[1] // 8
-    rows, words = np.divmod(np.flatnonzero(a.view(np.uint64)), n_words)
-    i, j = np.nonzero(a.reshape(m, n_words, 8)[rows, words])
-    return rows[i], 8 * words[i] + j
-
-
-def _sample(bank: StreamBank, kind: str, p: float, n: int, idx, tag: str):
-    """(rows, offsets, codes) of the faults among the next n locations of
-    class (kind, p) for bank rows idx (None: all), through its samplers.
-
-    A call returns at most _CALL_BYTES, or 32 bytes a trial if more, and,
-    but for the last few locations, a multiple of 8 bytes a trial: one
-    byte holds a CNOT location, or 8 one-qubit locations."""
-    per_byte = 1 if kind == "pauli2" else 8
-    m = bank.size if idx is None else len(idx)
-    piece = max(32, _CALL_BYTES // max(m, 1)) // 8 * 8 * per_byte
-    found, first = [], 0
-    while first < n:
-        rest = n - first  # take whole 8-byte rows, else whole bytes, else the last few
-        k = min(piece, rest - rest % (8 * per_byte)) or rest - rest % per_byte or rest
-        if kind == "pauli2":
-            pairs = bank.cnot_pairs(p, k, idx, tag)
-            rows, off = _nonzero(pairs)
-            found.append((rows, first + off, pairs[rows, off]))
-        else:
-            width = min(k, 8)
-            x, z = bank.depolarize_steps(p, k // width, width, idx, tag)
-            rows, col = _nonzero(x | z)
-            xs, zs = x[rows, col], z[rows, col]
-            bits = np.unpackbits((xs | zs)[:, None], axis=1, count=width, bitorder="little")
-            i, b = np.nonzero(bits)
-            code = _CODE[(xs[i] >> b & 1) + 2 * (zs[i] >> b & 1)]
-            found.append((rows[i], first + col[i] * width + b, code))
-        first += k
-    return tuple(np.concatenate(a) for a in zip(*found))
-
-
 def _signatures(table: _Table, seg: _Segment, bank: StreamBank) -> np.ndarray:
     """XOR of the signatures of the faults each trial of bank keeps in one
     recovery.
@@ -463,18 +419,18 @@ def _signatures(table: _Table, seg: _Segment, bank: StreamBank) -> np.ndarray:
     shift = np.zeros((m, len(seg.classes)), dtype=np.int64)  # retry locations so far
     last, tries = np.full(m, -1), np.zeros(m, dtype=np.int64)
 
-    def draw(rows, n, tag):
+    def draw(rows, n):
         """Faults among the next n[c] locations of each class c of rows,
         as (row, class, stream offset, code)."""
         found = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0, _U8),)]
         for c, (kind, p) in enumerate(seg.classes):
             if n[c]:
-                r, off, code = _sample(bank, kind, p, int(n[c]), rows, tag)
+                r, off, code = bank.faults(kind, p, int(n[c]), rows)
                 r = r if rows is None else rows[r]
                 found.append((r, np.full(r.size, c), seg.n[c] + shift[r, c] - n[c] + off, code))
         return [np.concatenate(a) for a in zip(*found)]
 
-    row, cls, at, code = draw(None, seg.n, "pass")
+    row, cls, at, code = draw(None, seg.n)
     while row.size:
         nominal = at - shift[row, cls]
         slot = seg.loc[seg.base[cls] + nominal]
@@ -502,7 +458,7 @@ def _signatures(table: _Table, seg: _Segment, bank: StreamBank) -> np.ndarray:
         later = nominal >= begin + seg.alen[cls]
         pending = (row[later], cls[later], at[later], code[later])
         shift[rejected] += seg.alen
-        retried = draw(rejected, seg.alen, "retry")
+        retried = draw(rejected, seg.alen)
         row, cls, at, code = (np.concatenate(a) for a in zip(pending, retried))
     return acc
 
@@ -617,34 +573,25 @@ def _run_chunk(config: ExperimentConfig, start: int, size: int) -> list[TrialSta
     return out
 
 
-def _live_share(config: ExperimentConfig) -> float:
-    """Expected share of config's trials that a chunk runs: those with a
-    fault among the nominal locations."""
-    nominal = _plan(config).nominal
-    return 1.0 - math.prod((1.0 - p) ** n for (_, p), n in nominal.items())
-
-
 def run_experiments(configs, threads: int = 1) -> list[list[TrialStats]]:
-    """Run several experiments (sweep cells) over one worker pool; returns
-    each config's TrialStats per tally, merged over its chunks in order.
-    The pool gets the costliest chunks (size x live share) first, so it
-    does not end on them."""
+    """Run several experiments (sweep cells) over one worker pool of at most
+    one worker per chunk; returns each config's TrialStats per tally, merged
+    over its chunks in order."""
     size = batch_size()
     for config in configs:
         _warn_small_n(config)
+        _plan(config)  # plans built before any fork
     jobs = [
         (cell, start, min(size, config.trial_offset + config.trials - start))
         for cell, config in enumerate(configs)
         for start in range(config.trial_offset, config.trial_offset + config.trials, size)
     ]
-    live = [_live_share(config) for config in configs]  # plans built before any fork
     if threads <= 1 or len(jobs) <= 1:
         parts = [_run_chunk(configs[cell], start, n) for cell, start, n in jobs]
     else:
-        order = sorted(range(len(jobs)), key=lambda j: -jobs[j][2] * live[jobs[j][0]])
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            futs = {j: pool.submit(_run_chunk, configs[jobs[j][0]], *jobs[j][1:]) for j in order}
-            parts = [futs[j].result() for j in range(len(jobs))]
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
+            futs = [pool.submit(_run_chunk, configs[cell], start, n) for cell, start, n in jobs]
+            parts = [f.result() for f in futs]
     results = [None] * len(configs)
     for (cell, _, _), part in zip(jobs, parts):
         prev = results[cell]

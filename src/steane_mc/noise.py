@@ -23,10 +23,14 @@ n1 + n2 locations returns what calls of n1 and n2 return.
 
 Each trial keeps, per class, the distance to its next fault.  A call over n
 locations compares that distance with n for its rows and walks only the
-rows that fault, so it costs O(rows + faults), not O(rows * n).  A channel
-with p = 0 consumes no locations.  `fault_free` reads only the first gaps
-and tells which trials have no fault among a given number of locations per
-class; the engine skips those trials, whose residual is exactly 0.
+rows that fault, so it costs O(rows + faults), not O(rows * n).
+`StreamBank.faults` returns a call's faults as a sparse (row, offset, code)
+list, which the engine's signature kernel reads; `depolarize_steps` and
+`cnot_pairs` scatter the same faults into the dense arrays the interpreter
+reads, and there a channel with p = 0 consumes no locations.  `fault_free`
+reads only the first gaps and tells which trials have no fault among a
+given number of locations per class; the engine skips those trials, whose
+residual is exactly 0.
 
 `STREAM_VERSION` names this stream in the sweep and stabilize manifests.
 Version 1 hashed one word per location and decoded it by thresholds;
@@ -183,10 +187,12 @@ class StreamBank:
         self.size = trial_indices.shape[0]
         self._classes: dict[tuple[str, float], _Class] = {}
 
-    def _faults(self, kind: str, p: float, n: int, idx):
-        """(rows, offsets, code words) of the faults among the next n
-        locations of class (kind, p), rows counted within idx (None: all
-        trials); advances the class and the rows' counters by n."""
+    def faults(self, kind: str, p: float, n: int, idx=None):
+        """(rows, offsets, codes) of the faults among the next n locations of
+        class (kind, p), p > 0, rows counted within idx (None: all trials);
+        advances the class and the rows' counters by n.  Codes are 1..3
+        (X, Y, Z) for `pauli1` and pair codes 1..15 for `pauli2`; a row's
+        offsets strictly increase, so no two faults share a location."""
         c = self._classes.get((kind, p))
         if c is None:
             c = self._classes[(kind, p)] = _Class(self.keys, kind, p)
@@ -206,7 +212,8 @@ class StreamBank:
         else:
             c.ahead[idx] -= n
             self.counters[idx] += np.uint64(n)
-        return tuple(np.concatenate(a) for a in zip(*found))
+        rows, off, words = (np.concatenate(a) for a in zip(*found))
+        return rows, off, 1 + _below(words, 3 if kind == "pauli1" else 15)
 
     def depolarize_steps(self, p: float, n_steps: int, width: int, idx=None, tag=""):
         """n_steps * width depolarizing locations, packed width bits per step.
@@ -216,17 +223,17 @@ class StreamBank:
         if p <= 0.0:
             return None
         n = n_steps * width
-        rows, off, words = self._faults("pauli1", p, n, idx)
+        rows, off, code = self.faults("pauli1", p, n, idx)
         m = self.size if idx is None else len(idx)
-        return _scatter(m, n_steps, width, rows * n + off, 1 + _below(words, 3))
+        return _scatter(m, n_steps, width, rows * n + off, code)
 
     def cnot_pairs(self, p: float, n: int, idx=None, tag=""):
         """n two-qubit gate locations; (m, n) pair codes 0..15, or None."""
         if p <= 0.0:
             return None
-        rows, off, words = self._faults("pauli2", p, n, idx)
+        rows, off, code = self.faults("pauli2", p, n, idx)
         out = np.zeros((self.size if idx is None else len(idx), n), dtype=np.uint8)
-        out[rows, off] = 1 + _below(words, 15)
+        out[rows, off] = code
         return out
 
 

@@ -119,6 +119,31 @@ def test_fit_empty_input_exits_1(tmp_path):
     assert run(["fit", "--model", "quad", "--in", src, "--out", str(tmp_path / "x.csv")]) == 1
 
 
+def test_malformed_fit_and_threshold_inputs_exit_1(tmp_path, capsys):
+    """A row with the wrong field count, or a missing column a command reads,
+    is a usage error naming the file, not a KeyError."""
+    cases = [
+        (["fit", "--model", "quad"], "mode,C,epsilon,P_fail_a1,trials\nmemory_t20,inf,1e-3,0.01\n",
+         "line 2"),
+        (["fit", "--model", "quad"], "mode,C,epsilon,P_fail_a1\nmemory_t20,inf,1e-3,0.01\n",
+         "trials"),
+        (["fit", "--model", "line"], "C,epsilon,t_steps,F,stderr\ninf,1e-3,20,0.99,0.01\n",
+         "trials"),
+        (["fit", "--model", "slope2"], "model,C,c1\nline,inf,-0.001\n", "epsilon"),
+        (["thresholds", "--fits"], "model,C\nquad\n", "line 2"),
+        (["thresholds", "--fits"], "model,C\nquad,inf\n", "c1"),
+        (["thresholds", "--use-paper-table", "--slopes"], "model,C,c1\nslope2,inf,1.0\n", "c2"),
+    ]
+    for k, (argv, text, named) in enumerate(cases):
+        src = tmp_path / f"bad{k}.csv"
+        src.write_text(text)
+        out = str(tmp_path / "out.csv")
+        flag = [] if argv[0] == "thresholds" else ["--in"]
+        assert run(argv + flag + [str(src), "--out", out]) == 1, argv
+        err = capsys.readouterr().err
+        assert str(src) in err and named in err, err
+
+
 def test_fit_degenerate_exits_2(tmp_path):
     src = str(tmp_path / "d.csv")
     n = 1000

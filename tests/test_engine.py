@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -289,13 +290,49 @@ def test_run_chunk_runs_no_interpreter(monkeypatch):
         eng._plan(cfg)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the interpreter ran")
+        raise AssertionError("the interpreter or a dense sampler ran")
 
     monkeypatch.setattr(eng, "_execute", forbidden)
     monkeypatch.setattr(eng, "_prepare", forbidden)
+    # chunks read their faults sparsely, through StreamBank.faults alone
+    monkeypatch.setattr(StreamBank, "depolarize_steps", forbidden)
+    monkeypatch.setattr(StreamBank, "cnot_pairs", forbidden)
     for cfg in configs:
         tallies = eng._run_chunk(cfg, 0, 50)
         assert [st.counts.sum() for st in tallies] == [50] * len(eng._plan(cfg).steps)
+
+
+@pytest.mark.filterwarnings("ignore:trials=")
+def test_pool_has_at_most_one_worker_per_chunk(monkeypatch):
+    """A pool never gets more workers than there are chunks; an inline fake
+    pool records the request, so no process starts."""
+    requested = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    configs = [_cfg(eps=2e-3, trials=150, seed=4), _cfg(eps=3e-3, C=1.0, trials=50, seed=4)]
+    monkeypatch.setenv("STEANE_MC_BATCH", "100")
+    serial = eng.run_experiments(configs)
+    monkeypatch.setattr(eng, "ProcessPoolExecutor", InlinePool)
+    pooled = eng.run_experiments(configs, threads=64)
+    assert requested == [3]  # 2 chunks of the first config, 1 of the second
+    for a, b in zip(serial, pooled, strict=True):
+        assert [(st.t_steps, st.trials, st.counts.tolist()) for st in a] == [
+            (st.t_steps, st.trials, st.counts.tolist()) for st in b
+        ]
 
 
 def test_batch_size_validation(monkeypatch):

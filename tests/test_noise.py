@@ -68,10 +68,11 @@ def _unpack(x, z, width):
 @pytest.mark.parametrize("seed", [0, 77, 2**64 - 1])
 def test_stream_bank_matches_dense_reference(seed):
     """Calls of any size, row subsets among them, give the faults of the
-    one-fault-at-a-time reference; a subset advances only its rows."""
+    one-fault-at-a-time reference; a subset advances only its rows.  A twin
+    bank makes each call through the sparse `faults` and must agree."""
     m = 9
     trials = np.arange(1000, 1000 + m, dtype=np.uint64)
-    bank = StreamBank(seed, trials)
+    bank, twin = StreamBank(seed, trials), StreamBank(seed, trials)
     subsets = [None, np.array([0, 5, 8]), np.array([3]), np.arange(1, m), np.array([7, 2])]
     for p in (1e-3, 0.17, 2.0 / 3.0, 1.0):
         for kind in ("pauli1", "pauli2"):
@@ -92,9 +93,16 @@ def test_stream_bank_matches_dense_reference(seed):
                     assert got.dtype == np.uint8 and got.shape == (rows.size, n)
                 want = np.stack([ref[r, used[r] : used[r] + n] for r in rows])
                 assert np.array_equal(got, want), (p, kind, n_steps, width)
+                r, off, code = twin.faults(kind, p, n, idx=idx)
+                assert code.dtype == np.uint8 and np.all(code > 0)
+                assert len(set(zip(r.tolist(), off.tolist()))) == r.size  # one fault a location
+                sparse = np.zeros_like(want)
+                sparse[r, off] = code
+                assert np.array_equal(sparse, want), (p, kind, n)
                 used[rows] += n
                 before[rows] += np.uint64(n)
                 assert np.array_equal(bank.counters, before)
+                assert np.array_equal(twin.counters, before)
 
 
 def test_noise_params_validation():
