@@ -110,12 +110,27 @@ def write_csv(path, manifest: list[tuple[str, str]], columns, rows) -> None:
         raise IOError(f"cannot write {path}: {exc}") from exc
 
 
+def _coefficient(text: str) -> float:
+    """A fit coefficient field; empty where the model has no such coefficient."""
+    return float(text) if text else math.nan
+
+
+# the parser of each numeric column a command reads
+_FIELDS = {
+    "C": _parse_c, "epsilon": float, "trials": int, "P_fail_a1": float, "p_ec1": float,
+    "t_steps": float, "F": float, "stderr": float,
+    "c1": float, "c2": _coefficient, "c3": _coefficient,
+}
+
+
 def read_csv(path, need=()):
     """Returns (manifest pairs, columns, raw string rows); every data row
-    must have the header's field count and the header every column in need."""
+    must have the header's field count, the header every column in need,
+    and each field of a numeric column in need must parse (`_FIELDS`)."""
     manifest: list[tuple[str, str]] = []
     columns: list[str] | None = None
     rows: list[list[str]] = []
+    numbers: list[int] = []  # the line number of each data row
     try:
         with open(path) as fh:
             for number, line in enumerate(fh, 1):
@@ -135,6 +150,7 @@ def read_csv(path, need=()):
                             f"the header has {len(columns)}"
                         )
                     rows.append(fields)
+                    numbers.append(number)
     except OSError as exc:
         raise IOError(f"cannot read {path}: {exc}") from exc
     if columns is None:
@@ -142,6 +158,16 @@ def read_csv(path, need=()):
     missing = [c for c in need if c not in columns]
     if missing:
         raise UsageError(f"{path} lacks column(s) {', '.join(missing)}")
+    for name in need:
+        if name in _FIELDS:
+            col = columns.index(name)
+            for number, fields in zip(numbers, rows):
+                try:
+                    _FIELDS[name](fields[col])
+                except (ValueError, UsageError):
+                    raise UsageError(
+                        f"{path} line {number} column {name}: bad value {fields[col]!r}"
+                    ) from None
     return manifest, columns, rows
 
 

@@ -2,7 +2,10 @@
 
 `_execute` runs a `circuit.program()` on a batch of trials.  Each frame is a
 packed uint8 bit mask per trial and register, and each op becomes a few
-numpy operations across the batch.  Noise comes from a source:
+numpy operations across the batch.  A draw's arrays are step-major, so the
+column an op reads is contiguous, and a CNOT draw's pair codes are decoded
+once into the x and z bit planes of control and target, so each CNOT
+location costs four shift-and-XORs.  Noise comes from a source:
 `FaultPlanSource` for planned faults, `RecordingSource` to number the error
 locations, `StreamBank` for random ones.  The interpreter serves fault plans
 (certification, the differential test), location recording and the
@@ -44,6 +47,7 @@ import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +63,6 @@ from .circuit import (
     program,
 )
 from .noise import (
-    PAULI_X_BIT,
-    PAULI_Z_BIT,
     FaultPlanSource,
     NoiseParams,
     RecordingSource,
@@ -166,12 +168,11 @@ def _execute(ops, src, rates, m, idx=None, prefix="", flags=None):
             b = bufs[key]
             if b is None:
                 continue
-            cc = b[:, col] >> 2
-            tc = b[:, col] & 3
-            x[rc] ^= PAULI_X_BIT[cc] << c
-            z[rc] ^= PAULI_Z_BIT[cc] << c
-            x[rt] ^= PAULI_X_BIT[tc] << t
-            z[rt] ^= PAULI_Z_BIT[tc] << t
+            cx, cz, tx, tz = b
+            x[rc] ^= cx[:, col] << c
+            z[rc] ^= cz[:, col] << c
+            x[rt] ^= tx[:, col] << t
+            z[rt] ^= tz[:, col] << t
         elif kind == "CNOT":
             rc, c, rt, t = args
             x[rt] ^= ((x[rc] >> c) & 1) << t
@@ -181,7 +182,11 @@ def _execute(ops, src, rates, m, idx=None, prefix="", flags=None):
             bufs[key] = src.depolarize_steps(rates[rate], n_steps, width, idx, prefix + tag)
         elif kind == "pauli2":
             n, tag, key = args
-            bufs[key] = src.cnot_pairs(rates[GAMMA], n, idx, prefix + tag)
+            b = src.cnot_pairs(rates[GAMMA], n, idx, prefix + tag)
+            if b is not None:  # the x, z bit planes of the control and the target
+                hi, lo = b >> 2, b & 3
+                b = (hi ^ hi >> 1) & 1, hi >> 1, (lo ^ lo >> 1) & 1, lo >> 1
+            bufs[key] = b
         elif kind == "H":
             r, mask = args
             d = (x[r] ^ z[r]) & mask
@@ -610,11 +615,19 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[TrialStat
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FaultCase:
+class FaultCase(NamedTuple):
+    """One Pauli (code 1..3) or Pauli pair (pair code 1..15) at one location."""
+
     slot: int
     code: int
     label: str
+
+
+# the (code, ":name") cases of a one-qubit and of a CNOT location
+_CASES = {
+    "pauli1": tuple((c, ":" + "IXYZ"[c]) for c in range(1, 4)),
+    "pauli2": tuple((c, ":" + "IXYZ"[c >> 2] + "IXYZ"[c & 3]) for c in range(1, 16)),
+}
 
 
 @dataclass
@@ -635,14 +648,8 @@ def enumerate_fault_cases(config: ExperimentConfig) -> list[FaultCase]:
     cases: list[FaultCase] = []
     for r in rec.records:
         for off in range(r.n):
-            where = f"{r.tag}[s{off // r.width},q{off % r.width}]"
-            if r.kind == "pauli1":
-                for code, name in ((1, "X"), (2, "Y"), (3, "Z")):
-                    cases.append(FaultCase(r.slot + off, code, f"{where}:{name}"))
-            else:
-                for code in range(1, 16):
-                    pair = "IXYZ"[code >> 2] + "IXYZ"[code & 3]
-                    cases.append(FaultCase(r.slot + off, code, f"{where}:{pair}"))
+            slot, where = r.slot + off, f"{r.tag}[s{off // r.width},q{off % r.width}]"
+            cases += [FaultCase._make((slot, code, where + name)) for code, name in _CASES[r.kind]]
     return cases
 
 

@@ -27,7 +27,8 @@ rows that fault, so it costs O(rows + faults), not O(rows * n).
 `StreamBank.faults` returns a call's faults as a sparse (row, offset, code)
 list, which the engine's signature kernel reads; `depolarize_steps` and
 `cnot_pairs` scatter the same faults into the dense arrays the interpreter
-reads, and there a channel with p = 0 consumes no locations.  `fault_free`
+reads (views of step-major arrays, so each step's column is contiguous), and
+there a channel with p = 0 consumes no locations.  `fault_free`
 reads only the first gaps and tells which trials have no fault among a
 given number of locations per class; the engine skips those trials, whose
 residual is exactly 0.
@@ -124,17 +125,27 @@ def fault_free(master_seed: int, trial_indices, locations: dict) -> np.ndarray:
     return ok
 
 
-def _scatter(m: int, n_steps: int, width: int, flat, code):
+def _scatter(m: int, n_steps: int, width: int, rows, off, code):
     """Packed (x, z) masks, shape (m, n_steps) uint8, holding Pauli code[i]
-    (1=X, 2=Y, 3=Z) at flat location index flat[i] of an (m, n_steps * width)
-    step-major block.  Two Paulis on one location multiply (XOR)."""
-    cell = flat // width
-    bit = (flat % width).astype(np.uint8)
-    x = np.zeros(m * n_steps, dtype=np.uint8)
-    z = np.zeros(m * n_steps, dtype=np.uint8)
+    (1=X, 2=Y, 3=Z) at location off[i] = step * width + qubit of trial rows[i].
+    The masks are views of step-major (n_steps, m) arrays, so a step's column
+    is contiguous.  Two Paulis on one location multiply (XOR)."""
+    cell = off // width * m + rows
+    bit = (off % width).astype(np.uint8)
+    x = np.zeros(n_steps * m, dtype=np.uint8)
+    z = np.zeros(n_steps * m, dtype=np.uint8)
     np.bitwise_xor.at(x, cell, PAULI_X_BIT[code] << bit)
     np.bitwise_xor.at(z, cell, PAULI_Z_BIT[code] << bit)
-    return x.reshape(m, n_steps), z.reshape(m, n_steps)
+    return x.reshape(n_steps, m).T, z.reshape(n_steps, m).T
+
+
+def _pairs(m: int, n: int, rows, off, code):
+    """Pair codes, shape (m, n) uint8, holding code[i] at CNOT location
+    off[i] of trial rows[i]: a view of a step-major (n, m) array.  Two pair
+    codes on one location multiply (XOR, the Pauli product on each qubit)."""
+    out = np.zeros((n, m), dtype=np.uint8)
+    np.bitwise_xor.at(out, (off, rows), code)
+    return out.T
 
 
 @dataclass(frozen=True)
@@ -224,17 +235,14 @@ class StreamBank:
             return None
         n = n_steps * width
         rows, off, code = self.faults("pauli1", p, n, idx)
-        m = self.size if idx is None else len(idx)
-        return _scatter(m, n_steps, width, rows * n + off, code)
+        return _scatter(self.size if idx is None else len(idx), n_steps, width, rows, off, code)
 
     def cnot_pairs(self, p: float, n: int, idx=None, tag=""):
         """n two-qubit gate locations; (m, n) pair codes 0..15, or None."""
         if p <= 0.0:
             return None
         rows, off, code = self.faults("pauli2", p, n, idx)
-        out = np.zeros((self.size if idx is None else len(idx), n), dtype=np.uint8)
-        out[rows, off] = code
-        return out
+        return _pairs(self.size if idx is None else len(idx), n, rows, off, code)
 
 
 class FaultPlanSource:
@@ -245,7 +253,8 @@ class FaultPlanSource:
     (X,Y,Z) for one-qubit slots and 1..15 pair codes for CNOT slots.  All
     other locations are noise-free; probability arguments are ignored, and
     every call consumes its locations even at p = 0 (matching the
-    recording pass used to enumerate them).
+    recording pass used to enumerate them).  Two codes planned at one
+    location multiply (XOR), as two faults there would.
     """
 
     def __init__(self, size: int, slots, codes):
@@ -264,24 +273,20 @@ class FaultPlanSource:
         else:
             cur, slots, codes = self.cursor[idx], self.slots[idx], self.codes[idx]
         rel = slots - cur[:, None]
-        hit = (rel >= 0) & (rel < n)
+        hit = np.flatnonzero(rel.view(np.uint64) < n)  # 0 <= rel < n
         if idx is None:
             self.cursor += n
         else:
             self.cursor[idx] += n
-        rows, cols = np.nonzero(hit)
-        return rows, rel[rows, cols], codes[rows, cols], slots.shape[0]
+        return hit // slots.shape[1], rel.ravel()[hit], codes.ravel()[hit], slots.shape[0]
 
     def depolarize_steps(self, p: float, n_steps: int, width: int, idx=None, tag=""):
-        n = n_steps * width
-        rows, pos, code, m = self._planned(n, idx)
-        return _scatter(m, n_steps, width, rows * n + pos, code)
+        rows, off, code, m = self._planned(n_steps * width, idx)
+        return _scatter(m, n_steps, width, rows, off, code)
 
     def cnot_pairs(self, p: float, n: int, idx=None, tag=""):
-        rows, pos, code, m = self._planned(n, idx)
-        out = np.zeros((m, n), dtype=np.uint8)
-        out[rows, pos] = code
-        return out
+        rows, off, code, m = self._planned(n, idx)
+        return _pairs(m, n, rows, off, code)
 
 
 @dataclass

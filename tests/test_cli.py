@@ -120,8 +120,9 @@ def test_fit_empty_input_exits_1(tmp_path):
 
 
 def test_malformed_fit_and_threshold_inputs_exit_1(tmp_path, capsys):
-    """A row with the wrong field count, or a missing column a command reads,
-    is a usage error naming the file, not a KeyError."""
+    """A row with the wrong field count, a missing column a command reads or
+    a field of it that does not parse is a usage error naming the file, not a
+    KeyError or a ValueError."""
     cases = [
         (["fit", "--model", "quad"], "mode,C,epsilon,P_fail_a1,trials\nmemory_t20,inf,1e-3,0.01\n",
          "line 2"),
@@ -133,6 +134,21 @@ def test_malformed_fit_and_threshold_inputs_exit_1(tmp_path, capsys):
         (["thresholds", "--fits"], "model,C\nquad\n", "line 2"),
         (["thresholds", "--fits"], "model,C\nquad,inf\n", "c1"),
         (["thresholds", "--use-paper-table", "--slopes"], "model,C,c1\nslope2,inf,1.0\n", "c2"),
+        # a field that does not parse names its line and column
+        (["fit", "--model", "quad"], "C,epsilon,P_fail_a1,trials\ninf,zz,0.01,100\n",
+         "line 2 column epsilon"),
+        (["fit", "--model", "quad"],
+         "C,epsilon,P_fail_a1,trials\ninf,1e-3,0.01,100\nzz,2e-3,0.02,100\n",
+         "line 3 column C"),
+        (["fit", "--model", "quad"], "C,epsilon,P_fail_a1,trials\ninf,1e-3,0.01,1.5\n",
+         "line 2 column trials"),
+        (["fit", "--model", "lin"], "C,epsilon,p_ec1,trials\ninf,1e-3,abc,100\n",
+         "line 2 column p_ec1"),
+        (["fit", "--model", "line"], "C,epsilon,trials,t_steps,F,stderr\ninf,1e-3,9,20,x,0.01\n",
+         "line 2 column F"),
+        (["thresholds", "--fits"], "model,C,c1\nquad,inf,abc\n", "line 2 column c1"),
+        (["thresholds", "--use-paper-table", "--slopes"],
+         "model,C,c1,c2,c3\nslope2,inf,1.0,abc,\n", "line 2 column c2"),
     ]
     for k, (argv, text, named) in enumerate(cases):
         src = tmp_path / f"bad{k}.csv"

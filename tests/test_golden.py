@@ -5,6 +5,9 @@ ancilla verification rejects often (so the resynthesis loop runs):
 
   * the data rows of `sweep` in every sweep mode and of `stabilize`;
   * the (slot, code, dx, dz) outcome of every single fault per mode;
+  * the outcomes of seeded plans of 2 and 3 faults at distinct locations,
+    some of which reject an ancilla attempt, so that its rerun shifts the
+    locations of the faults planned after it;
   * the noise-location records (slot, n, kind, width, tag) per mode, which
     number locations in draw order and carry the tags timing tools group by.
 
@@ -43,6 +46,13 @@ FAULT_OUTCOMES = {
     "zgate": "834c47689c6a4c2923983e9b1cbfdeee59c83f61791694251bf472626aa92b9e",
     "fig5": "8681a51414de4ca7c4a51aeeb7d089e10075c37900223a6555ce879be15a540e",
 }
+MULTI_FAULT_OUTCOMES = {
+    ("memory_t20", 2): "cad0ae99c538cdf5738e176e48c210970d84c93669a0cdc917961b64b9cf6138",
+    ("memory_t20", 3): "f5a994e4c18519f269b4406a220861c6f76b13a5c5a99f0c71283ecb5bd4fdb2",
+    ("fig5", 2): "cf6c75277116f15dca215b3c15b796233e502ac5931b6d702e19a795b6ed80b0",
+    ("fig5", 3): "337200116d55ed0734be4f43de28809a1dd381802a8ef7441b0c35e3b0d78a59",
+}
+MULTI_FAULT_ROWS = 3000
 LOCATION_RECORDS = {
     "memory_t20": "1285b8735b318d4520a0ba5b8c634a06d23239dbf6a99e5db4d29ed3cdf48cc6",
     "ec1": "dd7a4b6837d3cefac8036aec187b2df01da756cdd5b3cb63ed4518c4a7c3aa3d",
@@ -113,6 +123,31 @@ def test_single_fault_outcomes_pinned(mode):
     dx, dz = engine.run_fault_plan(cfg, slots[:, None], codes[:, None])
     table = np.stack([slots, codes, dx, dz]).astype(np.int64)
     assert _sha(table.tobytes()) == FAULT_OUTCOMES[mode]
+
+
+@pytest.mark.parametrize("mode,k", sorted(MULTI_FAULT_OUTCOMES))
+def test_multi_fault_outcomes_pinned(mode, k):
+    """Plans of k faults at distinct locations per row.  A rerun shifts the
+    faults planned after its attempt onto other locations, maybe of the other
+    kind, so a row that may reject an attempt plans codes 1..3 only (valid
+    at either kind: a pair code 1..3 acts on the target alone)."""
+    cfg = _config(mode)
+    cases = engine.enumerate_fault_cases(cfg)
+    slots = np.array([c.slot for c in cases], dtype=np.int64)
+    case0 = np.flatnonzero(np.diff(slots, prepend=-1))  # first case of each location
+    n_codes = np.diff(np.append(case0, len(cases)))
+    flag = engine._table(mode, cfg.schedule).flag
+    rng = np.random.default_rng(2004 + k)
+    where = rng.random((MULTI_FAULT_ROWS, len(case0))).argsort(axis=1)[:, :k]
+    u = rng.random(where.shape)
+    pick = case0[where] + (u * n_codes[where]).astype(np.int64)
+    loud = flag[pick].any(axis=1)
+    pick[loud] = case0[where[loud]] + (u[loud] * 3).astype(np.int64)
+    assert flag[pick].any(axis=1).sum() >= MULTI_FAULT_ROWS // 10
+    codes = np.array([c.code for c in cases], dtype=np.uint8)[pick]
+    dx, dz = engine.run_fault_plan(cfg, slots[pick], codes)
+    table = np.concatenate([slots[pick].T, codes.T, [dx, dz]]).astype(np.int64)
+    assert _sha(table.tobytes()) == MULTI_FAULT_OUTCOMES[mode, k]
 
 
 @pytest.mark.parametrize("mode", sorted(LOCATION_RECORDS))

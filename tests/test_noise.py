@@ -336,6 +336,26 @@ def test_fault_plan_pairs():
     assert codes[0, 0] == 0
 
 
+def test_fault_plan_same_location_multiplies():
+    """Two Paulis planned at one location act as their product (XOR), at a
+    one-qubit location and at a CNOT location alike."""
+    assert FaultPlanSource(1, [[0, 0]], [[1, 2]]).cnot_pairs(0.0, 1).tolist() == [[3]]
+    codes = FaultPlanSource(2, [[1, 1], [0, 0]], [[0b0111, 0b1101], [5, 5]]).cnot_pairs(0.0, 2)
+    assert codes.tolist() == [[0, 0b1010], [0, 0]]  # XZ * ZX = YY; XX * XX = II
+    x, z = FaultPlanSource(1, [[2, 2]], [[1, 3]]).depolarize_steps(0.0, 1, 7)
+    assert x[0, 0] == 0b100 and z[0, 0] == 0b100  # X * Z = Y
+
+
+def test_dense_draws_are_step_major():
+    """The interpreter reads one step (one CNOT) of a draw at a time, across
+    its trials: that column is contiguous."""
+    bank = StreamBank(5, np.arange(40, dtype=np.uint64))
+    plan = FaultPlanSource(40, np.arange(40)[:, None], np.ones((40, 1)))
+    for src in (bank, plan):
+        for a in (*src.depolarize_steps(0.3, 6, 7), src.cnot_pairs(0.3, 6)):
+            assert a.shape == (40, 6) and a[:, 2].flags.c_contiguous
+
+
 def test_recording_source_counts():
     rec = RecordingSource()
     rec.depolarize_steps(0.1, 3, 5, tag="a")

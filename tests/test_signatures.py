@@ -74,6 +74,25 @@ def test_pair_signatures_match_fault_plans(mode):
     assert np.array_equal(x, dx) and np.array_equal(z, dz)
 
 
+@pytest.mark.parametrize("mode", SWEEP_MODES)
+def test_same_location_faults_match_their_product(mode):
+    """Two faults planned at one location, one-qubit or CNOT, whose flags
+    XOR to 0 leave the correction of the XOR of their signatures."""
+    cfg = _config(mode)
+    table = eng._table(mode, cfg.schedule)
+    slots, codes = _cases(table)
+    n_codes = np.diff(np.append(table.case0, len(table.sig)))
+    rng = np.random.default_rng(2004)
+    a = rng.integers(len(slots), size=6000)
+    b = table.case0[slots[a]] + (rng.random(a.size) * n_codes[slots[a]]).astype(np.int64)
+    pairs = np.stack([a, b], axis=1)[table.flag[a] == table.flag[b]]
+    pair_slot = n_codes[slots[pairs[:, 0]]] == 15
+    assert pair_slot.sum() >= 500 and (~pair_slot).sum() >= 500
+    dx, dz = eng.run_fault_plan(cfg, slots[pairs], codes[pairs])
+    x, z = eng._correct(table.sig[pairs[:, 0]] ^ table.sig[pairs[:, 1]])
+    assert np.array_equal(x, dx) and np.array_equal(z, dz)
+
+
 @pytest.mark.parametrize("mode", [*SWEEP_MODES, "stabilize"])
 def test_nominal_locations_count_one_recorded_pass(mode):
     """A plan's nominal locations per class add up to the locations of one
