@@ -252,7 +252,10 @@ def _epsilon_list(args) -> list[float]:
     if args.epsilon_grid:
         try:
             lo, hi, count = args.epsilon_grid.split(":")
-            grid = np.geomspace(float(lo), float(hi), int(count))
+            lo, hi, count = float(lo), float(hi), int(count)
+            if not (0 < lo < math.inf and 0 < hi < math.inf and count > 0):
+                raise ValueError("want finite positive bounds and a positive count")
+            grid = np.geomspace(lo, hi, count)
         except ValueError as exc:
             raise UsageError(f"bad --epsilon-grid {args.epsilon_grid!r}: {exc}")
         eps += [float(g) for g in grid]

@@ -6,10 +6,17 @@ numpy operations across the batch.  A draw's arrays are step-major, so the
 column an op reads is contiguous, and a CNOT draw's pair codes are decoded
 once into the x and z bit planes of control and target, so each CNOT
 location costs four shift-and-XORs.  Noise comes from a source:
-`FaultPlanSource` for planned faults, `RecordingSource` to number the error
-locations, `StreamBank` for random ones.  The interpreter serves fault plans
-(certification, the differential test), location recording and the
-signature tables; Monte Carlo trials do not run it.
+`FaultPlanSource` for planned faults, `StreamBank` for random ones.  The
+interpreter serves fault plans (certification, the differential test) and
+the signature tables; Monte Carlo trials do not run it.
+
+`_draws` walks a program's noise draws statically, in draw order.  It is
+the one numbering of the error locations: the signature tables and
+`enumerate_fault_cases` both read it, and no run is needed.  The tests
+check it against `noise.RecordingSource`, which records the draws of an
+interpreter run.  The syndrome bits of a trial sit in one uint32 laid out
+as in a signature word, and `CORRECT9` is the one decoder table: the
+interpreter's `P` op and the kernel both correct with it.
 
 Every op except a rejected ancilla's rerun, the majority vote `P` and the
 tally is linear over GF(2) in the Pauli frame.  So a single fault acts
@@ -52,32 +59,43 @@ from typing import NamedTuple
 import numpy as np
 
 from . import codebook
-from .circuit import (
-    ANC,
-    BIT,
-    DATA,
-    GAMMA,
-    MODES,
-    PHASE,
-    RecoverySchedule,
-    program,
-)
-from .noise import (
-    FaultPlanSource,
-    NoiseParams,
-    RecordingSource,
-    StreamBank,
-    fault_free,
-)
+from .circuit import ANC, BIT, DATA, GAMMA, MODES, PHASE, RecoverySchedule, program
+from .noise import FaultPlanSource, NoiseParams, StreamBank, fault_free
 
 MAX_PREP_ATTEMPTS = 100
 
 _U8 = np.uint8
 
 CLASS_LUT = codebook.tables().class_lut  # 7-bit residual -> class 0..3
-CORR_LUT = np.array([codebook.correction_for(s) for s in range(8)], dtype=_U8)
 PARITY = np.array([bin(i).count("1") & 1 for i in range(256)], dtype=_U8)
 IDEAL_FAILS = CLASS_LUT >= 2  # ideal recovery leaves a logical error
+
+# The decoder: one sector's 9 syndrome bits (round r in bits 3r..3r+2) -> the
+# correction of the word two rounds agree on; no quorum means no correction.
+CORRECT9 = np.array(
+    [codebook.correction_for(a if a in (b, c) else b if b == c else 0)
+     for c in range(8) for b in range(8) for a in range(8)],
+    dtype=_U8,
+)
+
+# A signature word holds what a set of faults leaves before the correction:
+# the data frame's x in bits 0-6 and z in bits 7-13, and the syndrome word
+# [sector, round] in the 3 bits from _SYN + 3 * (3 * sector + round).
+_SYN = 14
+_SIG = np.uint32
+
+
+def _correct(sig):
+    """The data residual (x, z) that signature words leave after the majority
+    vote's correction."""
+    x = (sig & 0x7F) ^ CORRECT9[sig >> (_SYN + 9 * BIT) & 0x1FF]
+    z = (sig >> 7 & 0x7F) ^ CORRECT9[sig >> (_SYN + 9 * PHASE) & 0x1FF]
+    return x, z
+
+
+def _tally(x, z):
+    """Joint class counts of data residuals x, z, indexed 4 * x_class + z_class."""
+    return np.bincount(CLASS_LUT[x] * 4 + CLASS_LUT[z], minlength=16)
 
 
 class AncillaRejectionError(RuntimeError):
@@ -129,23 +147,18 @@ def _warn_small_n(config: ExperimentConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _majority3(a, b, c):
-    """Whole-word majority; no quorum (all three distinct) means no correction."""
-    return np.where(a == b, a, np.where(b == c, b, np.where(a == c, a, 0)))
-
-
 def _execute(ops, src, rates, m, idx=None, prefix="", flags=None):
     """Run an op program for m trials (rows idx of src; None: all) on fresh
     registers, prefixing its draw tags.  Returns the frames x, z per register,
-    the syndrome words, the flags of the last verification readout, and each
-    tally as (step, joint class counts indexed 4 * x_class + z_class).
+    the syndrome bits (a signature word's), the flags of the last verification
+    readout, and each tally as (step, `_tally` of the data residual).
 
     Given a list `flags`, the run stays linear in its faults: each prep op
     appends its attempt's verification flags to it instead of rerunning the
     rejected trials, and P leaves the syndromes uncorrected."""
     x = [np.zeros(m, dtype=_U8), np.zeros(m, dtype=_U8)]
     z = [np.zeros(m, dtype=_U8), np.zeros(m, dtype=_U8)]
-    syn = np.zeros((2, 3, m), dtype=_U8)  # [sector, round] syndrome words
+    syn = np.zeros(m, dtype=_SIG)
     bufs: dict = {}
     reject = None
     tallies: list[tuple[int, np.ndarray]] = []
@@ -199,7 +212,7 @@ def _execute(ops, src, rates, m, idx=None, prefix="", flags=None):
                 reject = bit.astype(bool)
             else:
                 sector, rnd, row = dest
-                syn[sector, rnd] |= bit << row
+                syn |= bit.astype(_SIG) << (_SYN + 3 * (3 * sector + rnd) + row)
         elif kind == "I":
             key, r, _ = args
             b = bufs[key]
@@ -209,12 +222,12 @@ def _execute(ops, src, rates, m, idx=None, prefix="", flags=None):
         elif kind == "prep":
             x[ANC], z[ANC] = _prepare(*args, src, rates, m, flags)
         elif kind == "P" and flags is None:
-            x[DATA] ^= CORR_LUT[_majority3(*syn[BIT])]
-            z[DATA] ^= CORR_LUT[_majority3(*syn[PHASE])]
+            cx, cz = _correct(syn)
+            x[DATA] ^= cx
+            z[DATA] ^= cz
             syn[:] = 0
         elif kind == "tally":
-            joint = CLASS_LUT[x[DATA]] * 4 + CLASS_LUT[z[DATA]]
-            tallies.append((step, np.bincount(joint, minlength=16)))
+            tallies.append((step, _tally(x[DATA], z[DATA])))
     return x, z, syn, reject, tallies
 
 
@@ -252,38 +265,26 @@ def _run(config: ExperimentConfig, src):
 # fault signatures: the Monte Carlo kernel
 # ---------------------------------------------------------------------------
 
-# A signature word holds what a set of faults leaves before the correction:
-# the data frame's x in bits 0-6 and z in bits 7-13, and the syndrome word
-# [sector, round] in the 3 bits from _SYN + 3 * (3 * sector + round).
-_SYN = 14
-_SIG = np.uint32
-_NINE = np.arange(512)
-# one sector's 9 syndrome bits (3 rounds) -> the correction its majority vote applies
-CORRECT9 = CORR_LUT[_majority3(_NINE & 7, _NINE >> 3 & 7, _NINE >> 6)]
 
-
-def _correct(sig):
-    """The data residual (x, z) that signature words leave after the majority
-    vote's correction."""
-    x = (sig & 0x7F) ^ CORRECT9[sig >> (_SYN + 9 * BIT) & 0x1FF]
-    z = (sig >> 7 & 0x7F) ^ CORRECT9[sig >> (_SYN + 9 * PHASE) & 0x1FF]
-    return x, z
-
-
-def _draws(ops):
-    """(kind, rate, n, prep) of each noise draw of one pass of ops, in draw
-    order, reading each prep op's attempt once: rate indexes (epsilon, gamma),
-    n counts locations and prep numbers the prep op whose attempt draws it
+def _draws(ops, prefix=""):
+    """(kind, rate, n, width, tag, prep) of each noise draw of one pass of ops
+    with no attempt rejected, in draw order: the numbering of the error
+    locations, slot 0 first.  rate indexes (epsilon, gamma), n counts the
+    draw's locations (width per step), tag is its full tag, as `_execute`
+    prefixes it, and prep numbers the prep op whose attempt draws it
     (-1: none)."""
     preps = 0
     for kind, _, _, args in ops:
         if kind == "prep":
-            yield from ((k, r, n, preps) for k, r, n, _ in _draws(args[0]))
+            attempt, tag = args
+            yield from (d[:5] + (preps,) for d in _draws(attempt, tag))
             preps += 1
         elif kind == "pauli1":
-            yield kind, args[0], args[1] * args[2], -1
+            rate, n_steps, width, tag, _ = args
+            yield kind, rate, n_steps * width, width, prefix + tag, -1
         elif kind == "pauli2":
-            yield kind, GAMMA, args[0], -1
+            n, tag, _ = args
+            yield kind, GAMMA, n, 1, prefix + tag, -1
 
 
 @dataclass(frozen=True)
@@ -302,22 +303,19 @@ class _Table:
 def _table(mode: str, schedule: RecoverySchedule) -> _Table:
     """Run every single fault of mode's program, one trial each, through one
     linear pass of `_execute`."""
-    config = ExperimentConfig(mode, NoiseParams.zero(), schedule, encoder_noisy=mode == "fig5")
     draws, n_slots = [], 0
-    for kind, rate, n, prep in _draws(config.program()):
+    for kind, rate, n, _, _, prep in _draws(program(mode, schedule)):
         draws.append((kind, rate, prep, np.arange(n_slots, n_slots + n)))
         n_slots += n
-    # the cases of enumerate_fault_cases: codes 1..3 of a one-qubit location, 1..15 of a CNOT
-    n_codes = np.concatenate([np.full(len(s), 15 if k == "pauli2" else 3) for k, _, _, s in draws])
+    # the cases of enumerate_fault_cases, location by location
+    n_codes = np.concatenate([np.full(len(s), len(_CASES[k])) for k, _, _, s in draws])
     case0 = np.cumsum(n_codes) - n_codes
     slots = np.repeat(np.arange(n_slots), n_codes)
     codes = np.arange(len(slots)) - case0[slots] + 1
-    src = FaultPlanSource(len(slots), slots[:, None], codes[:, None])
+    src = FaultPlanSource(slots[:, None], codes[:, None])
     flags: list = []
-    x, z, syn, _, tallies = _execute(config.program(), src, (0.0, 0.0), len(slots), flags=flags)
-    shifts = _SYN + 3 * np.arange(syn.shape[0] * syn.shape[1], dtype=_SIG)
-    words = syn.reshape(len(shifts), -1).astype(_SIG) << shifts[:, None]
-    sig = x[DATA].astype(_SIG) | z[DATA].astype(_SIG) << 7 | np.bitwise_or.reduce(words)
+    x, z, syn, _, tallies = _execute(program(mode, schedule), src, (0, 0), len(slots), flags=flags)
+    sig = x[DATA].astype(_SIG) | z[DATA].astype(_SIG) << 7 | syn
     return _Table(
         sig,
         np.any(flags, axis=0),
@@ -479,7 +477,7 @@ def _kernel(config: ExperimentConfig, bank: StreamBank):
         if plan.residual is not None:
             acc ^= plan.residual[0][x] ^ plan.residual[1][z]
         x, z = _correct(acc)
-        tallies.append((step, np.bincount(CLASS_LUT[x] * 4 + CLASS_LUT[z], minlength=16)))
+        tallies.append((step, _tally(x, z)))
     return tallies
 
 
@@ -642,14 +640,14 @@ class CertificationReport:
 
 
 def enumerate_fault_cases(config: ExperimentConfig) -> list[FaultCase]:
-    """All (location, Pauli) cases of one noise-free pass through config.mode."""
-    rec = RecordingSource(size=1)
-    _run(replace(config, noise=NoiseParams.zero(), trials=1), rec)
+    """All (location, Pauli) cases of config's program, in `_draws` order."""
     cases: list[FaultCase] = []
-    for r in rec.records:
-        for off in range(r.n):
-            slot, where = r.slot + off, f"{r.tag}[s{off // r.width},q{off % r.width}]"
-            cases += [FaultCase._make((slot, code, where + name)) for code, name in _CASES[r.kind]]
+    slot = 0
+    for kind, _, n, width, tag, _ in _draws(config.program()):
+        for off in range(n):
+            at, where = slot + off, f"{tag}[s{off // width},q{off % width}]"
+            cases += [FaultCase._make((at, code, where + name)) for code, name in _CASES[kind]]
+        slot += n
     return cases
 
 
@@ -657,11 +655,7 @@ def run_fault_plan(
     config: ExperimentConfig, slots, codes
 ) -> tuple[np.ndarray, np.ndarray]:
     """Replay one trial per plan row with the planned Paulis forced in."""
-    slots = np.atleast_2d(np.asarray(slots, dtype=np.int64))
-    size = slots.shape[0]
-    src = FaultPlanSource(size, slots, codes)
-    cfg = replace(config, noise=NoiseParams.zero())
-    return _run(cfg, src)[:2]
+    return _run(replace(config, noise=NoiseParams.zero()), FaultPlanSource(slots, codes))[:2]
 
 
 def certify_single_faults(

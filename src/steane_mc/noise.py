@@ -250,38 +250,54 @@ class FaultPlanSource:
 
     Locations are numbered per trial in draw order (each depolarizing or
     measurement slot is one location, each CNOT one).  Codes are 1..3
-    (X,Y,Z) for one-qubit slots and 1..15 pair codes for CNOT slots.  All
-    other locations are noise-free; probability arguments are ignored, and
-    every call consumes its locations even at p = 0 (matching the
-    recording pass used to enumerate them).  Two codes planned at one
-    location multiply (XOR), as two faults there would.
+    (X,Y,Z) for one-qubit slots and 1..15 pair codes for CNOT slots (code 0
+    plans nothing); a code that does not fit raises ValueError.  All other
+    locations are noise-free; probability arguments are ignored, and every
+    call consumes its locations even at p = 0 (matching the draw walk that
+    numbers them).  Two codes planned at one location multiply (XOR), as two
+    faults there would.  A plan row is one trial.
     """
 
-    def __init__(self, size: int, slots, codes):
+    def __init__(self, slots, codes):
         slots = np.atleast_2d(np.asarray(slots, dtype=np.int64))
-        codes = np.atleast_2d(np.asarray(codes, dtype=np.uint8))
-        if slots.shape != codes.shape or slots.shape[0] != size:
+        codes = np.atleast_2d(np.asarray(codes))
+        if slots.shape != codes.shape:
             raise ValueError("slots/codes shape mismatch")
-        self.size = size
+        bad = np.argwhere(~np.isin(codes, np.arange(16)))
+        if bad.size:
+            row, col = bad[0]
+            raise ValueError(
+                f"fault plan row {row}, slot {slots[row, col]}: code {codes[row, col]} not in 0..15"
+            )
+        self.size = slots.shape[0]
         self.slots = slots
-        self.codes = codes
-        self.cursor = np.zeros(size, dtype=np.int64)
+        self.codes = codes.astype(np.uint8)
+        self.cursor = np.zeros(self.size, dtype=np.int64)
 
-    def _planned(self, n: int, idx):
+    def _planned(self, n: int, idx, top=15):
         if idx is None:
             cur, slots, codes = self.cursor, self.slots, self.codes
         else:
             cur, slots, codes = self.cursor[idx], self.slots[idx], self.codes[idx]
         rel = slots - cur[:, None]
         hit = np.flatnonzero(rel.view(np.uint64) < n)  # 0 <= rel < n
+        code = codes.ravel()[hit]
+        bad = hit[code > top]
+        if bad.size:  # a pair code at a one-qubit location
+            row, col = divmod(int(bad[0]), slots.shape[1])
+            row = row if idx is None else int(idx[row])
+            raise ValueError(
+                f"fault plan row {row}, slot {self.slots[row, col]}: "
+                f"code {self.codes[row, col]} does not fit a one-qubit location"
+            )
         if idx is None:
             self.cursor += n
         else:
             self.cursor[idx] += n
-        return hit // slots.shape[1], rel.ravel()[hit], codes.ravel()[hit], slots.shape[0]
+        return hit // slots.shape[1], rel.ravel()[hit], code, slots.shape[0]
 
     def depolarize_steps(self, p: float, n_steps: int, width: int, idx=None, tag=""):
-        rows, off, code, m = self._planned(n_steps * width, idx)
+        rows, off, code, m = self._planned(n_steps * width, idx, top=3)
         return _scatter(m, n_steps, width, rows, off, code)
 
     def cnot_pairs(self, p: float, n: int, idx=None, tag=""):

@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 
 import pytest
 
@@ -271,17 +272,22 @@ def test_malformed_env_config_and_batch_exit_1(tmp_path, monkeypatch, capsys):
 def test_non_finite_inputs_exit_1(tmp_path, capsys):
     out = str(tmp_path / "n.csv")
     tail = ["--trials", "10", "--out", out, "--threads", "1"]
-    for argv in (
-        ["sweep", "--epsilon", "nan"],
-        ["sweep", "--epsilon", "inf"],
-        ["sweep", "--epsilon-grid", "nan:1e-3:3"],
-        ["sweep", "--epsilon", "1e-3", "--C", "nan"],
-        ["sweep", "--epsilon", "1e-3", "--C", "-inf"],
-        ["stabilize", "--epsilon", "nan", "--t-max", "1"],
-        ["sweep", "--epsilon", "abc"],
-    ):
-        assert run(argv + tail) == 1, argv
-        assert "usage error" in capsys.readouterr().err
+    grids = ("nan:1e-3:3", "1e-4:3e-4", "a:3e-4:5", "1e-4:3e-4:0", "1e-4:3e-4:-2",
+             "1e-4:3e-4:2.5", "0:1e-3:3", "1e-4:inf:3")
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        for argv in (
+            ["sweep", "--epsilon", "nan"],
+            ["sweep", "--epsilon", "inf"],
+            *(["sweep", "--epsilon-grid", grid] for grid in grids),
+            ["sweep", "--epsilon", "1e-3", "--C", "nan"],
+            ["sweep", "--epsilon", "1e-3", "--C", "-inf"],
+            ["stabilize", "--epsilon", "nan", "--t-max", "1"],
+            ["sweep", "--epsilon", "abc"],
+        ):
+            assert run(argv + tail) == 1, argv
+            assert "usage error" in capsys.readouterr().err
+    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
     assert not os.path.exists(out)
 
 

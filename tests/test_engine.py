@@ -8,7 +8,7 @@ import pytest
 
 from steane_mc import engine as eng
 from steane_mc.codebook import ErrorClass, ResidualClass, overlap_factor
-from steane_mc.circuit import ATTEMPT, RecoverySchedule
+from steane_mc.circuit import ATTEMPT, MODES, RecoverySchedule
 from steane_mc.noise import NoiseParams, RecordingSource, StreamBank
 
 INF = math.inf
@@ -68,6 +68,18 @@ def test_forced_single_channel_z_is_corrected():
     for j in range(7):
         dx, dz = eng.run_fault_plan(config, [[j]], [[3]])
         assert dx[0] == 0 and dz[0] == 0
+
+
+def test_run_fault_plan_rejects_a_code_that_does_not_fit():
+    """Slot 0 is a channel memory location; slot 9 is the first CNOT of the
+    first ancilla attempt."""
+    config = _cfg(trials=1)
+    with pytest.raises(ValueError, match="row 0, slot 0: code 7 does not fit a one-qubit"):
+        eng.run_fault_plan(config, [[0]], [[7]])
+    with pytest.raises(ValueError, match="row 1, slot 9: code 21 not in 0..15"):
+        eng.run_fault_plan(config, [[9], [9]], [[7], [21]])
+    dx, dz = eng.run_fault_plan(config, [[9]], [[7]])  # XY at that CNOT is fine
+    assert dx.shape == dz.shape == (1,)
 
 
 def test_forced_double_channel_x_miscorrects_to_logical():
@@ -362,6 +374,30 @@ def test_fault_case_enumeration_is_stable():
     slots = {c.slot for c in cases1}
     assert min(slots) == 0
     assert max(slots) == len(slots) - 1  # contiguous location numbering
+
+
+@pytest.mark.parametrize("schedule", [RecoverySchedule(), RecoverySchedule(2, 3)])
+@pytest.mark.parametrize("mode", MODES)
+def test_draw_walk_numbers_the_interpreter_locations(mode, schedule):
+    """The static draw walk lists the draws an interpreter run records, and
+    every fault case's label follows from that record."""
+    cfg = eng.ExperimentConfig(
+        mode, NoiseParams.zero(), schedule, encoder_noisy=mode == "fig5", t_max=3
+    )
+    rec = RecordingSource()
+    eng._run(cfg, rec)
+    records = [(r.slot, r.n, r.kind, r.width, r.tag) for r in rec.records]
+    walk, slot = [], 0
+    for kind, _, n, width, tag, _ in eng._draws(cfg.program()):
+        walk.append((slot, n, kind, width, tag))
+        slot += n
+    assert walk == records
+    names = {"pauli1": "IXYZ", "pauli2": [a + b for a in "IXYZ" for b in "IXYZ"]}
+    labels = [
+        f"{r.tag}[s{off // r.width},q{off % r.width}]:{name}"
+        for r in rec.records for off in range(r.n) for name in names[r.kind][1:]
+    ]
+    assert [c.label for c in eng.enumerate_fault_cases(cfg)] == labels
 
 
 def test_trial_stats_accounting_identities():

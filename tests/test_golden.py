@@ -151,16 +151,8 @@ def test_multi_fault_outcomes_pinned(mode, k):
 
 
 @pytest.mark.parametrize("mode", sorted(LOCATION_RECORDS))
-def test_location_records_pinned(mode, monkeypatch):
-    made = []
-
-    class Capture(noise.RecordingSource):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self)
-
-    monkeypatch.setattr(engine, "RecordingSource", Capture)
-    engine.enumerate_fault_cases(_config(mode))
-    (rec,) = made
+def test_location_records_pinned(mode):
+    rec = noise.RecordingSource()
+    engine._run(_config(mode), rec)
     text = "\n".join(f"{r.slot},{r.n},{r.kind},{r.width},{r.tag}" for r in rec.records)
     assert _sha(text.encode()) == LOCATION_RECORDS[mode]

@@ -315,7 +315,7 @@ def test_fault_free_reads_the_first_gaps():
 
 
 def test_fault_plan_single():
-    src = FaultPlanSource(3, [[0], [4], [5]], [[1], [2], [3]])
+    src = FaultPlanSource([[0], [4], [5]], [[1], [2], [3]])
     x, z = src.depolarize_steps(1.0, 2, 3)  # covers slots 0..5
     assert x[0, 0] == 1 and z[0, 0] == 0  # X at step 0, qubit 0
     assert x[1, 1] == 0b010 and z[1, 1] == 0b010  # Y at step 1, qubit 1
@@ -323,14 +323,14 @@ def test_fault_plan_single():
 
 
 def test_fault_plan_two_faults_same_block():
-    src = FaultPlanSource(1, [[1, 3]], [[1, 1]])
+    src = FaultPlanSource([[1, 3]], [[1, 1]])
     x, z = src.depolarize_steps(0.0, 1, 7)
     assert x[0, 0] == 0b1010
     assert z[0, 0] == 0
 
 
 def test_fault_plan_pairs():
-    src = FaultPlanSource(2, [[2], [0]], [[7], [15]])
+    src = FaultPlanSource([[2], [0]], [[7], [15]])
     codes = src.cnot_pairs(0.0, 4)
     assert codes[0, 2] == 7 and codes[1, 0] == 15
     assert codes[0, 0] == 0
@@ -339,18 +339,36 @@ def test_fault_plan_pairs():
 def test_fault_plan_same_location_multiplies():
     """Two Paulis planned at one location act as their product (XOR), at a
     one-qubit location and at a CNOT location alike."""
-    assert FaultPlanSource(1, [[0, 0]], [[1, 2]]).cnot_pairs(0.0, 1).tolist() == [[3]]
-    codes = FaultPlanSource(2, [[1, 1], [0, 0]], [[0b0111, 0b1101], [5, 5]]).cnot_pairs(0.0, 2)
+    assert FaultPlanSource([[0, 0]], [[1, 2]]).cnot_pairs(0.0, 1).tolist() == [[3]]
+    codes = FaultPlanSource([[1, 1], [0, 0]], [[0b0111, 0b1101], [5, 5]]).cnot_pairs(0.0, 2)
     assert codes.tolist() == [[0, 0b1010], [0, 0]]  # XZ * ZX = YY; XX * XX = II
-    x, z = FaultPlanSource(1, [[2, 2]], [[1, 3]]).depolarize_steps(0.0, 1, 7)
+    x, z = FaultPlanSource([[2, 2]], [[1, 3]]).depolarize_steps(0.0, 1, 7)
     assert x[0, 0] == 0b100 and z[0, 0] == 0b100  # X * Z = Y
+
+
+def test_fault_plan_rejects_codes_that_do_not_fit():
+    """A code outside 0..15, or a pair code at a one-qubit location, raises
+    ValueError naming the plan row and the slot; a row within idx is named
+    by its plan row."""
+    for bad in (300, 21, 16, -1, 2.5):
+        with pytest.raises(ValueError, match=r"row 1, slot 4: code .* not in 0\.\.15"):
+            FaultPlanSource([[0], [4]], [[1], [bad]])
+    src = FaultPlanSource([[0], [3], [2]], [[1], [3], [7]])
+    with pytest.raises(ValueError, match="row 2, slot 2: code 7 does not fit a one-qubit"):
+        src.depolarize_steps(0.0, 1, 7)
+    src = FaultPlanSource([[0], [5]], [[15], [4]])
+    with pytest.raises(ValueError, match="row 1, slot 5: code 4 does not fit"):
+        src.depolarize_steps(0.0, 1, 7, idx=np.array([1]))
+    assert FaultPlanSource([[2], [0]], [[15], [0]]).cnot_pairs(0.0, 3).tolist() == [
+        [0, 0, 15], [0, 0, 0]
+    ]
 
 
 def test_dense_draws_are_step_major():
     """The interpreter reads one step (one CNOT) of a draw at a time, across
     its trials: that column is contiguous."""
     bank = StreamBank(5, np.arange(40, dtype=np.uint64))
-    plan = FaultPlanSource(40, np.arange(40)[:, None], np.ones((40, 1)))
+    plan = FaultPlanSource(np.arange(40)[:, None], np.ones((40, 1)))
     for src in (bank, plan):
         for a in (*src.depolarize_steps(0.3, 6, 7), src.cnot_pairs(0.3, 6)):
             assert a.shape == (40, 6) and a[:, 2].flags.c_contiguous
