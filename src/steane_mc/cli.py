@@ -21,6 +21,8 @@ import os
 import sys
 import time
 from datetime import datetime, timezone
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -110,23 +112,41 @@ def write_csv(path, manifest: list[tuple[str, str]], columns, rows) -> None:
         raise IOError(f"cannot write {path}: {exc}") from exc
 
 
+def _number(lo=-math.inf, hi=math.inf, parse=float):
+    """The parser of a column of finite numbers in [lo, hi]."""
+
+    def field(text: str):
+        value = parse(text)
+        if math.isfinite(value) and lo <= value <= hi:  # nan fails both
+            return value
+        raise ValueError(text)
+
+    return field
+
+
+_finite = _number()
+_probability = _number(0.0, 1.0)
+
+
 def _coefficient(text: str) -> float:
-    """A fit coefficient field; empty where the model has no such coefficient."""
-    return float(text) if text else math.nan
+    """A fit coefficient field; empty (nan) where the model has no such coefficient."""
+    return _finite(text) if text else math.nan
 
 
 # the parser of each numeric column a command reads
 _FIELDS = {
-    "C": _parse_c, "epsilon": float, "trials": int, "P_fail_a1": float, "p_ec1": float,
-    "t_steps": float, "F": float, "stderr": float,
-    "c1": float, "c2": _coefficient, "c3": _coefficient,
+    "C": _parse_c, "epsilon": _probability, "trials": _number(1, parse=int),
+    "P_fail_a1": _probability, "p_ec1": _probability, "F": _probability,
+    "t_steps": _finite, "stderr": _number(0.0),
+    "c1": _finite, "c2": _coefficient, "c3": _coefficient,  # c1 of a line fit can be negative
 }
 
 
 def read_csv(path, need=()):
-    """Returns (manifest pairs, columns, raw string rows); every data row
-    must have the header's field count, the header every column in need,
-    and each field of a numeric column in need must parse (`_FIELDS`)."""
+    """Returns (manifest pairs, columns, rows).  Every data row must have the
+    header's field count, and the header every column in need.  Without need
+    a row is its raw string fields; with it, a row is a dict of the columns
+    in need, each field of a numeric one parsed by its `_FIELDS` parser."""
     manifest: list[tuple[str, str]] = []
     columns: list[str] | None = None
     rows: list[list[str]] = []
@@ -158,17 +178,21 @@ def read_csv(path, need=()):
     missing = [c for c in need if c not in columns]
     if missing:
         raise UsageError(f"{path} lacks column(s) {', '.join(missing)}")
+    if not need:
+        return manifest, columns, rows
+    parsed = []  # per column in need, its parsed fields
     for name in need:
-        if name in _FIELDS:
-            col = columns.index(name)
-            for number, fields in zip(numbers, rows):
-                try:
-                    _FIELDS[name](fields[col])
-                except (ValueError, UsageError):
-                    raise UsageError(
-                        f"{path} line {number} column {name}: bad value {fields[col]!r}"
-                    ) from None
-    return manifest, columns, rows
+        col, parse = columns.index(name), _FIELDS.get(name, str)
+        values = []
+        for number, fields in zip(numbers, rows):
+            try:
+                values.append(parse(fields[col]))
+            except (ValueError, UsageError):
+                raise UsageError(
+                    f"{path} line {number} column {name}: bad value {fields[col]!r}"
+                ) from None
+        parsed.append(values)
+    return manifest, columns, [dict(zip(need, values)) for values in zip(*parsed)]
 
 
 def _base_manifest(command: str, argv, pairs: list[tuple[str, str]]):
@@ -428,85 +452,76 @@ def cmd_stabilize(args, argv) -> int:
     )
 
 
-def _rows_as_dicts(columns, rows):
-    return [dict(zip(columns, r)) for r in rows]
-
-
-def _fit_row(model, c_text, eps_text, fit: analysis.FitResult):
+def _fit_row(model, fit: analysis.FitResult, c, eps=""):
     coef = list(fit.coefficients) + [float("nan")] * (3 - len(fit.coefficients))
     errs = list(fit.stderrs) + [float("nan")] * (3 - len(fit.stderrs))
     return [
-        model, c_text, eps_text,
+        model, c, eps,
         coef[0], errs[0], coef[1], errs[1], coef[2], errs[2],
         fit.rss, fit.n_points,
     ]
 
 
-# the input columns each fit model reads
-_FIT_NEEDS = {
-    "quad": ("C", "epsilon", "trials", "P_fail_a1"),
-    "lin": ("C", "epsilon", "trials", "p_ec1"),
-    "line": ("C", "epsilon", "trials", "t_steps", "F", "stderr"),
-    "slope2": ("model", "C", "epsilon", "c1"),
-    "slope3": ("model", "C", "epsilon", "c1"),
-    "quad-free": ("C", "epsilon", "trials", "P_fail_a1"),
+def _binomial_point(row, y):
+    """(epsilon, y, binomial sigma of y) of a sweep row."""
+    return row["epsilon"], row[y], analysis.binomial_sigma(row[y] * row["trials"], row["trials"])
+
+
+def _line_point(row, y):
+    """(t_steps, F, stderr floored at the zero-count sigma) of a stabilize row."""
+    return row["t_steps"], row[y], max(row["stderr"], analysis.binomial_sigma(0, row["trials"]))
+
+
+def _slope_point(row, y):
+    """(epsilon, slope) of a line fit row."""
+    return row["epsilon"], row[y]
+
+
+class _FitModel(NamedTuple):
+    needs: tuple  # the input columns it reads, in the order read_csv checks them
+    y: str  # the column it fits
+    key: tuple  # the columns whose values group rows into one fit
+    point: Callable  # (row, y) -> one fit point
+    fit: Callable  # a group's points -> analysis.FitResult
+    rows_of: str = ""  # the model column of the rows it reads ("": every row)
+
+
+_SWEEP = ("C", "epsilon", "trials")
+_SLOPE = ("model", "C", "epsilon", "c1")
+_FIT_MODELS = {
+    "quad": _FitModel(_SWEEP + ("P_fail_a1",), "P_fail_a1", ("C",),
+                      _binomial_point, partial(analysis.fit_through_origin, degree=2)),
+    "lin": _FitModel(_SWEEP + ("p_ec1",), "p_ec1", ("C",),
+                     _binomial_point, partial(analysis.fit_through_origin, degree=1)),
+    "line": _FitModel(_SWEEP + ("t_steps", "F", "stderr"), "F", ("C", "epsilon"),
+                      _line_point, analysis.fit_line),
+    "slope2": _FitModel(_SLOPE, "c1", ("C",),
+                        _slope_point, partial(analysis.fit_slope_poly, degree=2), "line"),
+    "slope3": _FitModel(_SLOPE, "c1", ("C",),
+                        _slope_point, partial(analysis.fit_slope_poly, degree=3), "line"),
+    "quad-free": _FitModel(_SWEEP + ("P_fail_a1",), "P_fail_a1", ("C",),
+                           _binomial_point, analysis.fit_free_quadratic),
 }
 
 
 def cmd_fit(args, argv) -> int:
-    model = args.model
-    _, columns, raw_rows = read_csv(args.infile, _FIT_NEEDS[model])
-    dicts = _rows_as_dicts(columns, raw_rows)
-    if not dicts:
+    """One fit per group of rows with equal (parsed) key values, in order of
+    first appearance; C and epsilon print through `_fmt`."""
+    model = _FIT_MODELS[args.model]
+    _, _, rows = read_csv(args.infile, model.needs)
+    if not rows:
         raise UsageError(f"{args.infile} has no data rows")
-    rows = []
-    if model in ("quad", "lin", "quad-free"):
-        ycol = "p_ec1" if model == "lin" else "P_fail_a1"
-        groups: dict[str, list[dict]] = {}
-        for d in dicts:
-            groups.setdefault(d["C"], []).append(d)
-        for c_text, grp in groups.items():
-            pts = []
-            for d in grp:
-                y = float(d[ycol])
-                n = int(d["trials"])
-                pts.append((float(d["epsilon"]), y, analysis.binomial_sigma(y * n, n)))
-            if model == "quad":
-                fit = analysis.fit_through_origin(pts, degree=2)
-            elif model == "lin":
-                fit = analysis.fit_through_origin(pts, degree=1)
-            else:
-                fit = analysis.fit_free_quadratic(pts)
-            rows.append(_fit_row(model, c_text, "", fit))
-    elif model == "line":
-        groups = {}
-        for d in dicts:
-            groups.setdefault((d["C"], d["epsilon"]), []).append(d)
-        for (c_text, eps_text), grp in groups.items():
-            n = int(grp[0]["trials"])
-            pts = [
-                (
-                    float(d["t_steps"]),
-                    float(d["F"]),
-                    max(float(d["stderr"]), analysis.binomial_sigma(0, n)),
-                )
-                for d in grp
-            ]
-            rows.append(_fit_row("line", c_text, eps_text, analysis.fit_line(pts)))
-    else:
-        groups = {}
-        for d in dicts:
-            if d["model"] == "line":
-                groups.setdefault(d["C"], []).append(d)
-        if not groups:
-            raise UsageError(f"{args.infile} has no model=line rows")
-        degree = 2 if model == "slope2" else 3
-        for c_text, grp in groups.items():
-            pts = [(float(d["epsilon"]), float(d["c1"])) for d in grp]
-            rows.append(_fit_row(model, c_text, "", analysis.fit_slope_poly(pts, degree)))
-    man = _base_manifest("fit", argv, [("model", model), ("input", args.infile)])
-    write_csv(args.out, man, FIT_COLUMNS, rows)
-    print(f"wrote {len(rows)} fit rows to {args.out}")
+    groups: dict[tuple, list] = {}
+    for row in rows:
+        if not model.rows_of or row["model"] == model.rows_of:
+            key = tuple(row[k] for k in model.key)
+            groups.setdefault(key, []).append(model.point(row, model.y))
+    if not groups:
+        raise UsageError(f"{args.infile} has no model={model.rows_of} rows")
+    out = [_fit_row(args.model, model.fit(points), *key) for key, points in groups.items()]
+    man = _base_manifest("fit", argv, [("model", args.model), ("input", args.infile)])
+    write_csv(args.out, man, FIT_COLUMNS, out)
+    print(f"wrote {len(out)} fit rows to {args.out}")
     return 0
 
 
@@ -524,35 +539,29 @@ def _threshold_row(row: analysis.TableRow, slope_fit=None):
 def cmd_thresholds(args, argv) -> int:
     slope_fits: dict[float, analysis.FitResult] = {}
     if args.slopes:
-        _, columns, raw = read_csv(args.slopes, ("model", "C", "c1", "c2", "c3"))
-        for d in _rows_as_dicts(columns, raw):
+        for d in read_csv(args.slopes, ("model", "C", "c1", "c2", "c3"))[2]:
             if d["model"] in ("slope2", "slope3"):
-                coeffs = [float(d[c]) for c in ("c1", "c2", "c3") if d[c] != ""]
-                slope_fits[_parse_c(d["C"])] = analysis.FitResult(
+                coeffs = [d[c] for c in ("c1", "c2", "c3") if not math.isnan(d[c])]
+                slope_fits[d["C"]] = analysis.FitResult(
                     d["model"], tuple(coeffs), (0.0,) * len(coeffs), 0.0, 0
                 )
-    rows = []
     if args.use_paper_table:
         table = analysis.PUBLISHED_TABLE1
     else:
         if not args.fits:
             raise UsageError("need --fits CSV or --use-paper-table")
-        _, columns, raw = read_csv(args.fits, ("model", "C", "c1"))
-        d2 = {}
-        d1 = {}
-        for d in _rows_as_dicts(columns, raw):
-            if d["model"] == "quad":
-                d2[_parse_c(d["C"])] = float(d["c1"])
-            elif d["model"] == "lin":
-                d1[_parse_c(d["C"])] = float(d["c1"])
+        c1 = {"quad": {}, "lin": {}}  # model -> C -> its c1
+        for d in read_csv(args.fits, ("model", "C", "c1"))[2]:
+            if d["model"] in c1:
+                c1[d["model"]][d["C"]] = d["c1"]
+        d2, d1 = c1["quad"], c1["lin"]
         if not d2:
             raise UsageError(f"{args.fits} has no model=quad rows")
         table = [
             analysis.TableRow(c, d2[c], d1.get(c, float("nan")), float("nan"))
             for c in sorted(d2)
         ]
-    for row in table:
-        rows.append(_threshold_row(row, slope_fits.get(row.ratio_C)))
+    rows = [_threshold_row(row, slope_fits.get(row.ratio_C)) for row in table]
     man = _base_manifest(
         "thresholds",
         argv,
@@ -565,21 +574,11 @@ def cmd_thresholds(args, argv) -> int:
 
 def cmd_table1(args, argv) -> int:
     rows = []
-    flagged_any = False
     for row in analysis.PUBLISHED_TABLE1:
-        g1 = analysis.g1_combine(row.ratio_C, row.D1, row.D2)
-        delta = abs(g1 - row.G1)
-        flagged = delta > 0.5
-        flagged_any |= flagged
-        ts = analysis.thresholds_from(row)
-        rows.append(
-            [
-                row.ratio_C, row.D2, row.D1, row.G1, g1, delta,
-                int(flagged),
-                ts.eps_pth, ts.eps_pth_approx, ts.eps_mth,
-                ts.eps_g1, ts.eps_thg1, ts.eps_thg2,
-            ]
-        )
+        t = dict(zip(THRESHOLD_COLUMNS, _threshold_row(row)))
+        t.update(G1_published=row.G1, G1_recomputed=t["G1"], delta_G1=abs(t["G1"] - row.G1))
+        t["flagged"] = int(t["delta_G1"] > 0.5)
+        rows.append([t[k] for k in TABLE1_COLUMNS])
     man = _base_manifest("table1", argv, [("rows", str(len(rows)))])
     write_csv(args.out, man, TABLE1_COLUMNS, rows)
     for row in rows:
@@ -588,7 +587,7 @@ def cmd_table1(args, argv) -> int:
             f"{row[4]:.1f} delta {row[5]:.3f}{' FLAGGED' if row[6] else ''}"
         )
     print(f"wrote {len(rows)} rows to {args.out}")
-    return 0 if not flagged_any else 2
+    return 0 if not any(row[6] for row in rows) else 2
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +621,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--t-max", dest="t_max", type=int, help="number of recoveries")
 
     p = sub.add_parser("fit", help="fit coefficients from sweep/stabilize CSVs")
-    p.add_argument("--model", required=True, choices=list(_FIT_NEEDS))
+    p.add_argument("--model", required=True, choices=list(_FIT_MODELS))
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default="fits.csv")
 

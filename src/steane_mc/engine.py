@@ -654,8 +654,12 @@ def enumerate_fault_cases(config: ExperimentConfig) -> list[FaultCase]:
 def run_fault_plan(
     config: ExperimentConfig, slots, codes
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Replay one trial per plan row with the planned Paulis forced in."""
-    return _run(replace(config, noise=NoiseParams.zero()), FaultPlanSource(slots, codes))[:2]
+    """Replay one trial per plan row with the planned Paulis forced in; a
+    planned fault at a slot the row's trial never reaches raises ValueError."""
+    src = FaultPlanSource(slots, codes)
+    dx, dz, _ = _run(replace(config, noise=NoiseParams.zero()), src)
+    src.check_reached()
+    return dx, dz
 
 
 def certify_single_faults(

@@ -255,7 +255,9 @@ class FaultPlanSource:
     locations are noise-free; probability arguments are ignored, and every
     call consumes its locations even at p = 0 (matching the draw walk that
     numbers them).  Two codes planned at one location multiply (XOR), as two
-    faults there would.  A plan row is one trial.
+    faults there would.  A plan row is one trial.  A planned fault at a
+    negative slot raises ValueError, and `check_reached` one at a slot past
+    the locations its row's trial drew.
     """
 
     def __init__(self, slots, codes):
@@ -269,6 +271,10 @@ class FaultPlanSource:
             raise ValueError(
                 f"fault plan row {row}, slot {slots[row, col]}: code {codes[row, col]} not in 0..15"
             )
+        bad = np.argwhere((slots < 0) & (codes != 0))
+        if bad.size:
+            row, col = bad[0]
+            raise ValueError(f"fault plan row {row}, slot {slots[row, col]}: a negative slot")
         self.size = slots.shape[0]
         self.slots = slots
         self.codes = codes.astype(np.uint8)
@@ -295,6 +301,17 @@ class FaultPlanSource:
         else:
             self.cursor[idx] += n
         return hit // slots.shape[1], rel.ravel()[hit], code, slots.shape[0]
+
+    def check_reached(self):
+        """After a run: raise ValueError for a planned fault at a slot at or
+        past its row's final cursor, which the run never drew."""
+        bad = np.argwhere((self.slots >= self.cursor[:, None]) & (self.codes != 0))
+        if bad.size:
+            row, col = bad[0]
+            raise ValueError(
+                f"fault plan row {row}, slot {self.slots[row, col]}: "
+                f"the trial drew only {self.cursor[row]} locations"
+            )
 
     def depolarize_steps(self, p: float, n_steps: int, width: int, idx=None, tag=""):
         rows, off, code, m = self._planned(n_steps * width, idx, top=3)

@@ -150,6 +150,31 @@ def test_malformed_fit_and_threshold_inputs_exit_1(tmp_path, capsys):
         (["thresholds", "--fits"], "model,C,c1\nquad,inf,abc\n", "line 2 column c1"),
         (["thresholds", "--use-paper-table", "--slopes"],
          "model,C,c1,c2,c3\nslope2,inf,1.0,abc,\n", "line 2 column c2"),
+        # a field outside its column's domain names its line and column too
+        *((["fit", "--model", "quad"],
+           f"C,epsilon,P_fail_a1,trials\ninf,1e-3,0.01,100\ninf,{eps},{y},{n}\n",
+           f"line 3 column {named}")
+          for eps, y, n, named in (
+              ("inf", "0.02", "100", "epsilon"), ("nan", "0.02", "100", "epsilon"),
+              ("-1e-4", "0.02", "100", "epsilon"), ("1.5", "0.02", "100", "epsilon"),
+              ("2e-3", "nan", "100", "P_fail_a1"), ("2e-3", "1.5", "100", "P_fail_a1"),
+              ("2e-3", "-inf", "100", "P_fail_a1"), ("2e-3", "0.02", "0", "trials"),
+              ("2e-3", "0.02", "-5", "trials"))),
+        (["fit", "--model", "quad"], "C,epsilon,P_fail_a1,trials\nnan,1e-3,0.01,100\n",
+         "line 2 column C"),
+        (["fit", "--model", "lin"], "C,epsilon,p_ec1,trials\ninf,1e-3,-0.5,100\n",
+         "line 2 column p_ec1"),
+        (["fit", "--model", "line"], "C,epsilon,trials,t_steps,F,stderr\ninf,1e-3,9,20,1.01,0.01\n",
+         "line 2 column F"),
+        (["fit", "--model", "line"], "C,epsilon,trials,t_steps,F,stderr\ninf,1e-3,9,20,0.9,-0.01\n",
+         "line 2 column stderr"),
+        (["fit", "--model", "line"], "C,epsilon,trials,t_steps,F,stderr\ninf,1e-3,9,inf,0.9,0.01\n",
+         "line 2 column t_steps"),
+        (["fit", "--model", "slope2"], "model,C,epsilon,c1\nline,inf,1e-3,nan\n",
+         "line 2 column c1"),
+        (["thresholds", "--fits"], "model,C,c1\nquad,inf,inf\n", "line 2 column c1"),
+        (["thresholds", "--use-paper-table", "--slopes"],
+         "model,C,c1,c2,c3\nslope2,inf,1.0,2.0,nan\n", "line 2 column c3"),
     ]
     for k, (argv, text, named) in enumerate(cases):
         src = tmp_path / f"bad{k}.csv"
@@ -159,6 +184,42 @@ def test_malformed_fit_and_threshold_inputs_exit_1(tmp_path, capsys):
         assert run(argv + flag + [str(src), "--out", out]) == 1, argv
         err = capsys.readouterr().err
         assert str(src) in err and named in err, err
+
+
+def _records(path):
+    block = _data_block(path)
+    return [dict(zip(block[0].rstrip().split(","), l.rstrip().split(","))) for l in block[1:]]
+
+
+def test_fit_groups_rows_by_value_and_echoes_inputs(tmp_path):
+    """fit groups rows by parsed C (and epsilon for line), so C spelled `1` and
+    `1.0`, or epsilon spelled `0.002` and `2e-3`, make one group; its rows
+    echo C and epsilon as sweep and stabilize wrote them."""
+    sweep, stab = str(tmp_path / "sw.csv"), str(tmp_path / "st.csv")
+    tail = ["--trials", "2000", "--seed", "9", "--threads", "1"]
+    assert run(["sweep", "--C", "inf", "--C", "1", "--C", "0.3",
+                "--epsilon-grid", "1e-3:4e-3:3", *tail, "--out", sweep]) == 0
+    assert run(["stabilize", "--C", "1", "--epsilon", "0.002", "--epsilon", "0.003",
+                "--t-max", "4", *tail, "--out", stab]) == 0
+    for src, model, column, spelt, respelt, key in (
+        (sweep, "quad", "C", "1.0", "1", ("C",)),
+        (stab, "line", "epsilon", "0.002", "2e-3", ("C", "epsilon")),
+    ):
+        fits = str(tmp_path / f"{model}.csv")
+        assert run(["fit", "--model", model, "--in", src, "--out", fits]) == 0
+        got = [tuple(r[k] for k in key) for r in _records(fits)]
+        assert got == list(dict.fromkeys(tuple(r[k] for k in key) for r in _records(src)))
+        manifest, columns, rows = cli.read_csv(src)
+        col = columns.index(column)
+        hits = [row for row in rows if row[col] == spelt]
+        for row in hits[::2]:
+            row[col] = respelt
+        assert 0 < len(hits[::2]) < len(hits)
+        mixed = str(tmp_path / f"mixed_{model}.csv")
+        cli.write_csv(mixed, manifest, columns, rows)
+        refit = str(tmp_path / f"re{model}.csv")
+        assert run(["fit", "--model", model, "--in", mixed, "--out", refit]) == 0
+        assert _data_block(refit) == _data_block(fits)
 
 
 def test_fit_degenerate_exits_2(tmp_path):

@@ -80,6 +80,25 @@ def test_run_fault_plan_rejects_a_code_that_does_not_fit():
         eng.run_fault_plan(config, [[9], [9]], [[7], [21]])
     dx, dz = eng.run_fault_plan(config, [[9]], [[7]])  # XY at that CNOT is fine
     assert dx.shape == dz.shape == (1,)
+    # a planned fault the run never reaches: a negative slot, or one at or past
+    # the locations its trial drew (1,508 with no attempt rejected)
+    n = sum(draw[2] for draw in eng._draws(config.program()))
+    assert n == 1508
+    with pytest.raises(ValueError, match="row 0, slot -5: a negative slot"):
+        eng.run_fault_plan(config, [[-5]], [[1]])
+    for slot in (n, 10**6):
+        with pytest.raises(ValueError, match=f"row 0, slot {slot}: the trial drew only {n}"):
+            eng.run_fault_plan(config, [[slot]], [[1]])
+    dx, dz = eng.run_fault_plan(config, [[-5, 3], [n, 3]], [[0, 1], [0, 1]])  # code 0 plans nothing
+    assert dx.tolist() == dz.tolist() == [0, 0]
+    # an X at slot 8, a gate of the first ancilla attempt, rejects that attempt;
+    # its rerun draws that attempt's locations again, so slot n is reached
+    table = eng._table("memory_t20", config.schedule)
+    assert table.flag[table.case0[8]]  # the case of code 1 at slot 8
+    dx, dz = eng.run_fault_plan(config, [[8, n]], [[1, 1]])
+    assert dx.shape == (1,)
+    with pytest.raises(ValueError, match=f"row 1, slot {n}: the trial drew only {n}"):
+        eng.run_fault_plan(config, [[8, n], [0, n]], [[1, 1], [1, 1]])
 
 
 def test_forced_double_channel_x_miscorrects_to_logical():
