@@ -8,11 +8,17 @@ once into the x and z bit planes of control and target, so each CNOT
 location costs four shift-and-XORs.  Noise comes from a source:
 `FaultPlanSource` for planned faults, `StreamBank` for random ones.  The
 interpreter serves fault plans (certification, the differential test) and
-the signature tables; Monte Carlo trials do not run it.
+the signature tables; Monte Carlo trials do not run it.  A prep op runs its
+ancilla attempt, first try and reruns alike, only on the rows the source's
+`reached` names, those with a fault among the attempt's next locations;
+every other row skips those locations and takes the ideal ancilla, the zero
+frame.  Most rows of a fault plan meet no fault in a given attempt, and a
+rejected attempt's rerun runs only if a planned fault falls in its locations.
 
 `_draws` walks a program's noise draws statically, in draw order.  It is
 the one numbering of the error locations: the signature tables and
-`enumerate_fault_cases` both read it, and no run is needed.  The tests
+`enumerate_fault_cases` both read it, and no run is needed; a fault case
+keeps its draw's record and makes its label from it on demand.  The tests
 check it against `noise.RecordingSource`, which records the draws of an
 interpreter run.  The syndrome bits of a trial sit in one uint32 laid out
 as in a signature word, and `CORRECT9` is the one decoder table: the
@@ -54,13 +60,14 @@ import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
 from . import codebook
 from .circuit import ANC, BIT, DATA, GAMMA, MODES, PHASE, RecoverySchedule, program
-from .noise import FaultPlanSource, NoiseParams, StreamBank, fault_free
+from .noise import FaultPlanSource, LocationRecord, NoiseParams, StreamBank, fault_free
 
 MAX_PREP_ATTEMPTS = 100
 
@@ -233,25 +240,35 @@ def _execute(ops, src, rates, m, idx=None, prefix="", flags=None):
 
 def _prepare(attempt, tag, src, rates, m, flags=None):
     """Verified ancillas for m trials, resynthesizing each rejected one;
-    given a list `flags`, one attempt each, its flags appended to it."""
-    x, z, _, reject, _ = _execute(attempt, src, rates, m, prefix=tag)
-    ax, az = x[ANC], z[ANC]
+    given a list `flags`, one attempt each, its flags appended to it.
+
+    Each try runs the attempt only on the rows src reports a fault reaching
+    among the attempt's locations; every other row skips those locations and
+    gets the ideal ancilla, the zero frame, and a skipped row is never
+    rejected."""
     if flags is not None:
+        x, z, _, reject, _ = _execute(attempt, src, rates, m, prefix=tag)
         flags.append(reject)
-        return ax, az
-    idx = np.nonzero(reject)[0]
-    attempts = 1
-    while idx.size:
-        if attempts >= MAX_PREP_ATTEMPTS:
-            raise AncillaRejectionError(
-                f"{idx.size} trials exceeded {MAX_PREP_ATTEMPTS} ancilla attempts"
-            )
-        x, z, _, rej, _ = _execute(attempt, src, rates, idx.size, idx, tag)
-        ax[idx] = x[ANC]
-        az[idx] = z[ANC]
-        idx = idx[rej]
-        attempts += 1
-    return ax, az
+        return x[ANC], z[ANC]
+    locations = Counter()
+    for kind, rate, n, *_ in _draws(attempt):
+        locations[kind, rates[rate]] += n
+    ax, az = np.zeros(m, dtype=_U8), np.zeros(m, dtype=_U8)
+    idx = None  # the rows still to verify; None: all
+    for _ in range(MAX_PREP_ATTEMPTS):
+        run = src.reached(locations, idx)
+        if idx is not None:  # a skipped rerun keeps no rejected try's frame
+            ax[idx] = az[idx] = 0
+        if not run.size:
+            return ax, az
+        x, z, _, rej, _ = _execute(attempt, src, rates, run.size, run, tag)
+        ax[run], az[run] = x[ANC], z[ANC]
+        idx = run[rej]
+        if not idx.size:
+            return ax, az
+    raise AncillaRejectionError(
+        f"{idx.size} trials exceeded {MAX_PREP_ATTEMPTS} ancilla attempts"
+    )
 
 
 def _run(config: ExperimentConfig, src):
@@ -308,7 +325,7 @@ def _table(mode: str, schedule: RecoverySchedule) -> _Table:
         draws.append((kind, rate, prep, np.arange(n_slots, n_slots + n)))
         n_slots += n
     # the cases of enumerate_fault_cases, location by location
-    n_codes = np.concatenate([np.full(len(s), len(_CASES[k])) for k, _, _, s in draws])
+    n_codes = np.concatenate([np.full(len(s), len(_NAMES[k]) - 1) for k, _, _, s in draws])
     case0 = np.cumsum(n_codes) - n_codes
     slots = np.repeat(np.arange(n_slots), n_codes)
     codes = np.arange(len(slots)) - case0[slots] + 1
@@ -614,18 +631,22 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[TrialStat
 
 
 class FaultCase(NamedTuple):
-    """One Pauli (code 1..3) or Pauli pair (pair code 1..15) at one location."""
+    """One Pauli (code 1..3) or Pauli pair (pair code 1..15) at one location;
+    every case of one draw shares that draw's record."""
 
     slot: int
     code: int
-    label: str
+    draw: LocationRecord
+
+    @property
+    def label(self) -> str:
+        """Where and what, e.g. `rec/r1/g2b2/mem[s6,q0]:X`."""
+        d, off = self.draw, self.slot - self.draw.slot
+        return f"{d.tag}[s{off // d.width},q{off % d.width}]:{_NAMES[d.kind][self.code]}"
 
 
-# the (code, ":name") cases of a one-qubit and of a CNOT location
-_CASES = {
-    "pauli1": tuple((c, ":" + "IXYZ"[c]) for c in range(1, 4)),
-    "pauli2": tuple((c, ":" + "IXYZ"[c >> 2] + "IXYZ"[c & 3]) for c in range(1, 16)),
-}
+# the Pauli (pair) named by each code of a one-qubit and of a CNOT location
+_NAMES = {"pauli1": "IXYZ", "pauli2": tuple(a + b for a in "IXYZ" for b in "IXYZ")}
 
 
 @dataclass
@@ -644,9 +665,9 @@ def enumerate_fault_cases(config: ExperimentConfig) -> list[FaultCase]:
     cases: list[FaultCase] = []
     slot = 0
     for kind, _, n, width, tag, _ in _draws(config.program()):
-        for off in range(n):
-            at, where = slot + off, f"{tag}[s{off // width},q{off % width}]"
-            cases += [FaultCase._make((at, code, where + name)) for code, name in _CASES[kind]]
+        draw = LocationRecord(slot, n, kind, width, tag)
+        codes = range(1, len(_NAMES[kind]))
+        cases += map(FaultCase._make, product(range(slot, slot + n), codes, (draw,)))
         slot += n
     return cases
 

@@ -31,7 +31,10 @@ reads (views of step-major arrays, so each step's column is contiguous), and
 there a channel with p = 0 consumes no locations.  `fault_free`
 reads only the first gaps and tells which trials have no fault among a
 given number of locations per class; the engine skips those trials, whose
-residual is exactly 0.
+residual is exactly 0.  Each source's `reached` names the rows with a fault
+among their next locations of given classes and moves every other row past
+them (for a `StreamBank`, just as a call finding no fault would), so the
+interpreter runs an ancilla attempt only where a fault strikes.
 
 `STREAM_VERSION` names this stream in the sweep and stabilize manifests.
 Version 1 hashed one word per location and decoded it by thresholds;
@@ -198,15 +201,35 @@ class StreamBank:
         self.size = trial_indices.shape[0]
         self._classes: dict[tuple[str, float], _Class] = {}
 
+    def _class(self, kind: str, p: float) -> _Class:
+        c = self._classes.get((kind, p))
+        if c is None:
+            c = self._classes[(kind, p)] = _Class(self.keys, kind, p)
+        return c
+
+    def reached(self, locations: dict, idx=None) -> np.ndarray:
+        """The rows (of all trials, or of idx) with a fault among their next
+        n locations of some class (kind, p) -> n of `locations`.  Every other
+        row skips those locations, advanced as a `faults` call that finds no
+        fault advances it; classes with p = 0 consume nothing."""
+        live = {c: n for c, n in locations.items() if c[1] > 0 and n}
+        rows = np.arange(self.size) if idx is None else idx
+        hit = np.zeros(rows.size, dtype=bool)
+        for (kind, p), n in live.items():
+            hit |= self._class(kind, p).ahead[rows] < n
+        skip = rows[~hit]
+        for (kind, p), n in live.items():
+            self._class(kind, p).ahead[skip] -= n
+        self.counters[skip] += np.uint64(sum(live.values()))
+        return rows[hit]
+
     def faults(self, kind: str, p: float, n: int, idx=None):
         """(rows, offsets, codes) of the faults among the next n locations of
         class (kind, p), p > 0, rows counted within idx (None: all trials);
         advances the class and the rows' counters by n.  Codes are 1..3
         (X, Y, Z) for `pauli1` and pair codes 1..15 for `pauli2`; a row's
         offsets strictly increase, so no two faults share a location."""
-        c = self._classes.get((kind, p))
-        if c is None:
-            c = self._classes[(kind, p)] = _Class(self.keys, kind, p)
+        c = self._class(kind, p)
         rows = np.flatnonzero((c.ahead if idx is None else c.ahead[idx]) < n)
         at = rows if idx is None else idx[rows]
         found = [(rows[:0], c.ahead[:0], self.keys[:0])]  # typed empties: no fault at all
@@ -302,6 +325,17 @@ class FaultPlanSource:
             self.cursor[idx] += n
         return hit // slots.shape[1], rel.ravel()[hit], code, slots.shape[0]
 
+    def reached(self, locations: dict, idx=None) -> np.ndarray:
+        """The rows (of all trials, or of idx) with a nonzero code planned
+        among their next sum(locations.values()) locations, whatever the
+        rates; every other row's cursor skips those locations."""
+        n = sum(locations.values())
+        sel = slice(None) if idx is None else idx  # a slice reads no copy
+        rel = self.slots[sel] - self.cursor[sel, None]
+        hit = ((rel.view(np.uint64) < n) & (self.codes[sel] != 0)).any(axis=1)
+        self.cursor[sel] += np.where(hit, 0, n)
+        return np.flatnonzero(hit) if idx is None else idx[hit]
+
     def check_reached(self):
         """After a run: raise ValueError for a planned fault at a slot at or
         past its row's final cursor, which the run never drew."""
@@ -322,7 +356,7 @@ class FaultPlanSource:
         return _pairs(m, n, rows, off, code)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LocationRecord:
     slot: int
     n: int
@@ -338,6 +372,10 @@ class RecordingSource:
         self.size = size
         self.cursor = 0
         self.records: list[LocationRecord] = []
+
+    def reached(self, locations: dict, idx=None) -> np.ndarray:
+        """Every row: a dry run records each draw."""
+        return np.arange(self.size) if idx is None else idx
 
     def depolarize_steps(self, p: float, n_steps: int, width: int, idx=None, tag=""):
         self.records.append(

@@ -9,7 +9,7 @@ import pytest
 from steane_mc import engine as eng
 from steane_mc.codebook import ErrorClass, ResidualClass, overlap_factor
 from steane_mc.circuit import ATTEMPT, MODES, RecoverySchedule
-from steane_mc.noise import NoiseParams, RecordingSource, StreamBank
+from steane_mc.noise import FaultPlanSource, NoiseParams, RecordingSource, StreamBank
 
 INF = math.inf
 
@@ -99,6 +99,68 @@ def test_run_fault_plan_rejects_a_code_that_does_not_fit():
     assert dx.shape == (1,)
     with pytest.raises(ValueError, match=f"row 1, slot {n}: the trial drew only {n}"):
         eng.run_fault_plan(config, [[8, n], [0, n]], [[1, 1], [1, 1]])
+    # a bad code inside an attempt still runs that attempt, and so still raises
+    with pytest.raises(ValueError, match="row 0, slot 8: code 7 does not fit a one-qubit"):
+        eng.run_fault_plan(config, [[8]], [[7]])
+
+
+@pytest.mark.parametrize("C", [1.0, INF])
+def test_skipping_an_attempt_is_exact(C):
+    """A row that `StreamBank.reached` reports clean skips the attempt's
+    locations exactly as drawing them would: twin banks, one drawing the
+    clean rows' attempt and one skipping it, agree on their counters and on
+    every later draw."""
+    noise = NoiseParams(2e-2, C)
+    locations = Counter()
+    for kind, rate, n, *_ in eng._draws(ATTEMPT):
+        locations[kind, (noise.epsilon, noise.gamma)[rate]] += n
+    trials = np.arange(400, dtype=np.uint64)
+    drawn, skipped = StreamBank(6, trials), StreamBank(6, trials)
+    for idx in (None, np.arange(0, 400, 3)):
+        rows = np.arange(400) if idx is None else idx
+        clean = np.setdiff1d(rows, skipped.reached(locations, idx))
+        assert 0 < clean.size < rows.size
+        for (kind, p), n in locations.items():
+            if p > 0:
+                assert drawn.faults(kind, p, n, clean)[0].size == 0
+    assert np.array_equal(drawn.counters, skipped.counters)
+    for _ in range(3):
+        for (kind, p), n in locations.items():
+            if p > 0:
+                for a, b in zip(drawn.faults(kind, p, 5 * n), skipped.faults(kind, p, 5 * n)):
+                    assert np.array_equal(a, b)
+
+
+class _TaggingPlan(FaultPlanSource):
+    """FaultPlanSource that records the tag of every sampler call."""
+
+    def __init__(self, slots, codes):
+        super().__init__(slots, codes)
+        self.tags = []
+
+    def depolarize_steps(self, p, n_steps, width, idx=None, tag=""):
+        self.tags.append(tag)
+        return super().depolarize_steps(p, n_steps, width, idx, tag)
+
+    def cnot_pairs(self, p, n, idx=None, tag=""):
+        self.tags.append(tag)
+        return super().cnot_pairs(p, n, idx, tag)
+
+
+def test_a_clean_rerun_draws_nothing():
+    """An X at slot 8 rejects the first ancilla attempt.  Only that attempt
+    runs: its fault-free rerun, and every other prep's attempt, skip their
+    locations without a sampler call, and the trial still draws 1,508 + 42."""
+    config = _cfg()
+    src = _TaggingPlan([[8]], [[1]])
+    eng._run(config, src)
+    src.check_reached()
+    assert src.cursor.tolist() == [1508 + 42]
+    draws = list(eng._draws(config.program()))
+    outside = [tag for _, _, _, _, tag, prep in draws if prep < 0]
+    first = [tag for _, _, _, _, tag, prep in draws if prep == 0]
+    assert len(first) == 3 and first[0].startswith("rec/r0/g0b0/")
+    assert Counter(src.tags) == Counter(outside + first)
 
 
 def test_forced_double_channel_x_miscorrects_to_logical():
@@ -219,20 +281,24 @@ def test_rejection_loop_still_deterministic():
 
 
 class _RetryCountingBank(StreamBank):
-    """StreamBank that counts each trial's extra ancilla attempts: only a
-    rejected prep's rerun passes row indices, and each attempt draws one /mem.
-    `per_prep` counts them per (trial, prep tag)."""
+    """StreamBank that counts each trial's extra ancilla attempts.  Every
+    attempt asks `reached` once for its rows, whether it then runs them or
+    skips them: a prep's first try for all rows, each rerun for the rows its
+    last try rejected.  `per_prep` counts reruns per (trial, prep ordinal)."""
 
     def __init__(self, master_seed, trial_indices):
         super().__init__(master_seed, trial_indices)
         self.retries = np.zeros(self.size, dtype=np.uint64)
         self.per_prep = Counter()
+        self.preps = 0
 
-    def depolarize_steps(self, p, n_steps, width, idx=None, tag=""):
-        if idx is not None and tag.endswith("/mem"):
+    def reached(self, locations, idx=None):
+        if idx is None:
+            self.preps += 1
+        else:
             self.retries[idx] += np.uint64(1)
-            self.per_prep.update((int(i), tag) for i in idx)
-        return super().depolarize_steps(p, n_steps, width, idx, tag)
+            self.per_prep.update((int(i), self.preps) for i in idx)
+        return super().reached(locations, idx)
 
 
 @pytest.mark.filterwarnings("ignore:trials=")
