@@ -1,5 +1,7 @@
 """Deterministic numerics: weighted fits, crossings, and threshold formulas.
 
+Every fit is one weighted least-squares body for y = sum_i c_i x^p_i over a
+fixed set of powers p_i; the public fits only name their powers and model.
 Also embeds the published reference dataset (per-C fit coefficients D2, D1,
 G1) that the deterministic acceptance checks and the reporting commands
 compare against.
@@ -8,7 +10,7 @@ compare against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,11 +25,10 @@ class FitResult:
     """One weighted least-squares fit.
 
     `rss` is the weighted residual sum of squares sum((y - fit)^2 / sigma^2),
-    i.e. the chi^2 of the fit against the supplied sigmas, with `n_points`
-    minus the number of coefficients as degrees of freedom (`n_points - 2`
-    for `fit_line`).  Without sigmas the weights are 1 and `rss` is the plain
-    residual sum of squares.  `stderrs` are the unscaled WLS standard errors,
-    not inflated by chi^2/dof.
+    i.e. the chi^2 of the fit against the supplied sigmas, with
+    `n_points - len(coefficients)` degrees of freedom.  Without sigmas the
+    weights are 1 and `rss` is the plain residual sum of squares.  `stderrs`
+    are the unscaled WLS standard errors, not inflated by chi^2/dof.
     """
 
     model: str
@@ -57,13 +58,14 @@ class TableRow:
 @dataclass(frozen=True)
 class ThresholdSet:
     ratio_C: float
+    g1: float
     eps_pth: float
+    eps_pth_approx: float
+    eps_sth: float  # nan without a slope polynomial
     eps_mth: float
     eps_g1: float
     eps_thg1: float
     eps_thg2: float
-    eps_sth: float | None = None
-    eps_pth_approx: float | None = None
 
 
 # Published per-C fit coefficients (columns: C = eps/gamma, D2, D1, G1).
@@ -107,22 +109,30 @@ def _wls(design: np.ndarray, y: np.ndarray, sigma: np.ndarray):
     return beta, stderrs, rss
 
 
-def _unpack_points(points, expect_sigma: bool):
+def _unpack_points(points, sigma_required: bool):
     arr = np.asarray(list(points), dtype=float)
     if arr.ndim != 2 or arr.shape[1] not in (2, 3):
         raise AnalysisError("points must be (x, y) or (x, y, sigma) tuples")
+    if sigma_required and arr.shape[1] != 3:
+        raise AnalysisError("this fit requires (x, y, sigma) points")
     x, y = arr[:, 0], arr[:, 1]
-    if expect_sigma:
-        if arr.shape[1] != 3:
-            raise AnalysisError("this fit requires (x, y, sigma) points")
-        sigma = arr[:, 2]
-        if np.any(sigma <= 0):
-            raise AnalysisError("all sigmas must be positive (half-count-correct zeros first)")
-    else:
-        sigma = arr[:, 2] if arr.shape[1] == 3 else np.ones_like(x)
-        if np.any(sigma <= 0):
-            raise AnalysisError("all sigmas must be positive")
+    sigma = arr[:, 2] if arr.shape[1] == 3 else np.ones_like(x)
+    if np.any(sigma <= 0):
+        raise AnalysisError("all sigmas must be positive (half-count-correct zeros first)")
     return x, y, sigma
+
+
+def _fit(points, powers, model: str, sigma_required: bool = True) -> FitResult:
+    """WLS for y = sum_i c_i x^powers[i].  Its k = len(powers) coefficients
+    need k + 1 points (one degree of freedom) and max(k, 2) distinct x."""
+    x, y, sigma = _unpack_points(points, sigma_required)
+    k = len(powers)
+    if len(x) < k + 1:
+        raise AnalysisError(f"need at least {k + 1} points")
+    if np.unique(x).size < max(k, 2):
+        raise AnalysisError(f"degenerate design: need {max(k, 2)} distinct x")
+    beta, se, rss = _wls(np.column_stack([x**p for p in powers]), y, sigma)
+    return FitResult(model, tuple(map(float, beta)), tuple(map(float, se)), rss, len(x))
 
 
 def binomial_sigma(successes: float, trials: int) -> float:
@@ -138,32 +148,12 @@ def fit_through_origin(points, degree: int) -> FitResult:
     """WLS for y = c * x^degree (degree 1 or 2); returns c and its stderr."""
     if degree not in (1, 2):
         raise AnalysisError("degree must be 1 or 2")
-    x, y, sigma = _unpack_points(points, expect_sigma=True)
-    if len(x) < 2:
-        raise AnalysisError("need at least 2 points")
-    if np.unique(x).size < 2:
-        raise AnalysisError("degenerate design: all x equal")
-    design = (x**degree)[:, None]
-    beta, se, rss = _wls(design, y, sigma)
-    return FitResult(
-        model=f"c*x^{degree}",
-        coefficients=(float(beta[0]),),
-        stderrs=(float(se[0]),),
-        rss=rss,
-        n_points=len(x),
-    )
+    return _fit(points, (degree,), f"c*x^{degree}")
 
 
 def fit_free_quadratic(points) -> FitResult:
     """Diagnostic WLS for y = a0 + a1 x + a2 x^2 (coefficients in that order)."""
-    x, y, sigma = _unpack_points(points, expect_sigma=True)
-    if len(x) < 4:
-        raise AnalysisError("need at least 4 points")
-    if np.unique(x).size < 3:
-        raise AnalysisError("degenerate design")
-    design = np.column_stack([np.ones_like(x), x, x**2])
-    beta, se, rss = _wls(design, y, sigma)
-    return FitResult("a0+a1*x+a2*x^2", tuple(beta), tuple(se), rss, len(x))
+    return _fit(points, (0, 1, 2), "a0+a1*x+a2*x^2")
 
 
 def fit_line(series) -> FitResult:
@@ -173,40 +163,17 @@ def fit_line(series) -> FitResult:
     with `n_points - 2` degrees of freedom: a lack-of-fit statistic for
     whether the series is a line at all.
     """
-    t, f, sigma = _unpack_points(series, expect_sigma=True)
-    if len(t) < 3:
-        raise AnalysisError("need at least 3 points")
-    if np.unique(t).size < 2:
-        raise AnalysisError("degenerate design: all t equal")
-    design = np.column_stack([t, np.ones_like(t)])
-    beta, se, rss = _wls(design, f, sigma)
-    return FitResult(
-        model="-A*t+B",
-        coefficients=(float(-beta[0]), float(beta[1])),
-        stderrs=(float(se[0]), float(se[1])),
-        rss=rss,
-        n_points=len(t),
-    )
+    fit = _fit(series, (1, 0), "-A*t+B")
+    slope, intercept = fit.coefficients
+    return replace(fit, coefficients=(-slope, intercept))
 
 
 def fit_slope_poly(points, degree: int) -> FitResult:
     """LSQ polynomial with zero constant term; coefficients (c1, c2[, c3])."""
     if degree not in (2, 3):
         raise AnalysisError("degree must be 2 or 3")
-    x, y, sigma = _unpack_points(points, expect_sigma=False)
-    if len(x) < degree + 1:
-        raise AnalysisError(f"need at least {degree + 1} points")
-    if np.unique(x).size < degree:
-        raise AnalysisError("degenerate design")
-    design = np.column_stack([x**k for k in range(1, degree + 1)])
-    beta, se, rss = _wls(design, y, sigma)
-    return FitResult(
-        model=f"sum c_k x^k, k=1..{degree}",
-        coefficients=tuple(beta),
-        stderrs=tuple(se),
-        rss=rss,
-        n_points=len(x),
-    )
+    model = f"sum c_k x^k, k=1..{degree}"
+    return _fit(points, range(1, degree + 1), model, sigma_required=False)
 
 
 def poly_eval_zero_constant(coefficients: Sequence[float], x: float) -> float:
@@ -267,32 +234,32 @@ def uncorrected_error_probability(epsilon: float, t: int) -> float:
 
 def thresholds_from(
     row: TableRow,
-    slope_fit: FitResult | None = None,
+    slope: Sequence[float] | None = None,
     t_steps: int = 20,
     bracket: tuple[float, float] = (1e-8, 1e-1),
 ) -> ThresholdSet:
-    """All threshold values derivable from one table row (plus slope fit)."""
+    """All threshold values derivable from one table row.  eps_sth needs the
+    coefficients (c1, c2[, c3]) of the slope polynomial, else it is nan."""
     g1 = g1_combine(row.ratio_C, row.D1, row.D2)
     eps_pth = crossing(
         lambda e: row.D2 * e * e,
         lambda e: uncorrected_error_probability(e, t_steps),
         bracket,
     )
-    eps_sth = None
-    if slope_fit is not None:
+    eps_sth = math.nan
+    if slope is not None:
         eps_sth = crossing(
-            lambda e: poly_eval_zero_constant(slope_fit.coefficients, e),
-            lambda e: 2.0 * e / 3.0,
-            bracket,
+            lambda e: poly_eval_zero_constant(slope, e), lambda e: 2.0 * e / 3.0, bracket
         )
     ic = _inv_c(row.ratio_C)
     return ThresholdSet(
         ratio_C=row.ratio_C,
+        g1=g1,
         eps_pth=eps_pth,
+        eps_pth_approx=40.0 / (3.0 * row.D2),
+        eps_sth=eps_sth,
         eps_mth=1.0 / row.D2,
         eps_g1=2.0 * (2.0 + ic) / (3.0 * g1),
         eps_thg1=1.0 / g1,
         eps_thg2=1.0 / (2.0 * g1),
-        eps_sth=eps_sth,
-        eps_pth_approx=40.0 / (3.0 * row.D2),
     )

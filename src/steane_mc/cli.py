@@ -525,31 +525,23 @@ def cmd_fit(args, argv) -> int:
     return 0
 
 
-def _threshold_row(row: analysis.TableRow, slope_fit=None):
-    ts = analysis.thresholds_from(row, slope_fit)
-    g1 = analysis.g1_combine(row.ratio_C, row.D1, row.D2)
+def _threshold_row(row: analysis.TableRow, slope=None):
+    ts = analysis.thresholds_from(row, slope)
     return [
-        row.ratio_C, row.D2, row.D1, g1,
-        ts.eps_pth, ts.eps_pth_approx,
-        ts.eps_sth if ts.eps_sth is not None else float("nan"),
+        row.ratio_C, row.D2, row.D1, ts.g1, ts.eps_pth, ts.eps_pth_approx, ts.eps_sth,
         ts.eps_mth, ts.eps_g1, ts.eps_thg1, ts.eps_thg2,
     ]
 
 
 def cmd_thresholds(args, argv) -> int:
-    slope_fits: dict[float, analysis.FitResult] = {}
+    slopes: dict[float, list] = {}  # C -> its slope polynomial's coefficients
     if args.slopes:
         for d in read_csv(args.slopes, ("model", "C", "c1", "c2", "c3"))[2]:
             if d["model"] in ("slope2", "slope3"):
-                coeffs = [d[c] for c in ("c1", "c2", "c3") if not math.isnan(d[c])]
-                slope_fits[d["C"]] = analysis.FitResult(
-                    d["model"], tuple(coeffs), (0.0,) * len(coeffs), 0.0, 0
-                )
+                slopes[d["C"]] = [d[c] for c in ("c1", "c2", "c3") if not math.isnan(d[c])]
     if args.use_paper_table:
         table = analysis.PUBLISHED_TABLE1
     else:
-        if not args.fits:
-            raise UsageError("need --fits CSV or --use-paper-table")
         c1 = {"quad": {}, "lin": {}}  # model -> C -> its c1
         for d in read_csv(args.fits, ("model", "C", "c1"))[2]:
             if d["model"] in c1:
@@ -561,7 +553,7 @@ def cmd_thresholds(args, argv) -> int:
             analysis.TableRow(c, d2[c], d1.get(c, float("nan")), float("nan"))
             for c in sorted(d2)
         ]
-    rows = [_threshold_row(row, slope_fits.get(row.ratio_C)) for row in table]
+    rows = [_threshold_row(row, slopes.get(row.ratio_C)) for row in table]
     man = _base_manifest(
         "thresholds",
         argv,
@@ -626,8 +618,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default="fits.csv")
 
     p = sub.add_parser("thresholds", help="threshold set per C row")
-    p.add_argument("--use-paper-table", dest="use_paper_table", action="store_true")
-    p.add_argument("--fits", help="fit CSV with model=quad (and optionally lin) rows")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--use-paper-table", dest="use_paper_table", action="store_true")
+    source.add_argument("--fits", help="fit CSV with model=quad (and optionally lin) rows")
     p.add_argument("--slopes", help="fit CSV with slope2/slope3 rows for eps_sth")
     p.add_argument("--out", default="thresholds.csv")
 

@@ -67,7 +67,9 @@ import numpy as np
 
 from . import codebook
 from .circuit import ANC, BIT, DATA, GAMMA, MODES, PHASE, RecoverySchedule, program
-from .noise import FaultPlanSource, LocationRecord, NoiseParams, StreamBank, fault_free
+from .noise import (
+    N_CODES, FaultPlanSource, LocationRecord, NoiseParams, StreamBank, fault_free, pauli_bits,
+)
 
 MAX_PREP_ATTEMPTS = 100
 
@@ -204,8 +206,7 @@ def _execute(ops, src, rates, m, idx=None, prefix="", flags=None):
             n, tag, key = args
             b = src.cnot_pairs(rates[GAMMA], n, idx, prefix + tag)
             if b is not None:  # the x, z bit planes of the control and the target
-                hi, lo = b >> 2, b & 3
-                b = (hi ^ hi >> 1) & 1, hi >> 1, (lo ^ lo >> 1) & 1, lo >> 1
+                b = (*pauli_bits(b >> 2), *pauli_bits(b & 3))
             bufs[key] = b
         elif kind == "H":
             r, mask = args
@@ -325,7 +326,7 @@ def _table(mode: str, schedule: RecoverySchedule) -> _Table:
         draws.append((kind, rate, prep, np.arange(n_slots, n_slots + n)))
         n_slots += n
     # the cases of enumerate_fault_cases, location by location
-    n_codes = np.concatenate([np.full(len(s), len(_NAMES[k]) - 1) for k, _, _, s in draws])
+    n_codes = np.concatenate([np.full(len(s), N_CODES[k]) for k, _, _, s in draws])
     case0 = np.cumsum(n_codes) - n_codes
     slots = np.repeat(np.arange(n_slots), n_codes)
     codes = np.arange(len(slots)) - case0[slots] + 1
@@ -666,7 +667,7 @@ def enumerate_fault_cases(config: ExperimentConfig) -> list[FaultCase]:
     slot = 0
     for kind, _, n, width, tag, _ in _draws(config.program()):
         draw = LocationRecord(slot, n, kind, width, tag)
-        codes = range(1, len(_NAMES[kind]))
+        codes = range(1, N_CODES[kind] + 1)
         cases += map(FaultCase._make, product(range(slot, slot + n), codes, (draw,)))
         slot += n
     return cases

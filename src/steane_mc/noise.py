@@ -58,9 +58,13 @@ _TWO64 = 2**64
 _GAP_MAX = float(2**62)  # "no fault in reach"; keeps every distance inside int64
 _KINDS = {"pauli1": 1, "pauli2": 2}
 
-# Pauli code (0=I,1=X,2=Y,3=Z) -> does it act on the x / z sector
-PAULI_X_BIT = np.array([0, 1, 1, 0], dtype=np.uint8)
-PAULI_Z_BIT = np.array([0, 0, 1, 1], dtype=np.uint8)
+# the nonzero Pauli codes of a one-qubit location (1..3) and of a CNOT (1..15)
+N_CODES = {"pauli1": 3, "pauli2": 15}
+
+
+def pauli_bits(code):
+    """(x, z) bits of Pauli code(s) 0=I, 1=X, 2=Y, 3=Z: does it act on the x / z sector."""
+    return (code ^ code >> 1) & 1, code >> 1
 
 
 def _mix64(z: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -137,8 +141,9 @@ def _scatter(m: int, n_steps: int, width: int, rows, off, code):
     bit = (off % width).astype(np.uint8)
     x = np.zeros(n_steps * m, dtype=np.uint8)
     z = np.zeros(n_steps * m, dtype=np.uint8)
-    np.bitwise_xor.at(x, cell, PAULI_X_BIT[code] << bit)
-    np.bitwise_xor.at(z, cell, PAULI_Z_BIT[code] << bit)
+    xb, zb = pauli_bits(code)
+    np.bitwise_xor.at(x, cell, xb << bit)
+    np.bitwise_xor.at(z, cell, zb << bit)
     return x.reshape(n_steps, m).T, z.reshape(n_steps, m).T
 
 
@@ -247,7 +252,7 @@ class StreamBank:
             c.ahead[idx] -= n
             self.counters[idx] += np.uint64(n)
         rows, off, words = (np.concatenate(a) for a in zip(*found))
-        return rows, off, 1 + _below(words, 3 if kind == "pauli1" else 15)
+        return rows, off, 1 + _below(words, N_CODES[kind])
 
     def depolarize_steps(self, p: float, n_steps: int, width: int, idx=None, tag=""):
         """n_steps * width depolarizing locations, packed width bits per step.
@@ -288,7 +293,7 @@ class FaultPlanSource:
         codes = np.atleast_2d(np.asarray(codes))
         if slots.shape != codes.shape:
             raise ValueError("slots/codes shape mismatch")
-        bad = np.argwhere(~np.isin(codes, np.arange(16)))
+        bad = np.argwhere(~np.isin(codes, np.arange(N_CODES["pauli2"] + 1)))
         if bad.size:
             row, col = bad[0]
             raise ValueError(
@@ -303,7 +308,7 @@ class FaultPlanSource:
         self.codes = codes.astype(np.uint8)
         self.cursor = np.zeros(self.size, dtype=np.int64)
 
-    def _planned(self, n: int, idx, top=15):
+    def _planned(self, n: int, idx, kind: str):
         if idx is None:
             cur, slots, codes = self.cursor, self.slots, self.codes
         else:
@@ -311,7 +316,7 @@ class FaultPlanSource:
         rel = slots - cur[:, None]
         hit = np.flatnonzero(rel.view(np.uint64) < n)  # 0 <= rel < n
         code = codes.ravel()[hit]
-        bad = hit[code > top]
+        bad = hit[code > N_CODES[kind]]
         if bad.size:  # a pair code at a one-qubit location
             row, col = divmod(int(bad[0]), slots.shape[1])
             row = row if idx is None else int(idx[row])
@@ -348,11 +353,11 @@ class FaultPlanSource:
             )
 
     def depolarize_steps(self, p: float, n_steps: int, width: int, idx=None, tag=""):
-        rows, off, code, m = self._planned(n_steps * width, idx, top=3)
+        rows, off, code, m = self._planned(n_steps * width, idx, "pauli1")
         return _scatter(m, n_steps, width, rows, off, code)
 
     def cnot_pairs(self, p: float, n: int, idx=None, tag=""):
-        rows, off, code, m = self._planned(n, idx)
+        rows, off, code, m = self._planned(n, idx, "pauli2")
         return _pairs(m, n, rows, off, code)
 
 

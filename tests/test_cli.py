@@ -40,7 +40,12 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run(["sweep", "--bogus-flag"]) == 1
     assert run(["fit", "--model", "quad", "--in", str(tmp_path / "nope.csv")]) == 3
     assert run(["thresholds", "--out", str(tmp_path / "t.csv")]) == 1
-    capsys.readouterr()
+    fits = tmp_path / "fits.csv"
+    fits.write_text("model,C,c1\nquad,inf,30000\n")
+    assert run(["thresholds", "--use-paper-table", "--fits", str(fits),
+                "--out", str(tmp_path / "t.csv")]) == 1
+    assert "not allowed with" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_sweep_zero_noise(tmp_path):
