@@ -139,6 +139,7 @@ _FIELDS = {
     "P_fail_a1": _probability, "p_ec1": _probability, "F": _probability,
     "t_steps": _finite, "stderr": _number(0.0),
     "c1": _finite, "c2": _coefficient, "c3": _coefficient,  # c1 of a line fit can be negative
+    "c1_err": _number(math.nextafter(0.0, 1.0)),  # a fit point's sigma: positive
 }
 
 
@@ -352,6 +353,13 @@ def cmd_selftest(args, argv) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 _CELL_DEFAULTS = dict(C=["inf"], epsilon=[], epsilon_grid="", trials=10000, seed=0, threads=0)
 _SWEEP_DEFAULTS = dict(_CELL_DEFAULTS, mode="memory_t20", out="sweep.csv")
 _STABILIZE_DEFAULTS = dict(_CELL_DEFAULTS, t_max=10, out="stabilize.csv")
@@ -362,10 +370,10 @@ def _run_cells(args, argv, command, columns, settings, cell_rows, **config_kw) -
     the rows cell_rows(config, tallies) with the command's manifest `settings`.
     The configs check their own bounds; a value out of them is a usage error."""
     if args.threads < 0:
-        raise UsageError(f"--threads must be >= 0 (0: all cores), got {args.threads}")
+        raise UsageError(f"--threads must be >= 0 (0: every usable CPU), got {args.threads}")
     c_values = [_parse_c(c) for c in args.C]
     eps_values = _epsilon_list(args)
-    threads = args.threads or (os.cpu_count() or 1)
+    threads = args.threads or _usable_cpus()
     schedule = RecoverySchedule()
     cells = [(c, eps) for c in c_values for eps in eps_values]
     try:
@@ -473,8 +481,8 @@ def _line_point(row, y):
 
 
 def _slope_point(row, y):
-    """(epsilon, slope) of a line fit row."""
-    return row["epsilon"], row[y]
+    """(epsilon, slope, its stderr) of a line fit row."""
+    return row["epsilon"], row[y], row["c1_err"]
 
 
 class _FitModel(NamedTuple):
@@ -487,7 +495,7 @@ class _FitModel(NamedTuple):
 
 
 _SWEEP = ("C", "epsilon", "trials")
-_SLOPE = ("model", "C", "epsilon", "c1")
+_SLOPE = ("model", "C", "epsilon", "c1", "c1_err")
 _FIT_MODELS = {
     "quad": _FitModel(_SWEEP + ("P_fail_a1",), "P_fail_a1", ("C",),
                       _binomial_point, partial(analysis.fit_through_origin, degree=2)),

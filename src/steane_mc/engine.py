@@ -50,17 +50,29 @@ pass, no ancilla rejected) ends with residual 0, so it counts as class
 Every recovery of a program ends in a tally, which counts the joint (x, z)
 residual classes at its correction step.  An experiment's result is one
 `TrialStats` per tally: one for a sweep mode, t_max for stabilize.
+
+`run_experiments` splits every experiment into chunks and, on more than one
+worker, forks at most one worker per chunk from the `fork` start method,
+asked for by name so that the configs and the plans built beforehand reach
+every worker through the fork on any Python version; nothing is pickled on
+the way in.  Worker w runs the interleaved share jobs[w::workers], so each
+gets a like mix of cells, and sends back one message through its pipe: its
+chunks' TrialStats lists, or the exception a chunk raised, which the caller
+re-raises after terminating the other workers.  Where the platform cannot
+fork, a process pool runs one task per chunk.
 """
 
 from __future__ import annotations
 
 import functools
+import multiprocessing
 import os
 import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import product
+from multiprocessing.connection import wait
 from typing import NamedTuple
 
 import numpy as np
@@ -72,6 +84,9 @@ from .noise import (
 )
 
 MAX_PREP_ATTEMPTS = 100
+
+# whether sweep workers can be forked (not on Windows)
+_HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 _U8 = np.uint8
 
@@ -594,10 +609,63 @@ def _run_chunk(config: ExperimentConfig, start: int, size: int) -> list[TrialSta
     return out
 
 
+def _worker(configs, share, conn) -> None:
+    """A forked worker: one message, the TrialStats lists of its share's
+    chunks in share order, or the exception a chunk raised."""
+    try:
+        msg = [_run_chunk(configs[cell], start, n) for cell, start, n in share]
+    except Exception as exc:  # re-raised in the caller
+        msg = exc
+    conn.send(msg)
+    conn.close()
+
+
+def _forked_parts(configs, jobs, workers: int) -> list:
+    """Each job's TrialStats list, from `workers` forked processes; worker w
+    runs the interleaved share jobs[w::workers].  A worker's exception is
+    re-raised here and the other workers are terminated."""
+    ctx = multiprocessing.get_context("fork")
+    procs, readers = [], {}  # reader -> its worker's index
+    parts = [None] * len(jobs)
+    try:
+        for w in range(workers):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_worker, args=(configs, jobs[w::workers], send), daemon=True)
+            proc.start()
+            send.close()  # so a worker that dies reads as EOF here
+            procs.append(proc)
+            readers[recv] = w
+        while readers:
+            for recv in wait(list(readers)):
+                w = readers.pop(recv)
+                try:
+                    msg = recv.recv()
+                except EOFError:
+                    procs[w].join()
+                    raise RuntimeError(
+                        f"sweep worker {w} exited with code {procs[w].exitcode} "
+                        "without sending its result"
+                    ) from None
+                finally:
+                    recv.close()
+                if isinstance(msg, Exception):
+                    raise msg
+                parts[w::workers] = msg
+    finally:
+        for recv in readers:
+            recv.close()
+        for proc in procs:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+    return parts
+
+
 def run_experiments(configs, threads: int = 1) -> list[list[TrialStats]]:
-    """Run several experiments (sweep cells) over one worker pool of at most
-    one worker per chunk; returns each config's TrialStats per tally, merged
-    over its chunks in order."""
+    """Run several experiments (sweep cells) on at most one worker per chunk;
+    returns each config's TrialStats per tally, merged over its chunks in
+    order.  Workers are forked where the platform can fork, so they inherit
+    the configs and plans; elsewhere a process pool runs one task per chunk."""
     size = batch_size()
     for config in configs:
         _warn_small_n(config)
@@ -607,10 +675,13 @@ def run_experiments(configs, threads: int = 1) -> list[list[TrialStats]]:
         for cell, config in enumerate(configs)
         for start in range(config.trial_offset, config.trial_offset + config.trials, size)
     ]
-    if threads <= 1 or len(jobs) <= 1:
+    workers = min(threads, len(jobs))
+    if workers <= 1:
         parts = [_run_chunk(configs[cell], start, n) for cell, start, n in jobs]
+    elif _HAS_FORK:
+        parts = _forked_parts(configs, jobs, workers)
     else:
-        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futs = [pool.submit(_run_chunk, configs[cell], start, n) for cell, start, n in jobs]
             parts = [f.result() for f in futs]
     results = [None] * len(configs)

@@ -175,8 +175,10 @@ def test_malformed_fit_and_threshold_inputs_exit_1(tmp_path, capsys):
          "line 2 column stderr"),
         (["fit", "--model", "line"], "C,epsilon,trials,t_steps,F,stderr\ninf,1e-3,9,inf,0.9,0.01\n",
          "line 2 column t_steps"),
-        (["fit", "--model", "slope2"], "model,C,epsilon,c1\nline,inf,1e-3,nan\n",
+        (["fit", "--model", "slope2"], "model,C,epsilon,c1,c1_err\nline,inf,1e-3,nan,1e-4\n",
          "line 2 column c1"),
+        *((["fit", "--model", "slope2"], f"model,C,epsilon,c1,c1_err\nline,inf,1e-3,0.1,{err}\n",
+           "line 2 column c1_err") for err in ("0", "-1e-4", "nan", "inf", "")),
         (["thresholds", "--fits"], "model,C,c1\nquad,inf,inf\n", "line 2 column c1"),
         (["thresholds", "--use-paper-table", "--slopes"],
          "model,C,c1,c2,c3\nslope2,inf,1.0,2.0,nan\n", "line 2 column c3"),
@@ -189,6 +191,42 @@ def test_malformed_fit_and_threshold_inputs_exit_1(tmp_path, capsys):
         assert run(argv + flag + [str(src), "--out", out]) == 1, argv
         err = capsys.readouterr().err
         assert str(src) in err and named in err, err
+
+
+def _slope_fit(tmp_path, model, errs):
+    """The fit row of `model` over four planted line-fit slopes with these c1_err."""
+    src, out = tmp_path / "lines.csv", str(tmp_path / "slopes.csv")
+    points = zip((1e-3, 2e-3, 3e-3, 4e-3), (0.0021, 0.0086, 0.0179, 0.0335), errs)
+    src.write_text("model,C,epsilon,c1,c1_err\n"
+                   + "".join(f"line,inf,{e},{a},{err}\n" for e, a, err in points))
+    assert run(["fit", "--model", model, "--in", str(src), "--out", out]) == 0
+    (row,) = _records(out)
+    return {k: float(row[k] or "nan") for k in ("c1", "c2", "c3", "c1_err", "c2_err", "c3_err")}
+
+
+@pytest.mark.parametrize("model", ["slope2", "slope3"])
+def test_slope_fit_weights_points_by_c1_err(tmp_path, model):
+    """Each line fit's c1_err is its slope's sigma: moving one changes the
+    coefficients, and scaling all by k scales the stderrs by k."""
+    errs = (1e-4, 2e-4, 3e-4, 4e-4)
+    base = _slope_fit(tmp_path, model, errs)
+    assert _slope_fit(tmp_path, model, (1e-4, 2e-4, 3e-4, 4e-3))["c1"] != pytest.approx(
+        base["c1"], rel=1e-6)
+    scaled = _slope_fit(tmp_path, model, [10 * e for e in errs])
+    for k in ("c1", "c2", "c3"):
+        assert scaled[k] == pytest.approx(base[k], rel=1e-9, nan_ok=True)
+        assert scaled[f"{k}_err"] == pytest.approx(10 * base[f"{k}_err"], rel=1e-9, nan_ok=True)
+
+
+def test_default_threads_are_the_usable_cpus(tmp_path, monkeypatch):
+    """--threads 0 runs on the CPUs this process may use, and the manifest says so."""
+    out = str(tmp_path / "t.csv")
+    argv = ["sweep", "--epsilon", "1e-3", "--trials", "5", "--out", out]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert run(argv) == 0 and _manifest(out)["threads"] == "3"
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 7)
+    assert run(argv + ["--threads", "0"]) == 0 and _manifest(out)["threads"] == "7"
 
 
 def _records(path):

@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+import time
 from collections import Counter
 from concurrent.futures import Future
 from dataclasses import replace
@@ -6,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from steane_mc import cli
 from steane_mc import engine as eng
 from steane_mc.codebook import ErrorClass, ResidualClass, overlap_factor
 from steane_mc.circuit import ATTEMPT, MODES, RecoverySchedule
@@ -399,10 +403,54 @@ def test_run_chunk_runs_no_interpreter(monkeypatch):
         assert [st.counts.sum() for st in tallies] == [50] * len(eng._plan(cfg).steps)
 
 
+def _tallies(results):
+    return [[(st.t_steps, st.trials, st.counts.tolist()) for st in res] for res in results]
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The interleaved share of every forked worker, in start order."""
+    shares = []
+    ctx = multiprocessing.get_context("fork")
+
+    class CountingProcess(ctx.Process):
+        def __init__(self, *, args, **kwargs):
+            self.share = args[1]
+            super().__init__(args=args, **kwargs)
+
+        def start(self):
+            shares.append(self.share)
+            super().start()
+
+    monkeypatch.setattr(type(ctx), "Process", CountingProcess)
+    monkeypatch.setenv("STEANE_MC_BATCH", "100")
+    yield shares
+    assert multiprocessing.active_children() == []
+
+
+_POOL_CONFIGS = [_cfg(eps=2e-3, trials=150, seed=4), _cfg(eps=3e-3, C=1.0, trials=50, seed=4)]
+
+
+@pytest.mark.skipif(not eng._HAS_FORK, reason="no fork start method")
 @pytest.mark.filterwarnings("ignore:trials=")
-def test_pool_has_at_most_one_worker_per_chunk(monkeypatch):
-    """A pool never gets more workers than there are chunks; an inline fake
-    pool records the request, so no process starts."""
+def test_pool_has_at_most_one_worker_per_chunk(started):
+    """Forked workers: never more than one per chunk, worker w runs the
+    interleaved share jobs[w::workers], and the rows are the serial rows."""
+    serial = _tallies(eng.run_experiments(_POOL_CONFIGS))
+    assert started == []
+    assert _tallies(eng.run_experiments(_POOL_CONFIGS, threads=64)) == serial
+    jobs = [(0, 0, 100), (0, 100, 50), (1, 0, 50)]  # 2 chunks of the first config, 1 of the second
+    assert started == [[job] for job in jobs]
+    started.clear()
+    assert _tallies(eng.run_experiments(_POOL_CONFIGS, threads=2)) == serial
+    assert started == [jobs[0::2], jobs[1::2]]
+
+
+@pytest.mark.filterwarnings("ignore:trials=")
+def test_no_fork_path_has_at_most_one_worker_per_chunk(monkeypatch):
+    """Where the platform cannot fork, a process pool runs one task per chunk
+    on at most one worker per chunk; an inline fake pool records the
+    request, so no process starts."""
     requested = []
 
     class InlinePool:
@@ -420,16 +468,60 @@ def test_pool_has_at_most_one_worker_per_chunk(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    configs = [_cfg(eps=2e-3, trials=150, seed=4), _cfg(eps=3e-3, C=1.0, trials=50, seed=4)]
     monkeypatch.setenv("STEANE_MC_BATCH", "100")
-    serial = eng.run_experiments(configs)
+    serial = _tallies(eng.run_experiments(_POOL_CONFIGS))
+    monkeypatch.setattr(eng, "_HAS_FORK", False)
     monkeypatch.setattr(eng, "ProcessPoolExecutor", InlinePool)
-    pooled = eng.run_experiments(configs, threads=64)
-    assert requested == [3]  # 2 chunks of the first config, 1 of the second
-    for a, b in zip(serial, pooled, strict=True):
-        assert [(st.t_steps, st.trials, st.counts.tolist()) for st in a] == [
-            (st.t_steps, st.trials, st.counts.tolist()) for st in b
-        ]
+    assert _tallies(eng.run_experiments(_POOL_CONFIGS, threads=64)) == serial
+    assert requested == [3]
+
+
+def _failing_chunk(monkeypatch, fail):
+    """Patch `_run_chunk` before the fork, so every worker runs fail(start)
+    ahead of each of its chunks."""
+    run_chunk = eng._run_chunk
+
+    def chunk(config, start, size):
+        fail(start)
+        return run_chunk(config, start, size)
+
+    monkeypatch.setattr(eng, "_run_chunk", chunk)
+
+
+@pytest.mark.skipif(not eng._HAS_FORK, reason="no fork start method")
+@pytest.mark.filterwarnings("ignore:trials=")
+def test_worker_exception_reraised_and_other_workers_terminated(started, monkeypatch, tmp_path):
+    """A chunk that raises in one worker re-raises its exception type in the
+    caller at once, so `sweep` exits 2; the other worker, stuck in a long
+    chunk, is terminated."""
+
+    def fail(start):
+        if start == 0:
+            raise eng.AncillaRejectionError("planted rejection")
+        time.sleep(60)
+
+    _failing_chunk(monkeypatch, fail)
+    t0 = time.perf_counter()
+    with pytest.raises(eng.AncillaRejectionError, match="planted rejection"):
+        eng.run_experiments(_POOL_CONFIGS[:1], threads=2)
+    argv = ["sweep", "--epsilon", "2e-3", "--trials", "150", "--threads", "2",
+            "--out", str(tmp_path / "s.csv")]
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - t0 < 30
+    assert len(started) == 4
+
+
+@pytest.mark.skipif(not eng._HAS_FORK, reason="no fork start method")
+@pytest.mark.filterwarnings("ignore:trials=")
+def test_worker_that_exits_without_sending_raises(started, monkeypatch):
+    def fail(start):
+        if start == 100:
+            os._exit(3)
+
+    _failing_chunk(monkeypatch, fail)
+    with pytest.raises(RuntimeError, match="exited with code 3 without sending"):
+        eng.run_experiments(_POOL_CONFIGS, threads=2)
+    assert len(started) == 2
 
 
 def test_batch_size_validation(monkeypatch):
