@@ -20,6 +20,10 @@ class AnalysisError(RuntimeError):
     """Numerical failure: degenerate design matrix or missing bracket."""
 
 
+# the least sigma whose weight 1 / sigma^2 is finite
+SIGMA_MIN = 1.0 / math.sqrt(np.finfo(np.float64).max)
+
+
 @dataclass(frozen=True)
 class FitResult:
     """One weighted least-squares fit.
@@ -117,8 +121,11 @@ def _unpack_points(points, sigma_required: bool):
         raise AnalysisError("this fit requires (x, y, sigma) points")
     x, y = arr[:, 0], arr[:, 1]
     sigma = arr[:, 2] if arr.shape[1] == 3 else np.ones_like(x)
-    if np.any(sigma <= 0):
-        raise AnalysisError("all sigmas must be positive (half-count-correct zeros first)")
+    if not np.all(sigma >= SIGMA_MIN):  # also rejects nan
+        raise AnalysisError(
+            f"all sigmas must be at least {SIGMA_MIN:.4g}, so that 1 / sigma^2 is finite "
+            "(half-count-correct zeros first)"
+        )
     return x, y, sigma
 
 

@@ -139,7 +139,7 @@ _FIELDS = {
     "P_fail_a1": _probability, "p_ec1": _probability, "F": _probability,
     "t_steps": _finite, "stderr": _number(0.0),
     "c1": _finite, "c2": _coefficient, "c3": _coefficient,  # c1 of a line fit can be negative
-    "c1_err": _number(math.nextafter(0.0, 1.0)),  # a fit point's sigma: positive
+    "c1_err": _number(analysis.SIGMA_MIN),  # a fit point's sigma: 1 / sigma^2 finite
 }
 
 

@@ -6,14 +6,10 @@ numpy operations across the batch.  A draw's arrays are step-major, so the
 column an op reads is contiguous, and a CNOT draw's pair codes are decoded
 once into the x and z bit planes of control and target, so each CNOT
 location costs four shift-and-XORs.  Noise comes from a source:
-`FaultPlanSource` for planned faults, `StreamBank` for random ones.  The
-interpreter serves fault plans (certification, the differential test) and
-the signature tables; Monte Carlo trials do not run it.  A prep op runs its
-ancilla attempt, first try and reruns alike, only on the rows the source's
-`reached` names, those with a fault among the attempt's next locations;
-every other row skips those locations and takes the ideal ancilla, the zero
-frame.  Most rows of a fault plan meet no fault in a given attempt, and a
-rejected attempt's rerun runs only if a planned fault falls in its locations.
+`FaultPlanSource` for planned faults, `StreamBank` for random ones.  A prep
+op reruns its ancilla attempt on the rows whose last try was rejected.  The
+interpreter builds the signature tables, and the tests check the kernel
+against it; no Monte Carlo trial, fault plan or certification runs it.
 
 `_draws` walks a program's noise draws statically, in draw order.  It is
 the one numbering of the error locations: the signature tables and
@@ -38,7 +34,9 @@ discarded, and its retry takes the next locations of each class, as the
 stream gives them), XORs the signatures it keeps, and applies the majority
 vote and the class lookup.  Stabilize reuses one recovery's table for every
 recovery; the residual a recovery inherits adds its syndromes through the
-signatures of a data error ahead of the recovery.
+signatures of a data error ahead of the recovery.  A fault plan runs on the
+same kernel with every location of a sweep mode's program in one class, in
+draw order, so the plan's flat cursor is that class's stream.
 
 Randomness is keyed by (master_seed, trial_index, location class, fault
 ordinal), so results are independent of batch size, worker count and chunk
@@ -80,7 +78,8 @@ import numpy as np
 from . import codebook
 from .circuit import ANC, BIT, DATA, GAMMA, MODES, PHASE, RecoverySchedule, program
 from .noise import (
-    N_CODES, FaultPlanSource, LocationRecord, NoiseParams, StreamBank, fault_free, pauli_bits,
+    N_CODES, FaultPlanSource, LocationRecord, NoiseParams, StreamBank, fault_free, misfit,
+    pauli_bits,
 )
 
 MAX_PREP_ATTEMPTS = 100
@@ -256,35 +255,24 @@ def _execute(ops, src, rates, m, idx=None, prefix="", flags=None):
 
 def _prepare(attempt, tag, src, rates, m, flags=None):
     """Verified ancillas for m trials, resynthesizing each rejected one;
-    given a list `flags`, one attempt each, its flags appended to it.
-
-    Each try runs the attempt only on the rows src reports a fault reaching
-    among the attempt's locations; every other row skips those locations and
-    gets the ideal ancilla, the zero frame, and a skipped row is never
-    rejected."""
+    given a list `flags`, one attempt each, its flags appended to it."""
+    x, z, _, reject, _ = _execute(attempt, src, rates, m, prefix=tag)
+    ax, az = x[ANC], z[ANC]
     if flags is not None:
-        x, z, _, reject, _ = _execute(attempt, src, rates, m, prefix=tag)
         flags.append(reject)
-        return x[ANC], z[ANC]
-    locations = Counter()
-    for kind, rate, n, *_ in _draws(attempt):
-        locations[kind, rates[rate]] += n
-    ax, az = np.zeros(m, dtype=_U8), np.zeros(m, dtype=_U8)
-    idx = None  # the rows still to verify; None: all
-    for _ in range(MAX_PREP_ATTEMPTS):
-        run = src.reached(locations, idx)
-        if idx is not None:  # a skipped rerun keeps no rejected try's frame
-            ax[idx] = az[idx] = 0
-        if not run.size:
-            return ax, az
-        x, z, _, rej, _ = _execute(attempt, src, rates, run.size, run, tag)
-        ax[run], az[run] = x[ANC], z[ANC]
-        idx = run[rej]
+        return ax, az
+    idx = np.flatnonzero(reject)  # the rows still to verify
+    for _ in range(MAX_PREP_ATTEMPTS - 1):
         if not idx.size:
-            return ax, az
-    raise AncillaRejectionError(
-        f"{idx.size} trials exceeded {MAX_PREP_ATTEMPTS} ancilla attempts"
-    )
+            break
+        x, z, _, reject, _ = _execute(attempt, src, rates, idx.size, idx, tag)
+        ax[idx], az[idx] = x[ANC], z[ANC]
+        idx = idx[reject]
+    if idx.size:
+        raise AncillaRejectionError(
+            f"{idx.size} trials exceeded {MAX_PREP_ATTEMPTS} ancilla attempts"
+        )
+    return ax, az
 
 
 def _run(config: ExperimentConfig, src):
@@ -327,6 +315,7 @@ class _Table:
     sig: np.ndarray  # signature word per fault case, in enumerate_fault_cases order
     flag: np.ndarray  # per case: alone, it makes its attempt's verification fire
     case0: np.ndarray  # per location (slot): its first case; Pauli code c is case0 + c - 1
+    codes: np.ndarray  # per location: its number of Pauli codes, 3 or 15
     prep: np.ndarray  # per location: the prep op whose attempt draws it (-1: none)
     draws: tuple  # (kind, rate, prep, slots) per draw op, in draw order
     steps: tuple  # data step of each tally
@@ -353,6 +342,7 @@ def _table(mode: str, schedule: RecoverySchedule) -> _Table:
         sig,
         np.any(flags, axis=0),
         case0,
+        n_codes,
         np.concatenate([np.full(len(s), p) for _, _, p, s in draws]),
         tuple(draws),
         tuple(step for step, _ in tallies),
@@ -440,16 +430,18 @@ def _build_plan(mode, schedule, t_max, noise) -> _Plan:
     return _Plan(table, segments, steps, nominal, residual)
 
 
-def _signatures(table: _Table, seg: _Segment, bank: StreamBank) -> np.ndarray:
-    """XOR of the signatures of the faults each trial of bank keeps in one
-    recovery.
+def _signatures(table: _Table, seg: _Segment, bank) -> np.ndarray:
+    """XOR of the signatures of the faults each trial of bank (a `StreamBank`
+    or a `FaultPlanSource`) keeps in one recovery.
 
     The recovery's locations are drawn class by class.  Each trial walks its
     attempts in draw order; at the first one whose flags XOR to 1, the faults
     before it are kept, its own are dropped, and its retry takes the next
     locations of each class, so every later location sits one attempt
     further down the stream, which is drawn that much further.  Then the
-    walk resumes at the retry."""
+    walk resumes at the retry.  A planned code is checked against its
+    location once a pass keeps or drops it; while it waits past a rejected
+    attempt, a rerun may yet move it onto a location of the other kind."""
     m, k_max = bank.size, len(seg.start) - 1
     acc = np.zeros(m, dtype=_SIG)
     shift = np.zeros((m, len(seg.classes)), dtype=np.int64)  # retry locations so far
@@ -470,8 +462,9 @@ def _signatures(table: _Table, seg: _Segment, bank: StreamBank) -> np.ndarray:
     while row.size:
         nominal = at - shift[row, cls]
         slot = seg.loc[seg.base[cls] + nominal]
-        case = table.case0[slot] + code - 1
-        flagged = table.flag[case]
+        fits = code <= table.codes[slot]  # a drawn code always fits; a planned one may not
+        case = table.case0[slot] + np.where(fits, code, 1) - 1
+        flagged = table.flag[case] & fits
         pairs = row[flagged] * k_max + table.prep[slot[flagged]]
         keys, count = np.unique(pairs, return_counts=True)
         keys = keys[count % 2 == 1]  # trial * k_max + attempt of every rejected attempt
@@ -479,6 +472,11 @@ def _signatures(table: _Table, seg: _Segment, bank: StreamBank) -> np.ndarray:
         attempt = np.full(m, k_max)
         attempt[rejected] = keys[first] % k_max
         begin = seg.start[attempt[row], cls]
+        later = nominal >= begin + seg.alen[cls]  # past the rejected attempt: not decided yet
+        bad = np.flatnonzero(~(fits | later))
+        if bad.size:
+            i = bad[0]
+            raise misfit(row[i], at[i], code[i])
         keep = nominal < begin
         np.bitwise_xor.at(acc, row[keep], table.sig[case[keep]])
         if not rejected.size:
@@ -491,7 +489,6 @@ def _signatures(table: _Table, seg: _Segment, bank: StreamBank) -> np.ndarray:
             raise AncillaRejectionError(
                 f"{over} trials exceeded {MAX_PREP_ATTEMPTS} ancilla attempts"
             )
-        later = nominal >= begin + seg.alen[cls]
         pending = (row[later], cls[later], at[later], code[later])
         shift[rejected] += seg.alen
         retried = draw(rejected, seg.alen)
@@ -747,12 +744,19 @@ def enumerate_fault_cases(config: ExperimentConfig) -> list[FaultCase]:
 def run_fault_plan(
     config: ExperimentConfig, slots, codes
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Replay one trial per plan row with the planned Paulis forced in; a
-    planned fault at a slot the row's trial never reaches raises ValueError."""
+    """Replay one trial per plan row with the planned Paulis forced in, on the
+    signature kernel, and return each row's data residual (dx, dz).  A
+    planned fault at a slot the row's trial never reaches raises ValueError,
+    and so does a stabilize config: one table holds one recovery."""
+    if config.mode == "stabilize":
+        raise ValueError("fault plans replay a sweep mode, not mode 'stabilize'")
+    table = _table(config.mode, config.schedule)
+    # every location one class, in draw order; the rates are not read
+    seg = _segment([(None, 0, prep, s) for _, _, prep, s in table.draws], (1.0,))
     src = FaultPlanSource(slots, codes)
-    dx, dz, _ = _run(replace(config, noise=NoiseParams.zero()), src)
+    dx, dz = _correct(_signatures(table, seg, src))
     src.check_reached()
-    return dx, dz
+    return dx.astype(_U8), dz.astype(_U8)
 
 
 def certify_single_faults(

@@ -28,13 +28,11 @@ rows that fault, so it costs O(rows + faults), not O(rows * n).
 list, which the engine's signature kernel reads; `depolarize_steps` and
 `cnot_pairs` scatter the same faults into the dense arrays the interpreter
 reads (views of step-major arrays, so each step's column is contiguous), and
-there a channel with p = 0 consumes no locations.  `fault_free`
-reads only the first gaps and tells which trials have no fault among a
-given number of locations per class; the engine skips those trials, whose
-residual is exactly 0.  Each source's `reached` names the rows with a fault
-among their next locations of given classes and moves every other row past
-them (for a `StreamBank`, just as a call finding no fault would), so the
-interpreter runs an ancilla attempt only where a fault strikes.
+there a channel with p = 0 consumes no locations.  `FaultPlanSource` has the
+same three methods over planned faults, so fault plans run on the kernel too.
+`fault_free` reads only the first gaps and tells which trials have no fault
+among a given number of locations per class; the engine skips those trials,
+whose residual is exactly 0.
 
 `STREAM_VERSION` names this stream in the sweep and stabilize manifests.
 Version 1 hashed one word per location and decoded it by thresholds;
@@ -212,22 +210,6 @@ class StreamBank:
             c = self._classes[(kind, p)] = _Class(self.keys, kind, p)
         return c
 
-    def reached(self, locations: dict, idx=None) -> np.ndarray:
-        """The rows (of all trials, or of idx) with a fault among their next
-        n locations of some class (kind, p) -> n of `locations`.  Every other
-        row skips those locations, advanced as a `faults` call that finds no
-        fault advances it; classes with p = 0 consume nothing."""
-        live = {c: n for c, n in locations.items() if c[1] > 0 and n}
-        rows = np.arange(self.size) if idx is None else idx
-        hit = np.zeros(rows.size, dtype=bool)
-        for (kind, p), n in live.items():
-            hit |= self._class(kind, p).ahead[rows] < n
-        skip = rows[~hit]
-        for (kind, p), n in live.items():
-            self._class(kind, p).ahead[skip] -= n
-        self.counters[skip] += np.uint64(sum(live.values()))
-        return rows[hit]
-
     def faults(self, kind: str, p: float, n: int, idx=None):
         """(rows, offsets, codes) of the faults among the next n locations of
         class (kind, p), p > 0, rows counted within idx (None: all trials);
@@ -277,15 +259,17 @@ class FaultPlanSource:
     """Noise source that injects planned Paulis at chosen error locations.
 
     Locations are numbered per trial in draw order (each depolarizing or
-    measurement slot is one location, each CNOT one).  Codes are 1..3
-    (X,Y,Z) for one-qubit slots and 1..15 pair codes for CNOT slots (code 0
-    plans nothing); a code that does not fit raises ValueError.  All other
-    locations are noise-free; probability arguments are ignored, and every
-    call consumes its locations even at p = 0 (matching the draw walk that
-    numbers them).  Two codes planned at one location multiply (XOR), as two
-    faults there would.  A plan row is one trial.  A planned fault at a
-    negative slot raises ValueError, and `check_reached` one at a slot past
-    the locations its row's trial drew.
+    measurement slot is one location, each CNOT one), one flat cursor per
+    trial: the engine runs a plan on its signature kernel with every
+    location of the program in one class, so `faults` ignores kind and p.
+    Codes are 1..3 (X,Y,Z) for one-qubit slots and 1..15 pair codes for CNOT
+    slots (code 0 plans nothing); a code that does not fit raises ValueError
+    (`misfit`) once the run decides the location it lands on.  All other
+    locations are noise-free, and every call consumes its locations even at
+    p = 0 (matching the draw walk that numbers them).  Two codes planned at
+    one location multiply (XOR), as two faults there would.  A plan row is
+    one trial.  A planned fault at a negative slot raises ValueError, and
+    `check_reached` one at a slot past the locations its row's trial drew.
     """
 
     def __init__(self, slots, codes):
@@ -308,38 +292,17 @@ class FaultPlanSource:
         self.codes = codes.astype(np.uint8)
         self.cursor = np.zeros(self.size, dtype=np.int64)
 
-    def _planned(self, n: int, idx, kind: str):
-        if idx is None:
-            cur, slots, codes = self.cursor, self.slots, self.codes
-        else:
-            cur, slots, codes = self.cursor[idx], self.slots[idx], self.codes[idx]
-        rel = slots - cur[:, None]
-        hit = np.flatnonzero(rel.view(np.uint64) < n)  # 0 <= rel < n
-        code = codes.ravel()[hit]
-        bad = hit[code > N_CODES[kind]]
-        if bad.size:  # a pair code at a one-qubit location
-            row, col = divmod(int(bad[0]), slots.shape[1])
-            row = row if idx is None else int(idx[row])
-            raise ValueError(
-                f"fault plan row {row}, slot {self.slots[row, col]}: "
-                f"code {self.codes[row, col]} does not fit a one-qubit location"
-            )
-        if idx is None:
-            self.cursor += n
-        else:
-            self.cursor[idx] += n
-        return hit // slots.shape[1], rel.ravel()[hit], code, slots.shape[0]
-
-    def reached(self, locations: dict, idx=None) -> np.ndarray:
-        """The rows (of all trials, or of idx) with a nonzero code planned
-        among their next sum(locations.values()) locations, whatever the
-        rates; every other row's cursor skips those locations."""
-        n = sum(locations.values())
+    def faults(self, kind: str, p: float, n: int, idx=None):
+        """(rows, offsets, codes) of the nonzero codes planned among the next
+        n locations of each row (of all trials, or of idx, rows counted
+        within it), as `StreamBank.faults` returns them; advances the rows'
+        cursors by n.  Codes are not checked against a location's kind."""
         sel = slice(None) if idx is None else idx  # a slice reads no copy
         rel = self.slots[sel] - self.cursor[sel, None]
-        hit = ((rel.view(np.uint64) < n) & (self.codes[sel] != 0)).any(axis=1)
-        self.cursor[sel] += np.where(hit, 0, n)
-        return np.flatnonzero(hit) if idx is None else idx[hit]
+        codes = self.codes[sel]
+        rows, cols = np.nonzero((rel.view(np.uint64) < n) & (codes != 0))  # 0 <= rel < n
+        self.cursor[sel] += n
+        return rows, rel[rows, cols], codes[rows, cols]
 
     def check_reached(self):
         """After a run: raise ValueError for a planned fault at a slot at or
@@ -353,12 +316,25 @@ class FaultPlanSource:
             )
 
     def depolarize_steps(self, p: float, n_steps: int, width: int, idx=None, tag=""):
-        rows, off, code, m = self._planned(n_steps * width, idx, "pauli1")
+        n, m = n_steps * width, self.size if idx is None else len(idx)
+        rows, off, code = self.faults("pauli1", p, n, idx)
+        bad = np.flatnonzero(code > N_CODES["pauli1"])
+        if bad.size:
+            i = bad[0]
+            row = rows[i] if idx is None else idx[rows[i]]
+            raise misfit(row, self.cursor[row] - n + off[i], code[i])
         return _scatter(m, n_steps, width, rows, off, code)
 
     def cnot_pairs(self, p: float, n: int, idx=None, tag=""):
-        rows, off, code, m = self._planned(n, idx, "pauli2")
-        return _pairs(m, n, rows, off, code)
+        rows, off, code = self.faults("pauli2", p, n, idx)
+        return _pairs(self.size if idx is None else len(idx), n, rows, off, code)
+
+
+def misfit(row, slot, code) -> ValueError:
+    """The error for a pair code planned at a one-qubit location."""
+    return ValueError(
+        f"fault plan row {row}, slot {slot}: code {code} does not fit a one-qubit location"
+    )
 
 
 @dataclass(frozen=True)
@@ -377,10 +353,6 @@ class RecordingSource:
         self.size = size
         self.cursor = 0
         self.records: list[LocationRecord] = []
-
-    def reached(self, locations: dict, idx=None) -> np.ndarray:
-        """Every row: a dry run records each draw."""
-        return np.arange(self.size) if idx is None else idx
 
     def depolarize_steps(self, p: float, n_steps: int, width: int, idx=None, tag=""):
         self.records.append(

@@ -44,6 +44,11 @@ def test_fit_through_origin_errors():
         an.fit_through_origin([(1e-3, 1e-2, 1e-4), (1e-3, 2e-2, 1e-4)], degree=2)
     with pytest.raises(an.AnalysisError):
         an.fit_through_origin([(1e-3, 1e-2, 0.0), (2e-3, 2e-2, 1e-4)], degree=2)
+    # a sigma whose weight 1 / sigma^2 overflows, or nan, is out of domain
+    for sigma in (1e-200, np.nextafter(an.SIGMA_MIN, 0), np.nan):
+        with pytest.raises(an.AnalysisError, match="sigmas must be at least"):
+            an.fit_through_origin([(1e-3, 1e-2, sigma), (2e-3, 2e-2, 1e-4)], degree=1)
+    an.fit_through_origin([(1e-3, 1e-2, an.SIGMA_MIN), (2e-3, 2e-2, 1e-4)], degree=1)
     with pytest.raises(an.AnalysisError):
         an.fit_through_origin([(1e-3, 1e-2, 1e-4), (2e-3, 2e-2, 1e-4)], degree=3)
 

@@ -179,6 +179,10 @@ def test_malformed_fit_and_threshold_inputs_exit_1(tmp_path, capsys):
          "line 2 column c1"),
         *((["fit", "--model", "slope2"], f"model,C,epsilon,c1,c1_err\nline,inf,1e-3,0.1,{err}\n",
            "line 2 column c1_err") for err in ("0", "-1e-4", "nan", "inf", "")),
+        # a sigma whose weight 1 / sigma^2 overflows is out of domain too
+        (["fit", "--model", "slope2"],
+         "model,C,epsilon,c1,c1_err\nline,inf,1e-3,0.1,1e-4\nline,inf,2e-3,0.3,1e-200\n"
+         "line,inf,3e-3,0.5,1e-4\nline,inf,4e-3,0.9,1e-4\n", "line 3 column c1_err"),
         (["thresholds", "--fits"], "model,C,c1\nquad,inf,inf\n", "line 2 column c1"),
         (["thresholds", "--use-paper-table", "--slopes"],
          "model,C,c1,c2,c3\nslope2,inf,1.0,2.0,nan\n", "line 2 column c3"),

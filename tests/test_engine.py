@@ -106,33 +106,19 @@ def test_run_fault_plan_rejects_a_code_that_does_not_fit():
     # a bad code inside an attempt still runs that attempt, and so still raises
     with pytest.raises(ValueError, match="row 0, slot 8: code 7 does not fit a one-qubit"):
         eng.run_fault_plan(config, [[8]], [[7]])
+    # a code is checked where it lands: the X at slot 8 rejects attempt 0, and
+    # its rerun moves slot 51 onto the CNOT at slot 9, slot 57 onto slot 15
+    dx, dz = eng.run_fault_plan(config, [[8, 51]], [[1, 7]])
+    assert dx.tolist() == dz.tolist() == [0]
+    with pytest.raises(ValueError, match="row 0, slot 57: code 7 does not fit a one-qubit"):
+        eng.run_fault_plan(config, [[8, 57]], [[1, 7]])
 
 
-@pytest.mark.parametrize("C", [1.0, INF])
-def test_skipping_an_attempt_is_exact(C):
-    """A row that `StreamBank.reached` reports clean skips the attempt's
-    locations exactly as drawing them would: twin banks, one drawing the
-    clean rows' attempt and one skipping it, agree on their counters and on
-    every later draw."""
-    noise = NoiseParams(2e-2, C)
-    locations = Counter()
-    for kind, rate, n, *_ in eng._draws(ATTEMPT):
-        locations[kind, (noise.epsilon, noise.gamma)[rate]] += n
-    trials = np.arange(400, dtype=np.uint64)
-    drawn, skipped = StreamBank(6, trials), StreamBank(6, trials)
-    for idx in (None, np.arange(0, 400, 3)):
-        rows = np.arange(400) if idx is None else idx
-        clean = np.setdiff1d(rows, skipped.reached(locations, idx))
-        assert 0 < clean.size < rows.size
-        for (kind, p), n in locations.items():
-            if p > 0:
-                assert drawn.faults(kind, p, n, clean)[0].size == 0
-    assert np.array_equal(drawn.counters, skipped.counters)
-    for _ in range(3):
-        for (kind, p), n in locations.items():
-            if p > 0:
-                for a, b in zip(drawn.faults(kind, p, 5 * n), skipped.faults(kind, p, 5 * n)):
-                    assert np.array_equal(a, b)
+def test_run_fault_plan_rejects_stabilize():
+    """One signature table holds one recovery, so no stabilize plan replays."""
+    config = _cfg(mode="stabilize", t_max=3)
+    with pytest.raises(ValueError, match="'stabilize'"):
+        eng.run_fault_plan(config, [[0]], [[1]])
 
 
 class _TaggingPlan(FaultPlanSource):
@@ -151,20 +137,25 @@ class _TaggingPlan(FaultPlanSource):
         return super().cnot_pairs(p, n, idx, tag)
 
 
-def test_a_clean_rerun_draws_nothing():
-    """An X at slot 8 rejects the first ancilla attempt.  Only that attempt
-    runs: its fault-free rerun, and every other prep's attempt, skip their
-    locations without a sampler call, and the trial still draws 1,508 + 42."""
+def test_a_rejected_attempt_draws_it_once_more():
+    """An X at slot 8 rejects the first ancilla attempt.  On the interpreter,
+    its rerun draws that attempt's locations once more under the same tags,
+    so the trial draws 1,508 + 42; on the kernel, a fault planned at the
+    last of those is reached and one past it is not."""
     config = _cfg()
     src = _TaggingPlan([[8]], [[1]])
-    eng._run(config, src)
+    dx, dz, _ = eng._run(config, src)
     src.check_reached()
     assert src.cursor.tolist() == [1508 + 42]
+    assert dx.tolist() == dz.tolist() == [0]
     draws = list(eng._draws(config.program()))
-    outside = [tag for _, _, _, _, tag, prep in draws if prep < 0]
     first = [tag for _, _, _, _, tag, prep in draws if prep == 0]
     assert len(first) == 3 and first[0].startswith("rec/r0/g0b0/")
-    assert Counter(src.tags) == Counter(outside + first)
+    assert Counter(src.tags) == Counter([draw[4] for draw in draws] + first)
+    dx, dz = eng.run_fault_plan(config, [[8, 1549]], [[1, 1]])
+    assert dx.shape == (1,)
+    with pytest.raises(ValueError, match="row 0, slot 1550: the trial drew only 1550"):
+        eng.run_fault_plan(config, [[8, 1550]], [[1, 1]])
 
 
 def test_forced_double_channel_x_miscorrects_to_logical():
@@ -284,29 +275,8 @@ def test_rejection_loop_still_deterministic():
     assert a.counts.sum() == 400
 
 
-class _RetryCountingBank(StreamBank):
-    """StreamBank that counts each trial's extra ancilla attempts.  Every
-    attempt asks `reached` once for its rows, whether it then runs them or
-    skips them: a prep's first try for all rows, each rerun for the rows its
-    last try rejected.  `per_prep` counts reruns per (trial, prep ordinal)."""
-
-    def __init__(self, master_seed, trial_indices):
-        super().__init__(master_seed, trial_indices)
-        self.retries = np.zeros(self.size, dtype=np.uint64)
-        self.per_prep = Counter()
-        self.preps = 0
-
-    def reached(self, locations, idx=None):
-        if idx is None:
-            self.preps += 1
-        else:
-            self.retries[idx] += np.uint64(1)
-            self.per_prep.update((int(i), self.preps) for i in idx)
-        return super().reached(locations, idx)
-
-
 @pytest.mark.filterwarnings("ignore:trials=")
-def test_draw_counters_match_location_count():
+def test_draw_counters_match_location_count(reruns):
     """Each trial draws one word per error location of the recorded pass, plus
     one attempt's worth for every ancilla it had to resynthesize."""
     cfg = _cfg(eps=3e-4, C=1.0, trials=4096, seed=12)  # every rate > 0
@@ -315,18 +285,21 @@ def test_draw_counters_match_location_count():
     attempt = RecordingSource()
     eng._execute(ATTEMPT, attempt, (0.0, 0.0), 1)
     assert (rec.cursor, attempt.cursor) == (1508, 42)
-    bank = _RetryCountingBank(cfg.master_seed, np.arange(cfg.trials))
+    bank = StreamBank(cfg.master_seed, np.arange(cfg.trials))
     eng._run(cfg, bank)
-    assert bank.retries.any() and not bank.retries.all()
-    assert np.array_equal(bank.counters, rec.cursor + attempt.cursor * bank.retries)
+    retries = np.zeros(cfg.trials, dtype=np.uint64)
+    for (row, _), n in reruns.items():
+        retries[row] += np.uint64(n)
+    assert retries.any() and not retries.all()
+    assert np.array_equal(bank.counters, rec.cursor + attempt.cursor * retries)
 
 
-def _kernel_matches_interpreter(cfg, start, bank_type=StreamBank):
+def _kernel_matches_interpreter(cfg, start):
     """The signature kernel and the interpreter on one StreamBank each, over
     the same trials: equal tallies, equal locations consumed per trial.
     Returns the interpreter's (bank, dx, dz, tallies)."""
     trials = np.arange(start, start + cfg.trials, dtype=np.uint64)
-    bank, ref = StreamBank(cfg.master_seed, trials), bank_type(cfg.master_seed, trials)
+    bank, ref = StreamBank(cfg.master_seed, trials), StreamBank(cfg.master_seed, trials)
     kernel = eng._kernel(cfg, bank)
     dx, dz, tallies = eng._run(cfg, ref)
     assert [(step, counts.tolist()) for step, counts in kernel] == [
@@ -371,12 +344,29 @@ def test_fault_free_skip_is_exact(cfg):
 @pytest.mark.filterwarnings("ignore:trials=")
 @pytest.mark.parametrize("mode", ["memory_t20", "stabilize"])
 @pytest.mark.parametrize("C", [1.0, 0.5])
-def test_kernel_matches_interpreter_at_high_rate(mode, C):
+def test_kernel_matches_interpreter_at_high_rate(mode, C, reruns):
     """At eps = 2e-2 most trials reject an ancilla, and some reject the same
     prep more than once, so the kernel's retries are exercised in depth."""
     cfg = _cfg(mode=mode, eps=2e-2, C=C, trials=600, seed=31, t_max=2)
-    ref, *_ = _kernel_matches_interpreter(cfg, 0, _RetryCountingBank)
-    assert max(ref.per_prep.values()) >= 2
+    _kernel_matches_interpreter(cfg, 0)
+    assert max(reruns.values()) >= 2
+
+
+def test_fault_plans_run_no_interpreter(monkeypatch):
+    """Once the tables are built, fault plans and certification never
+    interpret ops."""
+    config = _cfg()
+    eng._table(config.mode, config.schedule)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the interpreter ran")
+
+    monkeypatch.setattr(eng, "_execute", forbidden)
+    monkeypatch.setattr(eng, "_prepare", forbidden)
+    dx, dz = eng.run_fault_plan(config, [[8, 51], [0, 1]], [[1, 7], [1, 1]])
+    assert eng.CLASS_LUT[dx].tolist() == [0, int(ErrorClass.LOGICAL)] and not dz.any()
+    report = eng.certify_single_faults()
+    assert report.passed and (report.n_locations, report.n_cases) == (1508, 6468)
 
 
 @pytest.mark.filterwarnings("ignore:trials=")
