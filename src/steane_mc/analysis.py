@@ -96,8 +96,14 @@ PUBLISHED_THRESHOLDS_INF = {
 def _wls(design: np.ndarray, y: np.ndarray, sigma: np.ndarray):
     """Weighted least squares; returns (beta, stderrs, weighted rss)."""
     w = 1.0 / sigma**2
-    xtw = design.T * w
-    normal = xtw @ design
+    try:
+        with np.errstate(over="raise"):
+            xtw = design.T * w
+            normal = xtw @ design
+    except FloatingPointError:
+        raise AnalysisError(
+            f"weights 1 / sigma^2 up to {w.max():.4g} overflow the normal matrix"
+        ) from None
     try:
         cov = np.linalg.inv(normal)
     except np.linalg.LinAlgError as exc:

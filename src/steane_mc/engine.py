@@ -43,7 +43,11 @@ ordinal), so results are independent of batch size, worker count and chunk
 order; a scalar trial is just a batch of one.  A chunk first skips its
 fault-free trials: a trial with no fault among the nominal locations (one
 pass, no ancilla rejected) ends with residual 0, so it counts as class
-(0, 0) at every tally without being run.
+(0, 0) at every tally without being run.  `StreamBank.faulting` screens
+a chunk's trials with one integer compare per class, against the
+thresholds the plan holds (computed with it, before any fork), and the
+kernel runs the bank it returns, of the faulting trials, which keeps the
+keys and first words the screen hashed.
 
 Every recovery of a program ends in a tally, which counts the joint (x, z)
 residual classes at its correction step.  An experiment's result is one
@@ -78,7 +82,7 @@ import numpy as np
 from . import codebook
 from .circuit import ANC, BIT, DATA, GAMMA, MODES, PHASE, RecoverySchedule, program
 from .noise import (
-    N_CODES, FaultPlanSource, LocationRecord, NoiseParams, StreamBank, fault_free, misfit,
+    N_CODES, FaultPlanSource, LocationRecord, NoiseParams, StreamBank, misfit, screen_threshold,
     pauli_bits,
 )
 
@@ -393,6 +397,7 @@ class _Plan:
     segments: tuple  # the _Segment of each tally's recovery, in order
     steps: tuple  # data step of each tally
     nominal: Counter  # locations per class of one pass with no ancilla rejected
+    screen: dict  # class -> screen_threshold of its nominal locations
     residual: np.ndarray | None  # (2, 128): signature of an incoming x / z residual
 
 
@@ -427,7 +432,8 @@ def _build_plan(mode, schedule, t_max, noise) -> _Plan:
     nominal: Counter = Counter()
     for seg in segments:
         nominal.update(dict(zip(seg.classes, seg.n.tolist())))
-    return _Plan(table, segments, steps, nominal, residual)
+    screen = {c: screen_threshold(c[1], n) for c, n in nominal.items()}
+    return _Plan(table, segments, steps, nominal, screen, residual)
 
 
 def _signatures(table: _Table, seg: _Segment, bank) -> np.ndarray:
@@ -598,9 +604,9 @@ def _run_chunk(config: ExperimentConfig, start: int, size: int) -> list[TrialSta
     """TrialStats per tally of a chunk of trials.  Only the trials with a
     fault among their nominal locations are run, through the signature kernel."""
     idx = np.arange(start, start + size, dtype=np.uint64)
-    live = idx[~fault_free(config.master_seed, idx, _plan(config).nominal)]
+    live = StreamBank.faulting(config.master_seed, idx, _plan(config).screen)
     out = []
-    for step, counts in _kernel(config, StreamBank(config.master_seed, live)):
+    for step, counts in _kernel(config, live):
         counts[0] += size - live.size  # the skipped trials: class (0, 0)
         out.append(TrialStats(step, counts.reshape(4, 4), size))
     return out

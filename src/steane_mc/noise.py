@@ -30,9 +30,15 @@ list, which the engine's signature kernel reads; `depolarize_steps` and
 reads (views of step-major arrays, so each step's column is contiguous), and
 there a channel with p = 0 consumes no locations.  `FaultPlanSource` has the
 same three methods over planned faults, so fault plans run on the kernel too.
-`fault_free` reads only the first gaps and tells which trials have no fault
-among a given number of locations per class; the engine skips those trials,
-whose residual is exactly 0.
+
+A trial has no fault among the first n locations of a class exactly when its
+first gap reaches n.  `_gaps` rises with the top 52 bits of the class's first
+word, so that is one integer compare: those bits are at least
+`screen_threshold(p, n)`, found once by bisection on `_gaps` itself.
+`StreamBank.faulting` screens a batch of trials so and returns the bank of
+the trials that fault, with their keys, class keys and first words gathered
+from the screen, so each trial is hashed once; the engine runs only those,
+since a fault-free trial's residual is exactly 0.
 
 `STREAM_VERSION` names this stream in the sweep and stabilize manifests.
 Version 1 hashed one word per location and decoded it by thresholds;
@@ -42,6 +48,7 @@ count and batch size within a stream version.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,6 +61,8 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _TWO64 = 2**64
 _GAP_MAX = float(2**62)  # "no fault in reach"; keeps every distance inside int64
+_TOP = 2**52  # top-52 values of a word: 0 .. _TOP - 1
+_STEP_CHECK = 1024  # values each side of a screen threshold checked against _gaps
 _KINDS = {"pauli1": 1, "pauli2": 2}
 
 # the nonzero Pauli codes of a one-qubit location (1..3) and of a CNOT (1..15)
@@ -120,14 +129,23 @@ def _below(words: np.ndarray, k: int) -> np.ndarray:
     return (((words >> np.uint64(32)) * np.uint64(k)) >> np.uint64(32)).astype(np.uint8)
 
 
-def fault_free(master_seed: int, trial_indices, locations: dict) -> np.ndarray:
-    """True for each trial whose first n locations of class (kind, p) hold no
-    fault, for every (kind, p) -> n in `locations` (each p > 0)."""
-    keys = stream_keys(master_seed, np.asarray(trial_indices, dtype=np.uint64))
-    ok = np.ones(keys.shape, dtype=bool)
-    for (kind, p), n in locations.items():
-        ok &= _Class(keys, kind, p).ahead >= n
-    return ok
+def screen_threshold(p: float, n: int) -> int:
+    """The least top-52 value v with `_gaps(v << 12, p) >= n` (_TOP when no
+    value has): the first n locations of class p hold no fault exactly when
+    the top 52 bits of the class's first word are at least this.  Bisection
+    on `_gaps`, which rises with v; raises RuntimeError unless the step is
+    clean over the _STEP_CHECK values each side of it."""
+    lo, hi = -1, _TOP  # _gaps(lo) < n <= _gaps(hi), reading -1 and _TOP as -inf, +inf
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _gaps(np.array([mid << 12], dtype=np.uint64), p)[0] >= n:
+            hi = mid
+        else:
+            lo = mid
+    v = np.arange(max(hi - _STEP_CHECK, 0), min(hi + _STEP_CHECK, _TOP), dtype=np.uint64)
+    if not np.array_equal(_gaps(v << np.uint64(12), p) >= n, v >= hi):
+        raise RuntimeError(f"_gaps is no clean step at its threshold for p = {p!r}, n = {n}")
+    return hi
 
 
 def _scatter(m: int, n_steps: int, width: int, rows, off, code):
@@ -180,12 +198,13 @@ class NoiseParams:
 
 
 class _Class:
-    """Gap state of one location class (kind, p) for the trials of a bank."""
+    """Gap state of one location class (kind, p) for the trials of a bank,
+    from their class keys and the first words of those keys' streams."""
 
-    def __init__(self, keys: np.ndarray, kind: str, p: float):
-        self.key = _class_keys(keys, kind, p)
-        self.ordinal = np.zeros(keys.shape, dtype=np.int64)  # faults drawn so far
-        self.ahead = _gaps(_words(self.key, 0), p)  # locations before the next fault
+    def __init__(self, key: np.ndarray, word: np.ndarray, p: float):
+        self.key = key
+        self.ordinal = np.zeros(key.shape, dtype=np.int64)  # faults drawn so far
+        self.ahead = _gaps(word, p)  # locations before the next fault
 
 
 class StreamBank:
@@ -198,17 +217,46 @@ class StreamBank:
     """
 
     def __init__(self, master_seed: int, trial_indices: np.ndarray):
-        trial_indices = np.asarray(trial_indices, dtype=np.uint64)
-        self.keys = stream_keys(master_seed, trial_indices)
-        self.counters = np.zeros(trial_indices.shape, dtype=np.uint64)
-        self.size = trial_indices.shape[0]
+        self.seed = master_seed
+        self.indices = np.asarray(trial_indices, dtype=np.uint64)
+        self.counters = np.zeros(self.indices.shape, dtype=np.uint64)
+        self.size = self.indices.shape[0]
         self._classes: dict[tuple[str, float], _Class] = {}
+
+    @functools.cached_property
+    def keys(self) -> np.ndarray:
+        """Per-trial stream keys, hashed on first use (`faulting` hands its own over)."""
+        return stream_keys(self.seed, self.indices)
 
     def _class(self, kind: str, p: float) -> _Class:
         c = self._classes.get((kind, p))
         if c is None:
-            c = self._classes[(kind, p)] = _Class(self.keys, kind, p)
+            key = _class_keys(self.keys, kind, p)
+            c = self._classes[(kind, p)] = _Class(key, _words(key, 0), p)
         return c
+
+    @classmethod
+    def faulting(cls, master_seed: int, trial_indices, thresholds: dict) -> "StreamBank":
+        """The bank of the trials among trial_indices, in order, that fault in
+        some class (kind, p) of `thresholds` within the locations it screens:
+        a trial is clean in a class when the top 52 bits of its first word
+        are at least thresholds[kind, p], the `screen_threshold` of those
+        locations.  Every trial is hashed once: the bank's keys, class keys
+        and first words are gathered from the screen."""
+        trial_indices = np.asarray(trial_indices, dtype=np.uint64)
+        keys = stream_keys(master_seed, trial_indices)
+        firsts = {}
+        clean = np.ones(trial_indices.shape, dtype=bool)
+        for (kind, p), top in thresholds.items():
+            key = _class_keys(keys, kind, p)
+            word = _words(key, 0)
+            clean &= word >> np.uint64(12) >= np.uint64(top)
+            firsts[kind, p] = key, word
+        rows = np.flatnonzero(~clean)
+        bank = cls(master_seed, trial_indices[rows])
+        bank.keys = keys[rows]
+        bank._classes = {c: _Class(k[rows], w[rows], c[1]) for c, (k, w) in firsts.items()}
+        return bank
 
     def faults(self, kind: str, p: float, n: int, idx=None):
         """(rows, offsets, codes) of the faults among the next n locations of
@@ -219,12 +267,12 @@ class StreamBank:
         c = self._class(kind, p)
         rows = np.flatnonzero((c.ahead if idx is None else c.ahead[idx]) < n)
         at = rows if idx is None else idx[rows]
-        found = [(rows[:0], c.ahead[:0], self.keys[:0])]  # typed empties: no fault at all
+        found = [(rows[:0], c.ahead[:0], c.key[:0])]  # typed empties: no fault at all
         while rows.size:
-            off, k = c.ahead[at], c.ordinal[at]
-            found.append((rows, off, _words(c.key[at], 2 * k + 1)))
+            key, off, k = c.key[at], c.ahead[at], c.ordinal[at]
+            found.append((rows, off, _words(key, 2 * k + 1)))
             c.ordinal[at] = k + 1
-            c.ahead[at] = off + 1 + _gaps(_words(c.key[at], 2 * k + 2), p)
+            c.ahead[at] = off + 1 + _gaps(_words(key, 2 * k + 2), p)
             more = c.ahead[at] < n
             rows, at = rows[more], at[more]
         if idx is None:

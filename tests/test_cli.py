@@ -222,6 +222,18 @@ def test_slope_fit_weights_points_by_c1_err(tmp_path, model):
         assert scaled[f"{k}_err"] == pytest.approx(10 * base[f"{k}_err"], rel=1e-9, nan_ok=True)
 
 
+def test_slope_fit_whose_normal_matrix_overflows_exits_2(tmp_path, capsys):
+    """Sigmas that each pass SIGMA_MIN but whose weights overflow the normal
+    matrix give an analysis error naming the weights (exit 2), not numpy's
+    overflow warning, which this suite turns into an error."""
+    src, out = tmp_path / "lines.csv", str(tmp_path / "slopes.csv")
+    points = zip((1, 0.9, 0.5, 0.4), (0.5, 0.4, 0.2, 0.15), (7.46e-155, 7.46e-155, 0.01, 0.01))
+    src.write_text("model,C,epsilon,c1,c1_err\n"
+                   + "".join(f"line,inf,{e},{a},{err}\n" for e, a, err in points))
+    assert run(["fit", "--model", "slope2", "--in", str(src), "--out", out]) == 2
+    assert "weights 1 / sigma^2 up to" in capsys.readouterr().err
+
+
 def test_default_threads_are_the_usable_cpus(tmp_path, monkeypatch):
     """--threads 0 runs on the CPUs this process may use, and the manifest says so."""
     out = str(tmp_path / "t.csv")

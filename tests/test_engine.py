@@ -337,8 +337,8 @@ def test_fault_free_skip_is_exact(cfg):
     assert np.array_equal(tallies[-1][1], np.bincount(joint, minlength=16))
     assert 0 < parts[-1].counts[0, 0] < cfg.trials
     trials = np.arange(start, start + cfg.trials)
-    clean = eng.fault_free(cfg.master_seed, trials, eng._plan(cfg).nominal)
-    assert 0 < clean.sum() < cfg.trials  # both paths taken
+    live = StreamBank.faulting(cfg.master_seed, trials, eng._plan(cfg).screen)
+    assert 0 < live.size < cfg.trials  # both paths taken
 
 
 @pytest.mark.filterwarnings("ignore:trials=")

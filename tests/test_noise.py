@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from steane_mc import engine as eng
 from steane_mc.noise import (
     FaultPlanSource,
     NoiseParams,
     RecordingSource,
     StreamBank,
-    fault_free,
+    _gaps,
+    screen_threshold,
     stream_keys,
 )
 
@@ -297,9 +300,13 @@ def test_subset_draws_match_full():
     assert np.array_equal(alone[0], sub[0]) and np.array_equal(alone[1], sub[1])
 
 
+def _screen(classes):
+    return {c: screen_threshold(c[1], n) for c, n in classes.items()}
+
+
 def test_fault_free_reads_the_first_gaps():
-    """fault_free marks exactly the trials whose first n locations of every
-    listed class sample no fault."""
+    """`faulting` keeps exactly the trials whose first n locations of some
+    listed class sample a fault, in order."""
     seed, trials = 3, np.arange(500, 900, dtype=np.uint64)
     classes = {("pauli1", 0.01): 40, ("pauli2", 0.02): 15, ("pauli1", 0.003): 120}
     bank = StreamBank(seed, trials)
@@ -309,9 +316,98 @@ def test_fault_free_reads_the_first_gaps():
             clean &= ~np.bitwise_or(*bank.depolarize_steps(p, n, 1)).any(axis=1)
         else:
             clean &= ~bank.cnot_pairs(p, n).any(axis=1)
-    got = fault_free(seed, trials, classes)
-    assert np.array_equal(got, clean) and got.any() and not got.all()
-    assert fault_free(seed, trials, {}).all()
+    live = StreamBank.faulting(seed, trials, _screen(classes))
+    assert np.array_equal(live.indices, trials[~clean]) and clean.any() and not clean.all()
+    assert StreamBank.faulting(seed, trials, {}).size == 0
+
+
+def test_faulting_bank_hands_over_its_streams():
+    """The bank `faulting` returns gives, call for call and class by class,
+    what a fresh bank of its trials gives, retry-sized calls on row subsets
+    among them, and both end with equal counters."""
+    seed, trials = 11, np.arange(7000, 11000, dtype=np.uint64)
+    classes = {("pauli1", 2e-3): 300, ("pauli2", 1e-3): 80, ("pauli1", 5e-4): 500}
+    live = StreamBank.faulting(seed, trials, _screen(classes))
+    fresh = StreamBank(seed, live.indices)
+    assert 0 < live.size < trials.size
+    assert np.array_equal(live.keys, fresh.keys)
+    rng = np.random.default_rng(5)
+    calls = [(c, n, None) for c, n in classes.items()]  # the screened pass
+    for _ in range(12):  # retries of part of an attempt, then further passes
+        c = list(classes)[rng.integers(len(classes))]
+        idx = np.sort(rng.choice(live.size, size=rng.integers(1, live.size), replace=False))
+        calls += [(c, int(rng.integers(1, 60)), idx), (c, int(rng.integers(1, 400)), None)]
+    for (kind, p), n, idx in calls:
+        got, want = live.faults(kind, p, n, idx), fresh.faults(kind, p, n, idx)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b), (kind, p, n)
+    assert np.array_equal(live.counters, fresh.counters) and live.counters.any()
+
+
+def _workload_classes():
+    """((kind, p), nominal locations) of every class of every plan behind
+    the d2_sweep and stabilize_hot benchmark workloads."""
+    configs = [
+        eng.ExperimentConfig(mode="memory_t20", noise=NoiseParams(float(e), C), trials=1)
+        for e in np.geomspace(1e-4, 3e-4, 5)
+        for C in (math.inf, 1.0)
+    ]
+    configs.append(
+        eng.ExperimentConfig(mode="stabilize", noise=NoiseParams(1e-3, 1.0), trials=1, t_max=30)
+    )
+    return [(c, n) for cfg in configs for c, n in eng._plan(cfg).nominal.items()]
+
+
+def _step_is_clean(p, n, top, reach=1024):
+    v = np.arange(max(top - reach, 0), min(top + reach, 2**52), dtype=np.uint64)
+    g = _gaps(v << np.uint64(12), p)
+    return bool((g[v < top] < n).all() and (g[v >= top] >= n).all())
+
+
+@pytest.mark.filterwarnings("ignore:trials=")
+def test_screen_thresholds_of_the_workloads():
+    """At every class the benchmark's sweep and stabilize plans screen, the
+    threshold T is where `_gaps` first reaches n: below n at T - 1, at least
+    n at T (T = 2^52: no word reaches n), and a clean step over the 1024
+    values each side."""
+    classes = _workload_classes()
+    assert len(classes) == 17
+    tops = []
+    for (kind, p), n in classes:
+        top = screen_threshold(p, n)
+        below, at = _gaps(np.array([top - 1, top % 2**52], dtype=np.uint64) << np.uint64(12), p)
+        assert below < n and (top == 2**52 or at >= n), (kind, p, n)
+        assert _step_is_clean(p, n, top), (kind, p, n)
+        tops.append(top)
+    assert 0 < min(tops) and max(tops) == 2**52  # stabilize's memory class is never clean
+
+
+def test_screen_threshold_edges():
+    """p = 1 leaves no trial fault-free, a gap out of reach leaves every
+    trial fault-free, and a coarse class (p = 0.3, n = 7) steps cleanly."""
+    assert screen_threshold(1.0, 1) == screen_threshold(1.0, 5000) == 2**52
+    assert screen_threshold(1e-300, 10**15) == 0
+    assert screen_threshold(0.2, 0) == 0
+    top = screen_threshold(0.3, 7)
+    assert 0 < top < 2**52 and _step_is_clean(0.3, 7, top)
+    # 1 - (1 - p)^n of all words fault within n locations
+    assert top / 2**52 == pytest.approx(1 - 0.7**7, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([1e-4, 2.7e-4, 1e-3, 0.02, 0.3, 2.0 / 3.0, 1.0]) | st.floats(1e-9, 1.0),
+    n=st.integers(0, 5000),
+    words=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50),
+    near=st.lists(st.tuples(st.integers(-4096, 4096), st.integers(0, 4095)), max_size=50),
+)
+def test_screen_is_the_first_gap_compare(p, n, words, near):
+    """On random words, and on words whose top 52 bits lie near the
+    threshold, the integer screen says what `_gaps(word, p) >= n` says."""
+    top = screen_threshold(p, n)
+    near_words = [((top + d) % 2**52) << 12 | low for d, low in near]
+    w = np.array(words + near_words, dtype=np.uint64)
+    assert np.array_equal(w >> np.uint64(12) >= np.uint64(top), _gaps(w, p) >= n)
 
 
 def test_fault_plan_single():
