@@ -7,8 +7,9 @@ column an op reads is contiguous, and a CNOT draw's pair codes are decoded
 once into the x and z bit planes of control and target, so each CNOT
 location costs four shift-and-XORs.  Noise comes from a source:
 `FaultPlanSource` for planned faults, `StreamBank` for random ones.  A prep
-op reruns its ancilla attempt on the rows whose last try was rejected.  The
-interpreter builds the signature tables, and the tests check the kernel
+op reruns its ancilla attempt on the rows whose last try was rejected,
+drawing rerun j of attempt a (the prep ops numbered in program order) from
+`src.rerun`.  The interpreter builds the signature tables, and the tests check the kernel
 against it; no Monte Carlo trial, fault plan or certification runs it.
 
 `_draws` walks a program's noise draws statically, in draw order.  It is
@@ -27,20 +28,23 @@ before the correction, and whether it alone makes its ancilla attempt's
 verification fire.  `_table` reads the signature of every single fault of a
 program off one linear run of `_execute` (reruns off, `P` left out), once per
 (mode, schedule) and process, on first use.  A Monte Carlo trial then reads
-its faults from its `StreamBank` as a sparse list (`StreamBank.faults`, one
-call per location class and draw), maps each to its location and Pauli, walks
-its ancilla attempts in draw order (an attempt whose flags XOR to 1 is
-discarded, and its retry takes the next locations of each class, as the
-stream gives them), XORs the signatures it keeps, and applies the majority
+the faults of its nominal locations from its `StreamBank` as a sparse list
+(`StreamBank.faults`, one call per location class), maps each to its
+location and Pauli, drops the faults of every ancilla attempt whose flags
+XOR to 1, and keeps the rest.  The rejected attempts of all trials rerun
+together, one batch per try, each from its own substreams, so no location
+moves; then the trial XORs the signatures it keeps and applies the majority
 vote and the class lookup.  Stabilize reuses one recovery's table for every
-recovery; the residual a recovery inherits adds its syndromes through the
-signatures of a data error ahead of the recovery.  A fault plan runs on the
-same kernel with every location of a sweep mode's program in one class, in
-draw order, so the plan's flat cursor is that class's stream.
+recovery, recovery k's prep i being attempt 18k + i of the program; the
+residual a recovery inherits adds its syndromes through the signatures of a
+data error ahead of the recovery.  A fault plan runs on the same kernel with
+every location of a sweep mode's program in one class, in draw order, so the
+plan's flat cursor is that class's stream; its reruns are fault-free.
 
 Randomness is keyed by (master_seed, trial_index, location class, fault
-ordinal), so results are independent of batch size, worker count and chunk
-order; a scalar trial is just a batch of one.  A chunk first skips its
+ordinal), and for a rerun also by (attempt, try), so results are
+independent of batch size, worker count and chunk order; a scalar trial is
+just a batch of one.  A chunk first skips its
 fault-free trials: a trial with no fault among the nominal locations (one
 pass, no ancilla rejected) ends with residual 0, so it counts as class
 (0, 0) at every tally without being run.  `StreamBank.faulting` screens
@@ -73,7 +77,7 @@ import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import product
+from itertools import product, repeat
 from multiprocessing.connection import wait
 from typing import NamedTuple
 
@@ -174,10 +178,10 @@ def _warn_small_n(config: ExperimentConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _execute(ops, src, rates, m, idx=None, prefix="", flags=None):
-    """Run an op program for m trials (rows idx of src; None: all) on fresh
-    registers, prefixing its draw tags.  Returns the frames x, z per register,
-    the syndrome bits (a signature word's), the flags of the last verification
+def _execute(ops, src, rates, m, prefix="", flags=None):
+    """Run an op program for the m trials of src on fresh registers,
+    prefixing its draw tags.  Returns the frames x, z per register, the
+    syndrome bits (a signature word's), the flags of the last verification
     readout, and each tally as (step, `_tally` of the data residual).
 
     Given a list `flags`, the run stays linear in its faults: each prep op
@@ -188,6 +192,7 @@ def _execute(ops, src, rates, m, idx=None, prefix="", flags=None):
     syn = np.zeros(m, dtype=_SIG)
     bufs: dict = {}
     reject = None
+    preps = 0  # prep ops so far: the number of the next ancilla attempt
     tallies: list[tuple[int, np.ndarray]] = []
     for kind, step, _, args in ops:
         if kind == "xor":
@@ -219,10 +224,10 @@ def _execute(ops, src, rates, m, idx=None, prefix="", flags=None):
             z[rc] ^= ((z[rt] >> t) & 1) << c
         elif kind == "pauli1":
             rate, n_steps, width, tag, key = args
-            bufs[key] = src.depolarize_steps(rates[rate], n_steps, width, idx, prefix + tag)
+            bufs[key] = src.depolarize_steps(rates[rate], n_steps, width, tag=prefix + tag)
         elif kind == "pauli2":
             n, tag, key = args
-            b = src.cnot_pairs(rates[GAMMA], n, idx, prefix + tag)
+            b = src.cnot_pairs(rates[GAMMA], n, tag=prefix + tag)
             if b is not None:  # the x, z bit planes of the control and the target
                 b = (*pauli_bits(b >> 2), *pauli_bits(b & 3))
             bufs[key] = b
@@ -246,7 +251,8 @@ def _execute(ops, src, rates, m, idx=None, prefix="", flags=None):
                 x[r] ^= np.bitwise_xor.reduce(b[0], axis=1)
                 z[r] ^= np.bitwise_xor.reduce(b[1], axis=1)
         elif kind == "prep":
-            x[ANC], z[ANC] = _prepare(*args, src, rates, m, flags)
+            x[ANC], z[ANC] = _prepare(*args, preps, src, rates, m, flags)
+            preps += 1
         elif kind == "P" and flags is None:
             cx, cz = _correct(syn)
             x[DATA] ^= cx
@@ -257,19 +263,20 @@ def _execute(ops, src, rates, m, idx=None, prefix="", flags=None):
     return x, z, syn, reject, tallies
 
 
-def _prepare(attempt, tag, src, rates, m, flags=None):
-    """Verified ancillas for m trials, resynthesizing each rejected one;
-    given a list `flags`, one attempt each, its flags appended to it."""
-    x, z, _, reject, _ = _execute(attempt, src, rates, m, prefix=tag)
+def _prepare(attempt, tag, a, src, rates, m, flags=None):
+    """Verified ancillas of attempt number a for m trials, resynthesizing
+    each rejected one: its rerun j draws from `src.rerun`.  Given a list
+    `flags`, one attempt each, its flags appended to it."""
+    x, z, _, reject, _ = _execute(attempt, src, rates, m, tag)
     ax, az = x[ANC], z[ANC]
     if flags is not None:
         flags.append(reject)
         return ax, az
     idx = np.flatnonzero(reject)  # the rows still to verify
-    for _ in range(MAX_PREP_ATTEMPTS - 1):
+    for j in range(1, MAX_PREP_ATTEMPTS):
         if not idx.size:
             break
-        x, z, _, reject, _ = _execute(attempt, src, rates, idx.size, idx, tag)
+        x, z, _, reject, _ = _execute(attempt, src.rerun(idx, a, j), rates, idx.size, tag)
         ax[idx], az[idx] = x[ANC], z[ANC]
         idx = idx[reject]
     if idx.size:
@@ -436,70 +443,53 @@ def _build_plan(mode, schedule, t_max, noise) -> _Plan:
     return _Plan(table, segments, steps, nominal, screen, residual)
 
 
-def _signatures(table: _Table, seg: _Segment, bank) -> np.ndarray:
+def _signatures(table: _Table, seg: _Segment, bank, first: int = 0) -> np.ndarray:
     """XOR of the signatures of the faults each trial of bank (a `StreamBank`
-    or a `FaultPlanSource`) keeps in one recovery.
+    or a `FaultPlanSource`) keeps in one recovery, whose prep i is ancilla
+    attempt first + i of the program.
 
-    The recovery's locations are drawn class by class.  Each trial walks its
-    attempts in draw order; at the first one whose flags XOR to 1, the faults
-    before it are kept, its own are dropped, and its retry takes the next
-    locations of each class, so every later location sits one attempt
-    further down the stream, which is drawn that much further.  Then the
-    walk resumes at the retry.  A planned code is checked against its
-    location once a pass keeps or drops it; while it waits past a rejected
-    attempt, a rerun may yet move it onto a location of the other kind."""
-    m, k_max = bank.size, len(seg.start) - 1
-    acc = np.zeros(m, dtype=_SIG)
-    shift = np.zeros((m, len(seg.classes)), dtype=np.int64)  # retry locations so far
-    last, tries = np.full(m, -1), np.zeros(m, dtype=np.int64)
-
-    def draw(rows, n):
-        """Faults among the next n[c] locations of each class c of rows,
-        as (row, class, stream offset, code)."""
+    One pass draws the recovery's nominal locations, class by class.  Every
+    (trial, attempt) whose flags XOR to 1 drops its faults, and every other
+    fault is kept.  The rejected attempts then rerun together, one batch per
+    try: `bank.rerun` draws each one's locations of every class from its
+    own substream, so no other location moves, and a rerun is dropped and
+    tried again on the same rule.  A planned code is checked against its
+    own location."""
+    width = len(seg.start)  # per row: column 0 for no attempt, 1 + a for attempt a
+    acc = np.zeros(bank.size, dtype=_SIG)
+    owner = np.arange(bank.size)  # the trial each row of src draws for
+    src, n, attempt, j = bank, seg.n, None, 0
+    while True:
         found = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0, _U8),)]
         for c, (kind, p) in enumerate(seg.classes):
             if n[c]:
-                r, off, code = bank.faults(kind, p, int(n[c]), rows)
-                r = r if rows is None else rows[r]
-                found.append((r, np.full(r.size, c), seg.n[c] + shift[r, c] - n[c] + off, code))
-        return [np.concatenate(a) for a in zip(*found)]
-
-    row, cls, at, code = draw(None, seg.n)
-    while row.size:
-        nominal = at - shift[row, cls]
-        slot = seg.loc[seg.base[cls] + nominal]
-        fits = code <= table.codes[slot]  # a drawn code always fits; a planned one may not
-        case = table.case0[slot] + np.where(fits, code, 1) - 1
-        flagged = table.flag[case] & fits
-        pairs = row[flagged] * k_max + table.prep[slot[flagged]]
-        keys, count = np.unique(pairs, return_counts=True)
-        keys = keys[count % 2 == 1]  # trial * k_max + attempt of every rejected attempt
-        rejected, first = np.unique(keys // k_max, return_index=True)
-        attempt = np.full(m, k_max)
-        attempt[rejected] = keys[first] % k_max
-        begin = seg.start[attempt[row], cls]
-        later = nominal >= begin + seg.alen[cls]  # past the rejected attempt: not decided yet
-        bad = np.flatnonzero(~(fits | later))
+                r, off, code = src.faults(kind, p, int(n[c]))
+                found.append((r, np.full(r.size, c), off, code))
+        row, cls, off, code = (np.concatenate(a) for a in zip(*found))
+        if attempt is not None:  # a rerun draws its attempt's locations
+            off += seg.start[attempt[row], cls]
+        slot = seg.loc[seg.base[cls] + off]
+        bad = np.flatnonzero(code > table.codes[slot])  # a drawn code always fits
         if bad.size:
             i = bad[0]
-            raise misfit(row[i], at[i], code[i])
-        keep = nominal < begin
-        np.bitwise_xor.at(acc, row[keep], table.sig[case[keep]])
+            raise misfit(owner[row[i]], slot[i], code[i])
+        case = table.case0[slot] + code - 1
+        pair = row * width + 1 + (table.prep[slot] if attempt is None else attempt[row])
+        flips = np.zeros(src.size * width, dtype=bool)  # per (row, attempt): flags XORed
+        np.bitwise_xor.at(flips, pair[table.flag[case]], True)  # only attempts raise flags
+        keep = ~flips[pair]
+        np.bitwise_xor.at(acc, owner[row[keep]], table.sig[case[keep]])
+        rejected = np.flatnonzero(flips)
         if not rejected.size:
-            break
-        again = last[rejected] == attempt[rejected]
-        tries[rejected] = np.where(again, tries[rejected] + 1, 1)
-        last[rejected] = attempt[rejected]
-        over = np.count_nonzero(tries[rejected] >= MAX_PREP_ATTEMPTS)
-        if over:
+            return acc
+        j += 1
+        if j >= MAX_PREP_ATTEMPTS:
+            over = np.unique(owner[rejected // width]).size
             raise AncillaRejectionError(
                 f"{over} trials exceeded {MAX_PREP_ATTEMPTS} ancilla attempts"
             )
-        pending = (row[later], cls[later], at[later], code[later])
-        shift[rejected] += seg.alen
-        retried = draw(rejected, seg.alen)
-        row, cls, at, code = (np.concatenate(a) for a in zip(pending, retried))
-    return acc
+        owner, attempt = owner[rejected // width], rejected % width - 1
+        src, n = bank.rerun(owner, first + attempt, j), seg.alen
 
 
 def _kernel(config: ExperimentConfig, bank: StreamBank):
@@ -508,8 +498,8 @@ def _kernel(config: ExperimentConfig, bank: StreamBank):
     plan = _plan(config)
     x = z = np.zeros(bank.size, dtype=_SIG)
     tallies = []
-    for seg, step in zip(plan.segments, plan.steps):
-        acc = _signatures(plan.table, seg, bank)
+    for k, (seg, step) in enumerate(zip(plan.segments, plan.steps)):
+        acc = _signatures(plan.table, seg, bank, k * (len(seg.start) - 1))
         if plan.residual is not None:
             acc ^= plan.residual[0][x] ^ plan.residual[1][z]
         x, z = _correct(acc)
@@ -742,7 +732,9 @@ def enumerate_fault_cases(config: ExperimentConfig) -> list[FaultCase]:
     for kind, _, n, width, tag, _ in _draws(config.program()):
         draw = LocationRecord(slot, n, kind, width, tag)
         codes = range(1, N_CODES[kind] + 1)
-        cases += map(FaultCase._make, product(range(slot, slot + n), codes, (draw,)))
+        # tuple.__new__ builds each case in C, without _make's Python frame
+        fields = product(range(slot, slot + n), codes, (draw,))
+        cases += map(tuple.__new__, repeat(FaultCase), fields)
         slot += n
     return cases
 

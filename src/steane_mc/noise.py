@@ -21,6 +21,14 @@ worker in any order, and the faults depend only on how many locations of a
 class a trial has consumed, not on how calls split them: one call of
 n1 + n2 locations returns what calls of n1 and n2 return.
 
+The class stream holds a trial's nominal locations, those of one pass with
+no ancilla attempt rejected, at fixed positions.  Rerun j >= 1 of ancilla
+attempt a (the prep's number in draw order over the whole program) draws
+the attempt's locations of each class from its own substream, whose key is
+hashed from the class key and (a, j) as a class key is from the trial key
+(`StreamBank.rerun`).  So every location, nominal or rerun, faults
+independently of the others, and a rejection moves no other location.
+
 Each trial keeps, per class, the distance to its next fault.  A call over n
 locations compares that distance with n for its rows and walks only the
 rows that fault, so it costs O(rows + faults), not O(rows * n).
@@ -42,8 +50,10 @@ since a fault-free trial's residual is exactly 0.
 
 `STREAM_VERSION` names this stream in the sweep and stabilize manifests.
 Version 1 hashed one word per location and decoded it by thresholds;
-version 2 is the gap sampler.  Data rows are byte-identical for any worker
-count and batch size within a stream version.
+version 2 is the gap sampler, with a rerun taking the next locations of the
+class stream; version 3 draws reruns from their own substreams.  Data rows
+are byte-identical for any worker count and batch size within a stream
+version.
 """
 
 from __future__ import annotations
@@ -54,9 +64,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_GOLDEN2 = np.uint64(2 * 0x9E3779B97F4A7C15 % 2**64)  # two words on in a stream
+_PAIR = np.array([[0], [0x9E3779B97F4A7C15]], dtype=np.uint64)  # a word and the next
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _TWO64 = 2**64
@@ -75,53 +87,68 @@ def pauli_bits(code):
 
 
 def _mix64(z: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """splitmix64's finalizer applied to z in place; t is scratch of z's shape."""
-    # uint64 multiplication wraps mod 2^64 by design
-    with np.errstate(over="ignore"):
-        np.right_shift(z, 30, out=t)
-        z ^= t
-        z *= _MIX1
-        np.right_shift(z, 27, out=t)
-        z ^= t
-        z *= _MIX2
-        np.right_shift(z, 31, out=t)
-        z ^= t
+    """splitmix64's finalizer applied to z in place; t is scratch of z's shape.
+    uint64 array arithmetic wraps mod 2^64 without a warning."""
+    np.right_shift(z, 30, out=t)
+    z ^= t
+    z *= _MIX1
+    np.right_shift(z, 27, out=t)
+    z ^= t
+    z *= _MIX2
+    np.right_shift(z, 31, out=t)
+    z ^= t
     return z
 
 
 def stream_keys(master_seed: int, trial_indices: np.ndarray) -> np.ndarray:
     """Per-trial 64-bit stream keys, a pure function of (seed, index)."""
-    with np.errstate(over="ignore"):
-        base = np.full(1, master_seed & (_TWO64 - 1), dtype=np.uint64) + _GOLDEN
-        base = _mix64(base, np.empty_like(base))[0]
-        idx = trial_indices.astype(np.uint64, copy=False)
-        keys = base + (idx + np.uint64(1)) * _GOLDEN
-        return _mix64(keys, np.empty_like(keys))
+    base = np.full(1, master_seed & (_TWO64 - 1), dtype=np.uint64) + _GOLDEN
+    base = _mix64(base, np.empty_like(base))[0]
+    idx = trial_indices.astype(np.uint64, copy=False)
+    keys = base + (idx + np.uint64(1)) * _GOLDEN
+    return _mix64(keys, np.empty_like(keys))
 
 
 def _words(keys: np.ndarray, j) -> np.ndarray:
-    """Word j (an int, or one per key) of each key's splitmix64 stream."""
-    with np.errstate(over="ignore"):
-        z = keys + (np.asarray(j, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
+    """Word j (an int, or an array of one per key) of each key's splitmix64
+    stream."""
+    if np.ndim(j):
+        z = keys + (j.astype(np.uint64) + np.uint64(1)) * _GOLDEN
+    else:  # a Python int: the 0-d product would warn as it wraps
+        z = keys + np.uint64((int(j) + 1) * int(_GOLDEN) % _TWO64)
     return _mix64(z, np.empty_like(z))
+
+
+def _rekey(keys: np.ndarray, salt: np.ndarray) -> np.ndarray:
+    """Keys hashed from keys and a salt: splitmix64's finalizer of their XOR."""
+    k = keys ^ salt
+    return _mix64(k, np.empty_like(k))
 
 
 def _class_keys(keys: np.ndarray, kind: str, p: float) -> np.ndarray:
     """Per-trial keys of location class (kind, p), from the trials' keys."""
-    salt = _words(np.float64(p).reshape(1).view(np.uint64), _KINDS[kind])
-    k = keys ^ salt
-    return _mix64(k, np.empty_like(k))
+    return _rekey(keys, _words(np.float64(p).reshape(1).view(np.uint64), _KINDS[kind]))
 
 
 def _gaps(words: np.ndarray, p: float) -> np.ndarray:
     """Fault-free locations before the next fault, floor(ln(1-u) / ln(1-p)),
     with u = (top 52 bits + 1/2) / 2^52 strictly inside (0, 1).  p = 1 gives
     0; a gap too long to reach (p = 1e-300, say) is capped at _GAP_MAX."""
-    u = ((words >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
+    g = (words >> np.uint64(12)).astype(np.float64)
+    g *= -(2.0**-52)
+    g -= 2.0**-53  # -u, exactly: both steps round nothing
+    np.log1p(g, out=g)
+    g *= _inverse_log(p)
+    return np.minimum(g, _GAP_MAX, out=g).astype(np.int64)
+
+
+@functools.lru_cache(maxsize=256)
+def _inverse_log(p: float) -> float:
+    """1 / ln(1 - p): -0.0 at p = 1, and at least -1e290, so that its product
+    with ln(1 - u), which lies in [-37, -1e-16], stays finite.  Where the
+    bound binds, the gap exceeds _GAP_MAX either way."""
     with np.errstate(divide="ignore", over="ignore"):
-        inv = 1.0 / np.log1p(-np.float64(p))  # -0.0 at p = 1
-        g = np.log1p(-u) * inv
-    return np.minimum(g, _GAP_MAX).astype(np.int64)
+        return max(float(1.0 / np.log1p(-np.float64(p))), -1e290)
 
 
 def _below(words: np.ndarray, k: int) -> np.ndarray:
@@ -203,7 +230,7 @@ class _Class:
 
     def __init__(self, key: np.ndarray, word: np.ndarray, p: float):
         self.key = key
-        self.ordinal = np.zeros(key.shape, dtype=np.int64)  # faults drawn so far
+        self.next = key + _GOLDEN2  # splitmix64 input of word 2k + 1, fault k's code
         self.ahead = _gaps(word, p)  # locations before the next fault
 
 
@@ -211,9 +238,8 @@ class StreamBank:
     """Per-trial fault streams for a batch of trial indices.
 
     Every sampling call with p > 0 advances each covered trial's `counters`
-    (locations consumed) by the number of locations, independent of the
-    other trials, so rejection loops keep streams aligned across batch
-    shapes and workers.
+    (locations consumed) by the number of locations, reruns' locations
+    included, independent of the other trials.
     """
 
     def __init__(self, master_seed: int, trial_indices: np.ndarray):
@@ -231,9 +257,24 @@ class StreamBank:
     def _class(self, kind: str, p: float) -> _Class:
         c = self._classes.get((kind, p))
         if c is None:
-            key = _class_keys(self.keys, kind, p)
+            key = self._class_key(kind, p)
             c = self._classes[(kind, p)] = _Class(key, _words(key, 0), p)
         return c
+
+    def _class_key(self, kind: str, p: float) -> np.ndarray:
+        return _class_keys(self.keys, kind, p)
+
+    def _count(self, idx, n: int) -> None:
+        """Add n locations to the counters of rows idx (None: all)."""
+        self.counters[slice(None) if idx is None else idx] += np.uint64(n)
+
+    def rerun(self, rows, attempt, j: int) -> "StreamBank":
+        """The bank of rerun j >= 1 of ancilla attempt `attempt` (an int, or
+        one per row) of trial rows[i], in its i-th row: in every class, its
+        own substream, keyed from the trial's class key by (attempt, j) as
+        class keys are from trial keys, so it moves no other location.  Its
+        locations add to this bank's counters."""
+        return _Rerun(self, np.asarray(rows), attempt, j)
 
     @classmethod
     def faulting(cls, master_seed: int, trial_indices, thresholds: dict) -> "StreamBank":
@@ -269,18 +310,20 @@ class StreamBank:
         at = rows if idx is None else idx[rows]
         found = [(rows[:0], c.ahead[:0], c.key[:0])]  # typed empties: no fault at all
         while rows.size:
-            key, off, k = c.key[at], c.ahead[at], c.ordinal[at]
-            found.append((rows, off, _words(key, 2 * k + 1)))
-            c.ordinal[at] = k + 1
-            c.ahead[at] = off + 1 + _gaps(_words(key, 2 * k + 2), p)
-            more = c.ahead[at] < n
+            off, z = c.ahead[at], c.next[at]
+            w = z + _PAIR  # the fault's code word and the next gap's word, as _words
+            code, gap = _mix64(w, np.empty_like(w))
+            found.append((rows, off, code))
+            c.next[at] = z + _GOLDEN2
+            ahead = off + 1 + _gaps(gap, p)
+            c.ahead[at] = ahead
+            more = ahead < n
             rows, at = rows[more], at[more]
         if idx is None:
             c.ahead -= n
-            self.counters += np.uint64(n)
         else:
             c.ahead[idx] -= n
-            self.counters[idx] += np.uint64(n)
+        self._count(idx, n)
         rows, off, words = (np.concatenate(a) for a in zip(*found))
         return rows, off, 1 + _below(words, N_CODES[kind])
 
@@ -303,6 +346,24 @@ class StreamBank:
         return _pairs(self.size if idx is None else len(idx), n, rows, off, code)
 
 
+class _Rerun(StreamBank):
+    """The rows of `StreamBank.rerun`: row i draws rerun j of attempt[i] of
+    trial rows[i] of bank, from substreams that start fresh."""
+
+    def __init__(self, bank: StreamBank, rows: np.ndarray, attempt, j: int):
+        self.size = rows.size
+        self._classes = {}
+        self._bank, self._rows = bank, rows
+        self._salt = _words(np.broadcast_to(attempt, rows.shape).astype(np.uint64), j)
+
+    def _class_key(self, kind: str, p: float) -> np.ndarray:
+        return _rekey(self._bank._class(kind, p).key[self._rows], self._salt)
+
+    def _count(self, idx, n: int) -> None:
+        at = self._rows if idx is None else self._rows[idx]
+        np.add.at(self._bank.counters, at, np.uint64(n))  # a trial may rerun several attempts
+
+
 class FaultPlanSource:
     """Noise source that injects planned Paulis at chosen error locations.
 
@@ -316,8 +377,11 @@ class FaultPlanSource:
     locations are noise-free, and every call consumes its locations even at
     p = 0 (matching the draw walk that numbers them).  Two codes planned at
     one location multiply (XOR), as two faults there would.  A plan row is
-    one trial.  A planned fault at a negative slot raises ValueError, and
-    `check_reached` one at a slot past the locations its row's trial drew.
+    one trial.  A plan names nominal locations only, those of one pass with
+    no ancilla attempt rejected: a rerun draws from `rerun`, which plans no
+    fault, so the cursor counts nominal locations alone.  A planned fault at
+    a negative slot raises ValueError, and `check_reached` one at a slot at
+    or past the nominal count.
     """
 
     def __init__(self, slots, codes):
@@ -351,6 +415,11 @@ class FaultPlanSource:
         rows, cols = np.nonzero((rel.view(np.uint64) < n) & (codes != 0))  # 0 <= rel < n
         self.cursor[sel] += n
         return rows, rel[rows, cols], codes[rows, cols]
+
+    def rerun(self, rows, attempt, j: int) -> "FaultPlanSource":
+        """The source of a rerun of ancilla attempts of trial rows: fault-free."""
+        empty = np.zeros((len(rows), 0), dtype=np.int64)
+        return FaultPlanSource(empty, empty)
 
     def check_reached(self):
         """After a run: raise ValueError for a planned fault at a slot at or

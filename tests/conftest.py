@@ -1,20 +1,25 @@
-from collections import Counter
-
+import numpy as np
 import pytest
 
-from steane_mc import engine as eng
+from steane_mc.noise import FaultPlanSource, StreamBank
 
 
 @pytest.fixture
 def reruns(monkeypatch):
-    """Counts the interpreter's ancilla reruns per (row, prep tag): only
-    `_prepare` runs ops on chosen rows, and only to rerun rejected ones."""
-    execute, counts = eng._execute, Counter()
+    """The reruns of each (row, ancilla attempt): the highest try j that a
+    source's `rerun` was asked for.  The kernel and the interpreter ask for
+    the same ones, so running both counts each rerun once."""
+    counts: dict = {}
 
-    def counting(ops, src, rates, m, idx=None, prefix="", flags=None):
-        if idx is not None:
-            counts.update((int(i), prefix) for i in idx)
-        return execute(ops, src, rates, m, idx, prefix, flags)
+    def counting(original):
+        def rerun(self, rows, attempt, j):
+            rows = np.asarray(rows)
+            for row, a in zip(rows.tolist(), np.broadcast_to(attempt, rows.shape).tolist()):
+                counts[row, a] = max(counts.get((row, a), 0), j)
+            return original(self, rows, attempt, j)
 
-    monkeypatch.setattr(eng, "_execute", counting)
+        return rerun
+
+    for cls in (StreamBank, FaultPlanSource):
+        monkeypatch.setattr(cls, "rerun", counting(cls.rerun))
     return counts

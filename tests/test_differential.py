@@ -1,16 +1,18 @@
 """The engine against an independent frame walk of the derived network.
 
 For each single fault of memory_t20 (every error location, every Pauli or
-Pauli pair) the engine's final data residual (dx, dz) must equal what a
-Pauli-frame walk over `build_recovery()` gives, with the syndrome readouts
-decoded by the codebook and a majority vote written here.  The program is
-used only to say where each numbered location sits: its step and network
-qubits.  A fault that makes its ancilla's verification fire is dropped from
-the walk, because the engine resynthesizes that ancilla from a fault-free
-attempt.
+Pauli pair), and for seeded plans of 2 and 3 faults, the engine's final data
+residual (dx, dz) must equal what a Pauli-frame walk over `build_recovery()`
+gives, with the syndrome readouts decoded by the codebook and a majority vote
+written here.  The program is used only to say where each numbered location
+sits: its step and network qubits.  When an ancilla's verification fires,
+the walk discards that attempt, with every fault on the ancilla's qubits up
+to the verification, and walks again: the engine resynthesizes the ancilla,
+and under a fault plan the rerun is fault-free.
 """
 
 import numpy as np
+import pytest
 
 from steane_mc import codebook, engine
 from steane_mc.circuit import (
@@ -69,32 +71,37 @@ def _majority(words):
     return a if a in (b, c) else (b if b == c else 0)
 
 
-def _walk(steps, n_qubits, fault_step, inject):
-    """Residual (dx, dz) after one fault injected at the end of `fault_step`.
+def _block(q):
+    """The ancilla block of network qubit q (None: a data qubit)."""
+    return None if q < N_DATA else (q - N_DATA) // 5
 
-    Before that step the frame is the identity, so the walk starts there.
-    Returns None when the fault makes an ancilla verification fire.
-    """
-    frame = None
-    syn = {}
+
+def _walk(steps, n_qubits, faults):
+    """Residual (dx, dz) of faults, each (step, qubits, paulis) injected
+    after the gates of its step, and the (block, step) of every ancilla
+    verification that fires."""
+    frame = PauliFrame(0, 0, n_qubits)
+    syn, fired = {}, []
+    start = min((f[0] for f in faults), default=float("inf"))
     for step, locs in steps:
-        if step < fault_step:
+        if step < start:  # the frame is still the identity
             continue
-        if frame is None:
-            frame = inject(PauliFrame(0, 0, n_qubits))
-        else:
-            for loc in locs:
-                if loc.kind == "H":
-                    frame = apply_h(frame, loc.qubits[0])
-                elif loc.kind == "CNOT":
-                    frame = apply_cnot(frame, *loc.qubits)
+        for loc in locs:
+            if loc.kind == "H":
+                frame = apply_h(frame, loc.qubits[0])
+            elif loc.kind == "CNOT":
+                frame = apply_cnot(frame, *loc.qubits)
+        for fault_step, qubits, paulis in faults:
+            if fault_step == step:
+                for q, p in zip(qubits, paulis):
+                    frame = apply_pauli(frame, q, p)
         for loc in locs:
             if loc.kind != "M":
                 continue
             flip = measure_flip(frame, loc.qubits)
             if len(loc.qubits) == 1:
                 if flip:
-                    return None
+                    fired.append((_block(loc.qubits[0]), step))
             else:
                 rnd, slot = divmod((loc.qubits[0] - N_DATA) // 5, len(GROUP_ORDER))
                 kind, row = GROUP_ORDER[slot]
@@ -102,21 +109,49 @@ def _walk(steps, n_qubits, fault_step, inject):
     data = (1 << N_DATA) - 1
     fix_x = codebook.correction_for(_majority([syn.get((r, "bit"), 0) for r in range(3)]))
     fix_z = codebook.correction_for(_majority([syn.get((r, "phase"), 0) for r in range(3)]))
-    return (frame.x_mask & data) ^ fix_x, (frame.z_mask & data) ^ fix_z
+    return ((frame.x_mask & data) ^ fix_x, (frame.z_mask & data) ^ fix_z), fired
 
 
-def test_engine_matches_network_walk_on_every_single_fault():
+def _residual(steps, n_qubits, faults):
+    """Residual (dx, dz) of faults after every rejected ancilla attempt is
+    discarded, and how many attempts were."""
+    res, fired = _walk(steps, n_qubits, faults)
+    if fired:
+        faults = [
+            (step, qubits, paulis)
+            for step, qubits, paulis in faults
+            if not any(_block(q) == b and step <= s for q in qubits for b, s in fired)
+        ]
+        res, again = _walk(steps, n_qubits, faults)
+        assert not again
+    return res, len(fired)
+
+
+def _network_faults(case_slots, case_codes, places, shift):
+    """(step, qubits, paulis) in network steps of each planned fault."""
+    faults = []
+    for slot, code in zip(case_slots, case_codes):
+        step, qubits = places[slot]
+        paulis = [PAULI[code]] if len(qubits) == 1 else [PAULI[code >> 2], PAULI[code & 3]]
+        faults.append((step + shift, qubits, paulis))
+    return faults
+
+
+def _setup():
     schedule = RecoverySchedule()
     config = engine.ExperimentConfig(
         mode="memory_t20", noise=NoiseParams.zero(), schedule=schedule
     )
-    ops = program("memory_t20", schedule)
     net = build_recovery(schedule)
     steps = [(locs[0].step, locs) for locs in net.steps()]
-    places = _slot_places(ops)
+    places = _slot_places(program("memory_t20", schedule))
     # every step holds memory locations, so the first slot step is the network's
     shift = 1 - min(step for step, _ in places.values())
+    return config, net.n_qubits, steps, places, shift
 
+
+def test_engine_matches_network_walk_on_every_single_fault():
+    config, n_qubits, steps, places, shift = _setup()
     cases = engine.enumerate_fault_cases(config)
     assert len(cases) == 6468
     assert sorted(places) == sorted({c.slot for c in cases})
@@ -126,20 +161,41 @@ def test_engine_matches_network_walk_on_every_single_fault():
 
     rejected = 0
     for case, ex, ez in zip(cases, dx, dz):
-        step, qubits = places[case.slot]
-        if len(qubits) == 1:
-            paulis = [PAULI[case.code]]
-        else:
-            paulis = [PAULI[case.code >> 2], PAULI[case.code & 3]]
-
-        def inject(frame):
-            for q, p in zip(qubits, paulis):
-                frame = apply_pauli(frame, q, p)
-            return frame
-
-        want = _walk(steps, net.n_qubits, step + shift, inject)
-        if want is None:
-            rejected += 1
-            want = (0, 0)
+        faults = _network_faults([case.slot], [case.code], places, shift)
+        want, fired = _residual(steps, n_qubits, faults)
+        rejected += fired
         assert (int(ex), int(ez)) == want, case.label
     assert rejected > 0
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_engine_matches_network_walk_on_multi_fault_plans(k):
+    """Seeded plans of k faults at distinct locations, any code that fits
+    each.  In a quarter of the rows two of them are faults that each alone
+    reject one ancilla attempt, so that their flags cancel.  Rows that
+    reject an attempt are common."""
+    config, n_qubits, steps, places, shift = _setup()
+    table = engine._table("memory_t20", config.schedule)
+    case_slot = np.repeat(np.arange(len(table.case0)), table.codes)
+    loud = np.flatnonzero(table.flag)
+    rng = np.random.default_rng(1997 + k)
+    rows = 800
+    where = rng.random((rows, len(table.case0))).argsort(axis=1)[:, :k]
+    codes = 1 + (rng.random(where.shape) * table.codes[where]).astype(np.int64)
+    for i in range(rows // 4):
+        attempt = loud[table.prep[case_slot[loud]] == rng.integers(table.prep.max() + 1)]
+        pair = rng.choice(attempt, size=2, replace=False)
+        at = case_slot[pair]
+        if at[0] != at[1] and not np.isin(at, where[i, 2:]).any():
+            where[i, :2], codes[i, :2] = at, pair - table.case0[at] + 1
+    dx, dz = engine.run_fault_plan(config, where, codes)
+    rejected = cancelled = 0
+    for i in range(rows):
+        faults = _network_faults(where[i].tolist(), codes[i].tolist(), places, shift)
+        want, fired = _residual(steps, n_qubits, faults)
+        rejected += fired > 0
+        flags = table.flag[table.case0[where[i]] + codes[i] - 1]
+        per_attempt = np.bincount(table.prep[where[i]][flags], minlength=1)
+        cancelled += bool((per_attempt == 2).any())
+        assert (int(dx[i]), int(dz[i])) == want, (where[i].tolist(), codes[i].tolist())
+    assert rejected >= rows // 10 and cancelled >= rows // 10

@@ -96,22 +96,22 @@ def test_run_fault_plan_rejects_a_code_that_does_not_fit():
     dx, dz = eng.run_fault_plan(config, [[-5, 3], [n, 3]], [[0, 1], [0, 1]])  # code 0 plans nothing
     assert dx.tolist() == dz.tolist() == [0, 0]
     # an X at slot 8, a gate of the first ancilla attempt, rejects that attempt;
-    # its rerun draws that attempt's locations again, so slot n is reached
+    # its rerun plans no fault, so slot n stays out of reach
     table = eng._table("memory_t20", config.schedule)
     assert table.flag[table.case0[8]]  # the case of code 1 at slot 8
-    dx, dz = eng.run_fault_plan(config, [[8, n]], [[1, 1]])
-    assert dx.shape == (1,)
-    with pytest.raises(ValueError, match=f"row 1, slot {n}: the trial drew only {n}"):
-        eng.run_fault_plan(config, [[8, n], [0, n]], [[1, 1], [1, 1]])
-    # a bad code inside an attempt still runs that attempt, and so still raises
+    for plan in ([[8, n]], [[0, 3], [8, n]]):
+        row = len(plan) - 1
+        with pytest.raises(ValueError, match=f"row {row}, slot {n}: the trial drew only {n}"):
+            eng.run_fault_plan(config, plan, [[1, 1]] * len(plan))
+    # a bad code inside an attempt still raises
     with pytest.raises(ValueError, match="row 0, slot 8: code 7 does not fit a one-qubit"):
         eng.run_fault_plan(config, [[8]], [[7]])
-    # a code is checked where it lands: the X at slot 8 rejects attempt 0, and
-    # its rerun moves slot 51 onto the CNOT at slot 9, slot 57 onto slot 15
-    dx, dz = eng.run_fault_plan(config, [[8, 51]], [[1, 7]])
+    # a code is checked at its own location, behind a rejected attempt too:
+    # slot 51 is a one-qubit gate after the attempt, slot 57 a CNOT
+    with pytest.raises(ValueError, match="row 0, slot 51: code 7 does not fit a one-qubit"):
+        eng.run_fault_plan(config, [[8, 51]], [[1, 7]])
+    dx, dz = eng.run_fault_plan(config, [[8, 57]], [[1, 7]])
     assert dx.tolist() == dz.tolist() == [0]
-    with pytest.raises(ValueError, match="row 0, slot 57: code 7 does not fit a one-qubit"):
-        eng.run_fault_plan(config, [[8, 57]], [[1, 7]])
 
 
 def test_run_fault_plan_rejects_stabilize():
@@ -122,11 +122,13 @@ def test_run_fault_plan_rejects_stabilize():
 
 
 class _TaggingPlan(FaultPlanSource):
-    """FaultPlanSource that records the tag of every sampler call."""
+    """FaultPlanSource that records the tag of every sampler call, its
+    reruns' calls among them, and every rerun it is asked for."""
 
-    def __init__(self, slots, codes):
+    def __init__(self, slots, codes, tags=None, reran=None):
         super().__init__(slots, codes)
-        self.tags = []
+        self.tags = [] if tags is None else tags
+        self.reran = [] if reran is None else reran
 
     def depolarize_steps(self, p, n_steps, width, idx=None, tag=""):
         self.tags.append(tag)
@@ -136,26 +138,32 @@ class _TaggingPlan(FaultPlanSource):
         self.tags.append(tag)
         return super().cnot_pairs(p, n, idx, tag)
 
+    def rerun(self, rows, attempt, j):
+        self.reran.append((rows.tolist(), attempt, j))
+        empty = np.zeros((len(rows), 0), dtype=np.int64)
+        return _TaggingPlan(empty, empty, self.tags, self.reran)
+
 
 def test_a_rejected_attempt_draws_it_once_more():
     """An X at slot 8 rejects the first ancilla attempt.  On the interpreter,
     its rerun draws that attempt's locations once more under the same tags,
-    so the trial draws 1,508 + 42; on the kernel, a fault planned at the
-    last of those is reached and one past it is not."""
+    from the plan's fault-free rerun source, so the plan's cursor ends at the
+    1,508 nominal locations; on the kernel too, slot 1,508 is never reached."""
     config = _cfg()
     src = _TaggingPlan([[8]], [[1]])
     dx, dz, _ = eng._run(config, src)
     src.check_reached()
-    assert src.cursor.tolist() == [1508 + 42]
+    assert src.cursor.tolist() == [1508]
+    assert src.reran == [([0], 0, 1)]
     assert dx.tolist() == dz.tolist() == [0]
     draws = list(eng._draws(config.program()))
     first = [tag for _, _, _, _, tag, prep in draws if prep == 0]
     assert len(first) == 3 and first[0].startswith("rec/r0/g0b0/")
     assert Counter(src.tags) == Counter([draw[4] for draw in draws] + first)
-    dx, dz = eng.run_fault_plan(config, [[8, 1549]], [[1, 1]])
+    dx, dz = eng.run_fault_plan(config, [[8, 1507]], [[1, 1]])
     assert dx.shape == (1,)
-    with pytest.raises(ValueError, match="row 0, slot 1550: the trial drew only 1550"):
-        eng.run_fault_plan(config, [[8, 1550]], [[1, 1]])
+    with pytest.raises(ValueError, match="row 0, slot 1508: the trial drew only 1508"):
+        eng.run_fault_plan(config, [[8, 1508]], [[1, 1]])
 
 
 def test_forced_double_channel_x_miscorrects_to_logical():
@@ -363,7 +371,7 @@ def test_fault_plans_run_no_interpreter(monkeypatch):
 
     monkeypatch.setattr(eng, "_execute", forbidden)
     monkeypatch.setattr(eng, "_prepare", forbidden)
-    dx, dz = eng.run_fault_plan(config, [[8, 51], [0, 1]], [[1, 7], [1, 1]])
+    dx, dz = eng.run_fault_plan(config, [[8, 57], [0, 1]], [[1, 7], [1, 1]])
     assert eng.CLASS_LUT[dx].tolist() == [0, int(ErrorClass.LOGICAL)] and not dz.any()
     report = eng.certify_single_faults()
     assert report.passed and (report.n_locations, report.n_cases) == (1508, 6468)

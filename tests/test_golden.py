@@ -6,16 +6,17 @@ ancilla verification rejects often (so the resynthesis loop runs):
   * the data rows of `sweep` in every sweep mode and of `stabilize`;
   * the (slot, code, dx, dz) outcome of every single fault per mode;
   * the outcomes of seeded plans of 2 and 3 faults at distinct locations,
-    some of which reject an ancilla attempt, so that its rerun shifts the
-    locations of the faults planned after it;
+    some of which reject an ancilla attempt, whose rerun plans no fault
+    (`tests/test_differential.py` checks such plans against a frame walk);
   * the noise-location records (slot, n, kind, width, tag) per mode, which
     number locations in draw order and carry the tags timing tools group by.
 
 A change to the draw order, to a draw's arguments, to a gate, or to how
 chunks are merged across workers changes a digest.  Such a change alters
 published numbers and has to say so (a `stream_version` manifest key).
-The sweep and stabilize rows are pinned under STREAM_VERSION, and must not
-move with the worker count or the chunk size (STEANE_MC_BATCH).
+The sweep and stabilize rows are pinned under STREAM_VERSION, version 3,
+where each ancilla rerun draws from its own substream, and must not move
+with the worker count or the chunk size (STEANE_MC_BATCH).
 """
 
 import hashlib
@@ -31,15 +32,15 @@ pytestmark = pytest.mark.filterwarnings("ignore:trials=")
 SEED = "2024"
 EPS = "2e-2"
 TRIALS = "1500"
-STREAM_VERSION = "2"  # the random stream the row digests below were recorded under
+STREAM_VERSION = "3"  # the random stream the row digests below were recorded under
 
 SWEEP_ROWS = {
-    "memory_t20": "705e48390cce94f7687ce924e8d4defe9112c872289e9dc94de426ba4eda4f1b",
-    "ec1": "4ec513726c29f71095c27cf5a2168f554ccac7e13fb7dd58bd781c74be349378",
-    "zgate": "2a57fd79b053b4532e3d36b57aad364bc15290f082fb9808c2d3cecc91ef282e",
-    "fig5": "064ff93ce144b9d0bb56d254600dd9292dceccc1c41446d4e93b857c002e46c4",
+    "memory_t20": "a17b42d3bc7f28331f4db1fe58deaf6c312592fdfbba28c813f9dcda9bfa0db6",
+    "ec1": "e4de8d7aea82100aa535d398313751961d2b21ab68929c4734b9bb96efd2c5ea",
+    "zgate": "b7e39bde3090d94d97a9e7dbecf21f2aff273505e46f797a91e682889bc4f283",
+    "fig5": "dc9815c25fbfb0c562484f52498f21c36196465e1f9044a5000a11cd7928c263",
 }
-STABILIZE_ROWS = "108b64d213fbed855dc9fc036cedafe7715ae61ee4a26fc70a19d6c17f192c00"
+STABILIZE_ROWS = "9c6ec30ecbd9d7181ceb8a7fbfe4e69e7a9d4db3730d63cba26e350e48fbc311"
 FAULT_OUTCOMES = {
     "memory_t20": "855d86186b192872038928af082d7fde4cb0a86944863d30686b9430888e225d",
     "ec1": "9b758f9dda3c3dca49b8257c32edd08d13e979454da1d1541375256042a78201",
@@ -47,10 +48,10 @@ FAULT_OUTCOMES = {
     "fig5": "8681a51414de4ca7c4a51aeeb7d089e10075c37900223a6555ce879be15a540e",
 }
 MULTI_FAULT_OUTCOMES = {
-    ("memory_t20", 2): "cad0ae99c538cdf5738e176e48c210970d84c93669a0cdc917961b64b9cf6138",
-    ("memory_t20", 3): "f5a994e4c18519f269b4406a220861c6f76b13a5c5a99f0c71283ecb5bd4fdb2",
-    ("fig5", 2): "cf6c75277116f15dca215b3c15b796233e502ac5931b6d702e19a795b6ed80b0",
-    ("fig5", 3): "337200116d55ed0734be4f43de28809a1dd381802a8ef7441b0c35e3b0d78a59",
+    ("memory_t20", 2): "c4b47b32db595235b208b0fe4ee1dde0e067cfeaa65eb578bcd16cc79e7c8444",
+    ("memory_t20", 3): "4d7cd1f47187cfafb877627da3a70415518489741f1c13797b7c5ff786a24a7d",
+    ("fig5", 2): "0df92632850e1ca877919a4e4b6f6b82e290da20a5df40386c34ef1cccc1ff5a",
+    ("fig5", 3): "8d39653a0f7372376d04311c23a5e9b95b3c9ec8da36db6b17a7ceb40fd2fc87",
 }
 MULTI_FAULT_ROWS = 3000
 LOCATION_RECORDS = {
@@ -127,10 +128,8 @@ def test_single_fault_outcomes_pinned(mode):
 
 @pytest.mark.parametrize("mode,k", sorted(MULTI_FAULT_OUTCOMES))
 def test_multi_fault_outcomes_pinned(mode, k):
-    """Plans of k faults at distinct locations per row.  A rerun shifts the
-    faults planned after its attempt onto other locations, maybe of the other
-    kind, so a row that may reject an attempt plans codes 1..3 only (valid
-    at either kind: a pair code 1..3 acts on the target alone)."""
+    """Plans of k faults at distinct locations per row, each code one that
+    fits its location; at least a tenth of the rows reject an attempt."""
     cfg = _config(mode)
     cases = engine.enumerate_fault_cases(cfg)
     slots = np.array([c.slot for c in cases], dtype=np.int64)
@@ -139,10 +138,7 @@ def test_multi_fault_outcomes_pinned(mode, k):
     flag = engine._table(mode, cfg.schedule).flag
     rng = np.random.default_rng(2004 + k)
     where = rng.random((MULTI_FAULT_ROWS, len(case0))).argsort(axis=1)[:, :k]
-    u = rng.random(where.shape)
-    pick = case0[where] + (u * n_codes[where]).astype(np.int64)
-    loud = flag[pick].any(axis=1)
-    pick[loud] = case0[where[loud]] + (u[loud] * 3).astype(np.int64)
+    pick = case0[where] + (rng.random(where.shape) * n_codes[where]).astype(np.int64)
     assert flag[pick].any(axis=1).sum() >= MULTI_FAULT_ROWS // 10
     codes = np.array([c.code for c in cases], dtype=np.uint8)[pick]
     dx, dz = engine.run_fault_plan(cfg, slots[pick], codes)

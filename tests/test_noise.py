@@ -344,6 +344,57 @@ def test_faulting_bank_hands_over_its_streams():
     assert np.array_equal(live.counters, fresh.counters) and live.counters.any()
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    picks=st.lists(st.tuples(st.integers(0, 59), st.integers(0, 539)), min_size=1, max_size=12),
+    j=st.integers(1, 99),
+    calls=st.lists(
+        st.tuples(
+            st.integers(0, 2), st.integers(1, 60), st.lists(st.booleans(), min_size=12, max_size=12)
+        ),
+        min_size=1, max_size=6,
+    ),
+)
+def test_rerun_substreams_agree_across_banks(seed, picks, j, calls):
+    """Rerun j of attempt a of a trial draws, call for call, the same faults
+    from any bank that holds the trial, whatever its other trials, the row
+    the trial sits in, the nominal draws before it, the other (trial,
+    attempt) pairs rerun beside it and the idx subsets of the calls.  Its
+    locations add to the bank's counters, once per pair.  Another attempt
+    or another try draws other words."""
+    classes = [("pauli1", 0.3), ("pauli2", 0.2), ("pauli1", 1.0)]
+    trials = np.arange(5000, 5060, dtype=np.uint64)
+    rows = np.array([t for t, _ in picks])
+    attempt = np.array([a for _, a in picks])
+    bank = StreamBank(seed, trials)
+    for kind, p in classes:  # nominal draws, which a rerun must not depend on
+        bank.faults(kind, p, 17)
+    other = StreamBank(seed, trials[::-1])  # the same trials, in reversed rows
+    ours, theirs = bank.rerun(rows, attempt, j), other.rerun(59 - rows, attempt, j)
+    alone = [bank.rerun(rows[i : i + 1], int(attempt[i]), j) for i in range(rows.size)]
+    before = bank.counters.copy()
+    for c, n, mask in calls:
+        kind, p = classes[c]
+        idx = np.flatnonzero(mask[: rows.size]) if not all(mask) else None
+        got, want = ours.faults(kind, p, n, idx), theirs.faults(kind, p, n, idx)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        for i in range(rows.size) if idx is None else idx:
+            r, off, code = alone[i].faults(kind, p, n)
+            mine = got[0] == (i if idx is None else np.searchsorted(idx, i))
+            assert np.array_equal(off, got[1][mine]) and np.array_equal(code, got[2][mine])
+        np.add.at(before, rows if idx is None else rows[idx], np.uint64(2 * n))  # ours and alone
+    assert np.array_equal(bank.counters, before)
+    # at p = 1 every location faults, so 40 codes show the words apart
+    first = bank.rerun(rows, attempt, j).faults("pauli2", 1.0, 40)[2].reshape(rows.size, 40)
+    for a, t in ((attempt + 1, j), (attempt, j + 1)):
+        codes = bank.rerun(rows, a, t).faults("pauli2", 1.0, 40)[2].reshape(rows.size, 40)
+        assert not (codes == first).all(axis=1).any()
+    nominal = StreamBank(seed, trials[rows]).faults("pauli2", 1.0, 40)[2].reshape(rows.size, 40)
+    assert not (nominal == first).all(axis=1).any()
+
+
 def _workload_classes():
     """((kind, p), nominal locations) of every class of every plan behind
     the d2_sweep and stabilize_hot benchmark workloads."""
