@@ -193,13 +193,17 @@ def poly_eval_zero_constant(coefficients: Sequence[float], x: float) -> float:
     return sum(c * x ** (k + 1) for k, c in enumerate(coefficients))
 
 
+_BRACKET = (1e-8, 1e-1)  # the epsilon range every threshold is searched in
+_RTOL = 1e-10  # the relative width a crossing is narrowed to
+_NAKED_STEPS = 20  # storage steps of the naked qubit eps_pth compares against
+
+
 def crossing(
     f: Callable[[float], float],
     g: Callable[[float], float],
-    bracket: tuple[float, float] = (1e-8, 1e-1),
-    rtol: float = 1e-10,
+    bracket: tuple[float, float] = _BRACKET,
 ) -> float:
-    """Bisection root of f - g on the bracket, to relative tolerance rtol."""
+    """Bisection root of f - g on the bracket, to relative tolerance _RTOL."""
     lo, hi = bracket
     if not lo < hi:
         raise AnalysisError(f"bad bracket {bracket}")
@@ -213,7 +217,7 @@ def crossing(
         raise AnalysisError(f"no sign change of f-g on bracket {bracket}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= rtol * max(abs(lo), abs(hi)):
+        if hi - lo <= _RTOL * max(abs(lo), abs(hi)):
             return mid
         d_mid = f(mid) - g(mid)
         if d_mid == 0.0:
@@ -245,25 +249,17 @@ def uncorrected_error_probability(epsilon: float, t: int) -> float:
     return 1.0 - (1.0 - 2.0 * epsilon / 3.0) ** t
 
 
-def thresholds_from(
-    row: TableRow,
-    slope: Sequence[float] | None = None,
-    t_steps: int = 20,
-    bracket: tuple[float, float] = (1e-8, 1e-1),
-) -> ThresholdSet:
+def thresholds_from(row: TableRow, slope: Sequence[float] | None = None) -> ThresholdSet:
     """All threshold values derivable from one table row.  eps_sth needs the
     coefficients (c1, c2[, c3]) of the slope polynomial, else it is nan."""
     g1 = g1_combine(row.ratio_C, row.D1, row.D2)
     eps_pth = crossing(
         lambda e: row.D2 * e * e,
-        lambda e: uncorrected_error_probability(e, t_steps),
-        bracket,
+        lambda e: uncorrected_error_probability(e, _NAKED_STEPS),
     )
     eps_sth = math.nan
     if slope is not None:
-        eps_sth = crossing(
-            lambda e: poly_eval_zero_constant(slope, e), lambda e: 2.0 * e / 3.0, bracket
-        )
+        eps_sth = crossing(lambda e: poly_eval_zero_constant(slope, e), lambda e: 2.0 * e / 3.0)
     ic = _inv_c(row.ratio_C)
     return ThresholdSet(
         ratio_C=row.ratio_C,

@@ -86,8 +86,8 @@ import numpy as np
 from . import codebook
 from .circuit import ANC, BIT, DATA, GAMMA, MODES, PHASE, RecoverySchedule, program
 from .noise import (
-    N_CODES, FaultPlanSource, LocationRecord, NoiseParams, StreamBank, misfit, screen_threshold,
-    pauli_bits,
+    N_CODES, FaultPlanSource, LocationRecord, NoiseParams, StreamBank, pauli_bits,
+    screen_threshold,
 )
 
 MAX_PREP_ATTEMPTS = 100
@@ -345,7 +345,7 @@ def _table(mode: str, schedule: RecoverySchedule) -> _Table:
     case0 = np.cumsum(n_codes) - n_codes
     slots = np.repeat(np.arange(n_slots), n_codes)
     codes = np.arange(len(slots)) - case0[slots] + 1
-    src = FaultPlanSource(slots[:, None], codes[:, None])
+    src = FaultPlanSource(slots[:, None], codes[:, None], n_codes)
     flags: list = []
     x, z, syn, _, tallies = _execute(program(mode, schedule), src, (0, 0), len(slots), flags=flags)
     sig = x[DATA].astype(_SIG) | z[DATA].astype(_SIG) << 7 | syn
@@ -453,8 +453,7 @@ def _signatures(table: _Table, seg: _Segment, bank, first: int = 0) -> np.ndarra
     fault is kept.  The rejected attempts then rerun together, one batch per
     try: `bank.rerun` draws each one's locations of every class from its
     own substream, so no other location moves, and a rerun is dropped and
-    tried again on the same rule.  A planned code is checked against its
-    own location."""
+    tried again on the same rule."""
     width = len(seg.start)  # per row: column 0 for no attempt, 1 + a for attempt a
     acc = np.zeros(bank.size, dtype=_SIG)
     owner = np.arange(bank.size)  # the trial each row of src draws for
@@ -469,10 +468,6 @@ def _signatures(table: _Table, seg: _Segment, bank, first: int = 0) -> np.ndarra
         if attempt is not None:  # a rerun draws its attempt's locations
             off += seg.start[attempt[row], cls]
         slot = seg.loc[seg.base[cls] + off]
-        bad = np.flatnonzero(code > table.codes[slot])  # a drawn code always fits
-        if bad.size:
-            i = bad[0]
-            raise misfit(owner[row[i]], slot[i], code[i])
         case = table.case0[slot] + code - 1
         pair = row * width + 1 + (table.prep[slot] if attempt is None else attempt[row])
         flips = np.zeros(src.size * width, dtype=bool)  # per (row, attempt): flags XORed
@@ -743,17 +738,16 @@ def run_fault_plan(
     config: ExperimentConfig, slots, codes
 ) -> tuple[np.ndarray, np.ndarray]:
     """Replay one trial per plan row with the planned Paulis forced in, on the
-    signature kernel, and return each row's data residual (dx, dz).  A
-    planned fault at a slot the row's trial never reaches raises ValueError,
-    and so does a stabilize config: one table holds one recovery."""
+    signature kernel, and return each row's data residual (dx, dz).  A plan
+    that `FaultPlanSource` rejects against the program's locations raises
+    ValueError, and so does a stabilize config: one table holds one
+    recovery."""
     if config.mode == "stabilize":
         raise ValueError("fault plans replay a sweep mode, not mode 'stabilize'")
     table = _table(config.mode, config.schedule)
     # every location one class, in draw order; the rates are not read
     seg = _segment([(None, 0, prep, s) for _, _, prep, s in table.draws], (1.0,))
-    src = FaultPlanSource(slots, codes)
-    dx, dz = _correct(_signatures(table, seg, src))
-    src.check_reached()
+    dx, dz = _correct(_signatures(table, seg, FaultPlanSource(slots, codes, table.codes)))
     return dx.astype(_U8), dz.astype(_U8)
 
 

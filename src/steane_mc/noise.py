@@ -30,14 +30,16 @@ hashed from the class key and (a, j) as a class key is from the trial key
 independently of the others, and a rejection moves no other location.
 
 Each trial keeps, per class, the distance to its next fault.  A call over n
-locations compares that distance with n for its rows and walks only the
-rows that fault, so it costs O(rows + faults), not O(rows * n).
-`StreamBank.faults` returns a call's faults as a sparse (row, offset, code)
-list, which the engine's signature kernel reads; `depolarize_steps` and
-`cnot_pairs` scatter the same faults into the dense arrays the interpreter
-reads (views of step-major arrays, so each step's column is contiguous), and
-there a channel with p = 0 consumes no locations.  `FaultPlanSource` has the
-same three methods over planned faults, so fault plans run on the kernel too.
+locations, made for every trial of the bank, compares that distance with n
+and walks only the rows that fault, so it costs O(rows + faults), not
+O(rows * n).  `StreamBank.faults` returns a call's faults as a sparse (row,
+offset, code) list, which the engine's signature kernel reads;
+`depolarize_steps` and `cnot_pairs` scatter the same faults into the dense
+arrays the interpreter reads (views of step-major arrays, so each step's
+column is contiguous), and there a channel with p = 0 consumes no locations.
+`FaultPlanSource` has the same three methods over planned faults, so fault
+plans run on the kernel too; it checks a whole plan against the program's
+nominal locations when it is built, so a run raises nothing about the plan.
 
 A trial has no fault among the first n locations of a class exactly when its
 first gap reaches n.  `_gaps` rises with the top 52 bits of the class's first
@@ -109,13 +111,9 @@ def stream_keys(master_seed: int, trial_indices: np.ndarray) -> np.ndarray:
     return _mix64(keys, np.empty_like(keys))
 
 
-def _words(keys: np.ndarray, j) -> np.ndarray:
-    """Word j (an int, or an array of one per key) of each key's splitmix64
-    stream."""
-    if np.ndim(j):
-        z = keys + (j.astype(np.uint64) + np.uint64(1)) * _GOLDEN
-    else:  # a Python int: the 0-d product would warn as it wraps
-        z = keys + np.uint64((int(j) + 1) * int(_GOLDEN) % _TWO64)
+def _words(keys: np.ndarray, j: int) -> np.ndarray:
+    """Word j of each key's splitmix64 stream."""
+    z = keys + np.uint64((j + 1) * int(_GOLDEN) % _TWO64)  # a 0-d product would warn as it wraps
     return _mix64(z, np.empty_like(z))
 
 
@@ -264,9 +262,9 @@ class StreamBank:
     def _class_key(self, kind: str, p: float) -> np.ndarray:
         return _class_keys(self.keys, kind, p)
 
-    def _count(self, idx, n: int) -> None:
-        """Add n locations to the counters of rows idx (None: all)."""
-        self.counters[slice(None) if idx is None else idx] += np.uint64(n)
+    def _count(self, n: int) -> None:
+        """Add n locations to every row's counter."""
+        self.counters += np.uint64(n)
 
     def rerun(self, rows, attempt, j: int) -> "StreamBank":
         """The bank of rerun j >= 1 of ancilla attempt `attempt` (an int, or
@@ -299,51 +297,43 @@ class StreamBank:
         bank._classes = {c: _Class(k[rows], w[rows], c[1]) for c, (k, w) in firsts.items()}
         return bank
 
-    def faults(self, kind: str, p: float, n: int, idx=None):
+    def faults(self, kind: str, p: float, n: int):
         """(rows, offsets, codes) of the faults among the next n locations of
-        class (kind, p), p > 0, rows counted within idx (None: all trials);
-        advances the class and the rows' counters by n.  Codes are 1..3
-        (X, Y, Z) for `pauli1` and pair codes 1..15 for `pauli2`; a row's
-        offsets strictly increase, so no two faults share a location."""
+        class (kind, p), p > 0; advances the class and the counters by n.
+        Codes are 1..3 (X, Y, Z) for `pauli1` and pair codes 1..15 for
+        `pauli2`; a row's offsets strictly increase, so no two faults share a
+        location."""
         c = self._class(kind, p)
-        rows = np.flatnonzero((c.ahead if idx is None else c.ahead[idx]) < n)
-        at = rows if idx is None else idx[rows]
+        rows = np.flatnonzero(c.ahead < n)
         found = [(rows[:0], c.ahead[:0], c.key[:0])]  # typed empties: no fault at all
         while rows.size:
-            off, z = c.ahead[at], c.next[at]
+            off, z = c.ahead[rows], c.next[rows]
             w = z + _PAIR  # the fault's code word and the next gap's word, as _words
             code, gap = _mix64(w, np.empty_like(w))
             found.append((rows, off, code))
-            c.next[at] = z + _GOLDEN2
+            c.next[rows] = z + _GOLDEN2
             ahead = off + 1 + _gaps(gap, p)
-            c.ahead[at] = ahead
-            more = ahead < n
-            rows, at = rows[more], at[more]
-        if idx is None:
-            c.ahead -= n
-        else:
-            c.ahead[idx] -= n
-        self._count(idx, n)
+            c.ahead[rows] = ahead
+            rows = rows[ahead < n]
+        c.ahead -= n
+        self._count(n)
         rows, off, words = (np.concatenate(a) for a in zip(*found))
         return rows, off, 1 + _below(words, N_CODES[kind])
 
-    def depolarize_steps(self, p: float, n_steps: int, width: int, idx=None, tag=""):
+    def depolarize_steps(self, p: float, n_steps: int, width: int, tag=""):
         """n_steps * width depolarizing locations, packed width bits per step.
 
-        Returns (x, z) of shape (m, n_steps) uint8, or None when p == 0.
+        Returns (x, z) of shape (size, n_steps) uint8, or None when p == 0.
         """
         if p <= 0.0:
             return None
-        n = n_steps * width
-        rows, off, code = self.faults("pauli1", p, n, idx)
-        return _scatter(self.size if idx is None else len(idx), n_steps, width, rows, off, code)
+        return _scatter(self.size, n_steps, width, *self.faults("pauli1", p, n_steps * width))
 
-    def cnot_pairs(self, p: float, n: int, idx=None, tag=""):
-        """n two-qubit gate locations; (m, n) pair codes 0..15, or None."""
+    def cnot_pairs(self, p: float, n: int, tag=""):
+        """n two-qubit gate locations; (size, n) pair codes 0..15, or None."""
         if p <= 0.0:
             return None
-        rows, off, code = self.faults("pauli2", p, n, idx)
-        return _pairs(self.size if idx is None else len(idx), n, rows, off, code)
+        return _pairs(self.size, n, *self.faults("pauli2", p, n))
 
 
 class _Rerun(StreamBank):
@@ -359,99 +349,74 @@ class _Rerun(StreamBank):
     def _class_key(self, kind: str, p: float) -> np.ndarray:
         return _rekey(self._bank._class(kind, p).key[self._rows], self._salt)
 
-    def _count(self, idx, n: int) -> None:
-        at = self._rows if idx is None else self._rows[idx]
-        np.add.at(self._bank.counters, at, np.uint64(n))  # a trial may rerun several attempts
+    def _count(self, n: int) -> None:
+        np.add.at(self._bank.counters, self._rows, np.uint64(n))  # rows may repeat a trial
 
 
 class FaultPlanSource:
     """Noise source that injects planned Paulis at chosen error locations.
 
-    Locations are numbered per trial in draw order (each depolarizing or
-    measurement slot is one location, each CNOT one), one flat cursor per
-    trial: the engine runs a plan on its signature kernel with every
-    location of the program in one class, so `faults` ignores kind and p.
-    Codes are 1..3 (X,Y,Z) for one-qubit slots and 1..15 pair codes for CNOT
-    slots (code 0 plans nothing); a code that does not fit raises ValueError
-    (`misfit`) once the run decides the location it lands on.  All other
+    A plan row is one trial: codes[r, k] is planned at location slots[r, k]
+    of trial r, and code 0 plans nothing.  Locations are numbered per trial
+    in draw order (each depolarizing or measurement slot is one location,
+    each CNOT one), one flat cursor for all trials: the engine runs a plan on
+    its signature kernel with every location of the program in one class,
+    so `faults` ignores kind and p.  A plan names nominal locations only,
+    those of one pass with no ancilla attempt rejected, and fits[s] is the
+    number of Pauli codes of nominal location s: 3 (X, Y, Z) at a one-qubit
+    location, 15 pair codes at a CNOT.  A rerun draws from `rerun`, which
+    plans no fault, so the cursor counts nominal locations alone.  All other
     locations are noise-free, and every call consumes its locations even at
     p = 0 (matching the draw walk that numbers them).  Two codes planned at
-    one location multiply (XOR), as two faults there would.  A plan row is
-    one trial.  A plan names nominal locations only, those of one pass with
-    no ancilla attempt rejected: a rerun draws from `rerun`, which plans no
-    fault, so the cursor counts nominal locations alone.  A planned fault at
-    a negative slot raises ValueError, and `check_reached` one at a slot at
-    or past the nominal count.
+    one location multiply (XOR), as two faults there would.
+
+    The constructor checks the whole plan: it raises ValueError, naming the
+    first bad row and slot, for a code not in 0..15, a planned slot that is
+    not an integer, is negative, or lies at or past len(fits) (the trial
+    never draws it), and a code that does not fit its location.
     """
 
-    def __init__(self, slots, codes):
-        slots = np.atleast_2d(np.asarray(slots, dtype=np.int64))
-        codes = np.atleast_2d(np.asarray(codes))
+    def __init__(self, slots, codes, fits):
+        slots, codes = np.atleast_2d(np.asarray(slots)), np.atleast_2d(np.asarray(codes))
         if slots.shape != codes.shape:
             raise ValueError("slots/codes shape mismatch")
-        bad = np.argwhere(~np.isin(codes, np.arange(N_CODES["pauli2"] + 1)))
-        if bad.size:
-            row, col = bad[0]
-            raise ValueError(
-                f"fault plan row {row}, slot {slots[row, col]}: code {codes[row, col]} not in 0..15"
-            )
-        bad = np.argwhere((slots < 0) & (codes != 0))
-        if bad.size:
-            row, col = bad[0]
-            raise ValueError(f"fault plan row {row}, slot {slots[row, col]}: a negative slot")
-        self.size = slots.shape[0]
-        self.slots = slots
-        self.codes = codes.astype(np.uint8)
-        self.cursor = np.zeros(self.size, dtype=np.int64)
+        rows, col = np.nonzero(codes)  # code 0 plans nothing
+        slot, code = slots[rows, col], codes[rows, col]
 
-    def faults(self, kind: str, p: float, n: int, idx=None):
-        """(rows, offsets, codes) of the nonzero codes planned among the next
-        n locations of each row (of all trials, or of idx, rows counted
-        within it), as `StreamBank.faults` returns them; advances the rows'
-        cursors by n.  Codes are not checked against a location's kind."""
-        sel = slice(None) if idx is None else idx  # a slice reads no copy
-        rel = self.slots[sel] - self.cursor[sel, None]
-        codes = self.codes[sel]
-        rows, cols = np.nonzero((rel.view(np.uint64) < n) & (codes != 0))  # 0 <= rel < n
-        self.cursor[sel] += n
-        return rows, rel[rows, cols], codes[rows, cols]
+        def check(bad, why):
+            if bad.any():
+                i = bad.argmax()
+                why = why.format(code=code[i])
+                raise ValueError(f"fault plan row {rows[i]}, slot {slot[i]}: {why}")
+
+        check(~np.isin(code, np.arange(N_CODES["pauli2"] + 1)), "code {code} not in 0..15")
+        check(np.floor(slot) != slot, "a non-integral slot")
+        check(slot < 0, "a negative slot")
+        check(slot >= len(fits), f"the trial drew only {len(fits)} locations")
+        slot = slot.astype(np.int64)
+        check(code > np.asarray(fits)[slot], "code {code} does not fit a one-qubit location")
+        self.size, self.cursor = slots.shape[0], 0
+        self.rows, self.slots, self.codes = rows, slot, code.astype(np.uint8)
+
+    def faults(self, kind: str, p: float, n: int):
+        """(rows, offsets, codes) of the codes planned among the next n
+        locations, as `StreamBank.faults` returns them; advances the cursor
+        by n."""
+        rel = self.slots - self.cursor
+        hit = np.flatnonzero(rel.view(np.uint64) < n)  # 0 <= rel < n
+        self.cursor += n
+        return self.rows[hit], rel[hit], self.codes[hit]
 
     def rerun(self, rows, attempt, j: int) -> "FaultPlanSource":
         """The source of a rerun of ancilla attempts of trial rows: fault-free."""
         empty = np.zeros((len(rows), 0), dtype=np.int64)
-        return FaultPlanSource(empty, empty)
+        return FaultPlanSource(empty, empty, ())
 
-    def check_reached(self):
-        """After a run: raise ValueError for a planned fault at a slot at or
-        past its row's final cursor, which the run never drew."""
-        bad = np.argwhere((self.slots >= self.cursor[:, None]) & (self.codes != 0))
-        if bad.size:
-            row, col = bad[0]
-            raise ValueError(
-                f"fault plan row {row}, slot {self.slots[row, col]}: "
-                f"the trial drew only {self.cursor[row]} locations"
-            )
+    def depolarize_steps(self, p: float, n_steps: int, width: int, tag=""):
+        return _scatter(self.size, n_steps, width, *self.faults("pauli1", p, n_steps * width))
 
-    def depolarize_steps(self, p: float, n_steps: int, width: int, idx=None, tag=""):
-        n, m = n_steps * width, self.size if idx is None else len(idx)
-        rows, off, code = self.faults("pauli1", p, n, idx)
-        bad = np.flatnonzero(code > N_CODES["pauli1"])
-        if bad.size:
-            i = bad[0]
-            row = rows[i] if idx is None else idx[rows[i]]
-            raise misfit(row, self.cursor[row] - n + off[i], code[i])
-        return _scatter(m, n_steps, width, rows, off, code)
-
-    def cnot_pairs(self, p: float, n: int, idx=None, tag=""):
-        rows, off, code = self.faults("pauli2", p, n, idx)
-        return _pairs(self.size if idx is None else len(idx), n, rows, off, code)
-
-
-def misfit(row, slot, code) -> ValueError:
-    """The error for a pair code planned at a one-qubit location."""
-    return ValueError(
-        f"fault plan row {row}, slot {slot}: code {code} does not fit a one-qubit location"
-    )
+    def cnot_pairs(self, p: float, n: int, tag=""):
+        return _pairs(self.size, n, *self.faults("pauli2", p, n))
 
 
 @dataclass(frozen=True)
@@ -471,14 +436,14 @@ class RecordingSource:
         self.cursor = 0
         self.records: list[LocationRecord] = []
 
-    def depolarize_steps(self, p: float, n_steps: int, width: int, idx=None, tag=""):
+    def depolarize_steps(self, p: float, n_steps: int, width: int, tag=""):
         self.records.append(
             LocationRecord(self.cursor, n_steps * width, "pauli1", width, tag)
         )
         self.cursor += n_steps * width
         return None
 
-    def cnot_pairs(self, p: float, n: int, idx=None, tag=""):
+    def cnot_pairs(self, p: float, n: int, tag=""):
         self.records.append(LocationRecord(self.cursor, n, "pauli2", 1, tag))
         self.cursor += n
         return None

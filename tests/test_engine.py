@@ -93,6 +93,11 @@ def test_run_fault_plan_rejects_a_code_that_does_not_fit():
     for slot in (n, 10**6):
         with pytest.raises(ValueError, match=f"row 0, slot {slot}: the trial drew only {n}"):
             eng.run_fault_plan(config, [[slot]], [[1]])
+    # a slot that names no location: not an integer, or past every int64
+    with pytest.raises(ValueError, match=r"row 0, slot 8\.7: a non-integral slot"):
+        eng.run_fault_plan(config, [[8.7]], [[1]])
+    with pytest.raises(ValueError, match=rf"row 0, slot 1e\+30: the trial drew only {n}"):
+        eng.run_fault_plan(config, [[1e30]], [[1]])
     dx, dz = eng.run_fault_plan(config, [[-5, 3], [n, 3]], [[0, 1], [0, 1]])  # code 0 plans nothing
     assert dx.tolist() == dz.tolist() == [0, 0]
     # an X at slot 8, a gate of the first ancilla attempt, rejects that attempt;
@@ -125,23 +130,23 @@ class _TaggingPlan(FaultPlanSource):
     """FaultPlanSource that records the tag of every sampler call, its
     reruns' calls among them, and every rerun it is asked for."""
 
-    def __init__(self, slots, codes, tags=None, reran=None):
-        super().__init__(slots, codes)
+    def __init__(self, slots, codes, fits, tags=None, reran=None):
+        super().__init__(slots, codes, fits)
         self.tags = [] if tags is None else tags
         self.reran = [] if reran is None else reran
 
-    def depolarize_steps(self, p, n_steps, width, idx=None, tag=""):
+    def depolarize_steps(self, p, n_steps, width, tag=""):
         self.tags.append(tag)
-        return super().depolarize_steps(p, n_steps, width, idx, tag)
+        return super().depolarize_steps(p, n_steps, width, tag)
 
-    def cnot_pairs(self, p, n, idx=None, tag=""):
+    def cnot_pairs(self, p, n, tag=""):
         self.tags.append(tag)
-        return super().cnot_pairs(p, n, idx, tag)
+        return super().cnot_pairs(p, n, tag)
 
     def rerun(self, rows, attempt, j):
         self.reran.append((rows.tolist(), attempt, j))
         empty = np.zeros((len(rows), 0), dtype=np.int64)
-        return _TaggingPlan(empty, empty, self.tags, self.reran)
+        return _TaggingPlan(empty, empty, (), self.tags, self.reran)
 
 
 def test_a_rejected_attempt_draws_it_once_more():
@@ -150,10 +155,9 @@ def test_a_rejected_attempt_draws_it_once_more():
     from the plan's fault-free rerun source, so the plan's cursor ends at the
     1,508 nominal locations; on the kernel too, slot 1,508 is never reached."""
     config = _cfg()
-    src = _TaggingPlan([[8]], [[1]])
+    src = _TaggingPlan([[8]], [[1]], eng._table(config.mode, config.schedule).codes)
     dx, dz, _ = eng._run(config, src)
-    src.check_reached()
-    assert src.cursor.tolist() == [1508]
+    assert src.cursor == 1508
     assert src.reran == [([0], 0, 1)]
     assert dx.tolist() == dz.tolist() == [0]
     draws = list(eng._draws(config.program()))

@@ -70,40 +70,36 @@ def _unpack(x, z, width):
 
 @pytest.mark.parametrize("seed", [0, 77, 2**64 - 1])
 def test_stream_bank_matches_dense_reference(seed):
-    """Calls of any size, row subsets among them, give the faults of the
-    one-fault-at-a-time reference; a subset advances only its rows.  A twin
-    bank makes each call through the sparse `faults` and must agree."""
+    """Calls of any size give the faults of the one-fault-at-a-time
+    reference and advance every row's counter.  A twin bank makes each call
+    through the sparse `faults` and must agree."""
     m = 9
     trials = np.arange(1000, 1000 + m, dtype=np.uint64)
     bank, twin = StreamBank(seed, trials), StreamBank(seed, trials)
-    subsets = [None, np.array([0, 5, 8]), np.array([3]), np.arange(1, m), np.array([7, 2])]
     for p in (1e-3, 0.17, 2.0 / 3.0, 1.0):
         for kind in ("pauli1", "pauli2"):
-            total = 400
-            ref = _dense(seed, trials, kind, p, total)
-            used = np.zeros(m, dtype=np.int64)
-            for k, (n_steps, width) in enumerate([(1, 1), (5, 7), (3, 2), (40, 1), (2, 4)]):
-                idx = subsets[k % len(subsets)]
-                rows = np.arange(m) if idx is None else idx
+            ref = _dense(seed, trials, kind, p, 400)
+            used = 0
+            for n_steps, width in [(1, 1), (5, 7), (3, 2), (40, 1), (2, 4)]:
                 n = n_steps * width
                 before = bank.counters.copy()
                 if kind == "pauli1":
-                    got = bank.depolarize_steps(p, n_steps, width, idx=idx)
-                    assert all(g.dtype == np.uint8 and g.shape == (rows.size, n_steps) for g in got)
+                    got = bank.depolarize_steps(p, n_steps, width)
+                    assert all(g.dtype == np.uint8 and g.shape == (m, n_steps) for g in got)
                     got = _unpack(*got, width)
                 else:
-                    got = bank.cnot_pairs(p, n, idx=idx)
-                    assert got.dtype == np.uint8 and got.shape == (rows.size, n)
-                want = np.stack([ref[r, used[r] : used[r] + n] for r in rows])
+                    got = bank.cnot_pairs(p, n)
+                    assert got.dtype == np.uint8 and got.shape == (m, n)
+                want = ref[:, used : used + n]
                 assert np.array_equal(got, want), (p, kind, n_steps, width)
-                r, off, code = twin.faults(kind, p, n, idx=idx)
+                r, off, code = twin.faults(kind, p, n)
                 assert code.dtype == np.uint8 and np.all(code > 0)
                 assert len(set(zip(r.tolist(), off.tolist()))) == r.size  # one fault a location
                 sparse = np.zeros_like(want)
                 sparse[r, off] = code
                 assert np.array_equal(sparse, want), (p, kind, n)
-                used[rows] += n
-                before[rows] += np.uint64(n)
+                used += n
+                before += np.uint64(n)
                 assert np.array_equal(bank.counters, before)
                 assert np.array_equal(twin.counters, before)
 
@@ -144,7 +140,6 @@ def test_zero_probability_consumes_no_draws():
     bank = StreamBank(9, np.arange(3, dtype=np.uint64))
     assert bank.depolarize_steps(0.0, 4, 7) is None
     assert bank.cnot_pairs(0.0, 5) is None
-    assert bank.depolarize_steps(0.0, 2, 3, idx=np.array([1])) is None
     assert not bank.counters.any()
     ref = StreamBank(9, np.arange(3, dtype=np.uint64))
     assert np.array_equal(bank.cnot_pairs(0.4, 30), ref.cnot_pairs(0.4, 30))
@@ -285,21 +280,6 @@ def test_stream_keys_pure_function():
     assert not np.array_equal(stream_keys(5, idx), stream_keys(6, idx))
 
 
-def test_subset_draws_match_full():
-    bank1 = StreamBank(8, np.arange(6, dtype=np.uint64))
-    full = bank1.depolarize_steps(0.4, 2, 3)
-    bank2 = StreamBank(8, np.arange(6, dtype=np.uint64))
-    idx = np.array([1, 4])
-    sub = bank2.depolarize_steps(0.4, 2, 3, idx=idx)
-    assert np.array_equal(full[0][idx], sub[0])
-    assert np.array_equal(full[1][idx], sub[1])
-    # counters advanced only for the subset
-    assert list(bank2.counters) == [0, 6, 0, 0, 6, 0]
-    # a bank of the subset's trials alone samples the same faults
-    alone = StreamBank(8, np.array([1, 4], dtype=np.uint64)).depolarize_steps(0.4, 2, 3)
-    assert np.array_equal(alone[0], sub[0]) and np.array_equal(alone[1], sub[1])
-
-
 def _screen(classes):
     return {c: screen_threshold(c[1], n) for c, n in classes.items()}
 
@@ -323,8 +303,8 @@ def test_fault_free_reads_the_first_gaps():
 
 def test_faulting_bank_hands_over_its_streams():
     """The bank `faulting` returns gives, call for call and class by class,
-    what a fresh bank of its trials gives, retry-sized calls on row subsets
-    among them, and both end with equal counters."""
+    what a fresh bank of its trials gives, retry-sized calls among them, and
+    both end with equal counters."""
     seed, trials = 11, np.arange(7000, 11000, dtype=np.uint64)
     classes = {("pauli1", 2e-3): 300, ("pauli2", 1e-3): 80, ("pauli1", 5e-4): 500}
     live = StreamBank.faulting(seed, trials, _screen(classes))
@@ -332,13 +312,12 @@ def test_faulting_bank_hands_over_its_streams():
     assert 0 < live.size < trials.size
     assert np.array_equal(live.keys, fresh.keys)
     rng = np.random.default_rng(5)
-    calls = [(c, n, None) for c, n in classes.items()]  # the screened pass
-    for _ in range(12):  # retries of part of an attempt, then further passes
+    calls = list(classes.items())  # the screened pass
+    for _ in range(12):  # retry-sized calls, then further passes
         c = list(classes)[rng.integers(len(classes))]
-        idx = np.sort(rng.choice(live.size, size=rng.integers(1, live.size), replace=False))
-        calls += [(c, int(rng.integers(1, 60)), idx), (c, int(rng.integers(1, 400)), None)]
-    for (kind, p), n, idx in calls:
-        got, want = live.faults(kind, p, n, idx), fresh.faults(kind, p, n, idx)
+        calls += [(c, int(rng.integers(1, 60))), (c, int(rng.integers(1, 400)))]
+    for (kind, p), n in calls:
+        got, want = live.faults(kind, p, n), fresh.faults(kind, p, n)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b), (kind, p, n)
     assert np.array_equal(live.counters, fresh.counters) and live.counters.any()
@@ -349,19 +328,14 @@ def test_faulting_bank_hands_over_its_streams():
     seed=st.integers(0, 2**64 - 1),
     picks=st.lists(st.tuples(st.integers(0, 59), st.integers(0, 539)), min_size=1, max_size=12),
     j=st.integers(1, 99),
-    calls=st.lists(
-        st.tuples(
-            st.integers(0, 2), st.integers(1, 60), st.lists(st.booleans(), min_size=12, max_size=12)
-        ),
-        min_size=1, max_size=6,
-    ),
+    calls=st.lists(st.tuples(st.integers(0, 2), st.integers(1, 60)), min_size=1, max_size=6),
 )
 def test_rerun_substreams_agree_across_banks(seed, picks, j, calls):
     """Rerun j of attempt a of a trial draws, call for call, the same faults
     from any bank that holds the trial, whatever its other trials, the row
-    the trial sits in, the nominal draws before it, the other (trial,
-    attempt) pairs rerun beside it and the idx subsets of the calls.  Its
-    locations add to the bank's counters, once per pair.  Another attempt
+    the trial sits in, the nominal draws before it and the other (trial,
+    attempt) pairs rerun beside it.  Its locations add to the bank's
+    counters, once per pair.  Another attempt
     or another try draws other words."""
     classes = [("pauli1", 0.3), ("pauli2", 0.2), ("pauli1", 1.0)]
     trials = np.arange(5000, 5060, dtype=np.uint64)
@@ -374,17 +348,16 @@ def test_rerun_substreams_agree_across_banks(seed, picks, j, calls):
     ours, theirs = bank.rerun(rows, attempt, j), other.rerun(59 - rows, attempt, j)
     alone = [bank.rerun(rows[i : i + 1], int(attempt[i]), j) for i in range(rows.size)]
     before = bank.counters.copy()
-    for c, n, mask in calls:
+    for c, n in calls:
         kind, p = classes[c]
-        idx = np.flatnonzero(mask[: rows.size]) if not all(mask) else None
-        got, want = ours.faults(kind, p, n, idx), theirs.faults(kind, p, n, idx)
+        got, want = ours.faults(kind, p, n), theirs.faults(kind, p, n)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-        for i in range(rows.size) if idx is None else idx:
+        for i in range(rows.size):
             r, off, code = alone[i].faults(kind, p, n)
-            mine = got[0] == (i if idx is None else np.searchsorted(idx, i))
+            mine = got[0] == i
             assert np.array_equal(off, got[1][mine]) and np.array_equal(code, got[2][mine])
-        np.add.at(before, rows if idx is None else rows[idx], np.uint64(2 * n))  # ours and alone
+        np.add.at(before, rows, np.uint64(2 * n))  # ours and alone
     assert np.array_equal(bank.counters, before)
     # at p = 1 every location faults, so 40 codes show the words apart
     first = bank.rerun(rows, attempt, j).faults("pauli2", 1.0, 40)[2].reshape(rows.size, 40)
@@ -462,7 +435,7 @@ def test_screen_is_the_first_gap_compare(p, n, words, near):
 
 
 def test_fault_plan_single():
-    src = FaultPlanSource([[0], [4], [5]], [[1], [2], [3]])
+    src = FaultPlanSource([[0], [4], [5]], [[1], [2], [3]], [3] * 6)
     x, z = src.depolarize_steps(1.0, 2, 3)  # covers slots 0..5
     assert x[0, 0] == 1 and z[0, 0] == 0  # X at step 0, qubit 0
     assert x[1, 1] == 0b010 and z[1, 1] == 0b010  # Y at step 1, qubit 1
@@ -470,14 +443,14 @@ def test_fault_plan_single():
 
 
 def test_fault_plan_two_faults_same_block():
-    src = FaultPlanSource([[1, 3]], [[1, 1]])
+    src = FaultPlanSource([[1, 3]], [[1, 1]], [3] * 7)
     x, z = src.depolarize_steps(0.0, 1, 7)
     assert x[0, 0] == 0b1010
     assert z[0, 0] == 0
 
 
 def test_fault_plan_pairs():
-    src = FaultPlanSource([[2], [0]], [[7], [15]])
+    src = FaultPlanSource([[2], [0]], [[7], [15]], [15] * 4)
     codes = src.cnot_pairs(0.0, 4)
     assert codes[0, 2] == 7 and codes[1, 0] == 15
     assert codes[0, 0] == 0
@@ -486,27 +459,25 @@ def test_fault_plan_pairs():
 def test_fault_plan_same_location_multiplies():
     """Two Paulis planned at one location act as their product (XOR), at a
     one-qubit location and at a CNOT location alike."""
-    assert FaultPlanSource([[0, 0]], [[1, 2]]).cnot_pairs(0.0, 1).tolist() == [[3]]
-    codes = FaultPlanSource([[1, 1], [0, 0]], [[0b0111, 0b1101], [5, 5]]).cnot_pairs(0.0, 2)
-    assert codes.tolist() == [[0, 0b1010], [0, 0]]  # XZ * ZX = YY; XX * XX = II
-    x, z = FaultPlanSource([[2, 2]], [[1, 3]]).depolarize_steps(0.0, 1, 7)
+    assert FaultPlanSource([[0, 0]], [[1, 2]], [15]).cnot_pairs(0.0, 1).tolist() == [[3]]
+    plan = FaultPlanSource([[1, 1], [0, 0]], [[0b0111, 0b1101], [5, 5]], [15] * 2)
+    assert plan.cnot_pairs(0.0, 2).tolist() == [[0, 0b1010], [0, 0]]  # XZ * ZX = YY; XX * XX = II
+    x, z = FaultPlanSource([[2, 2]], [[1, 3]], [3] * 7).depolarize_steps(0.0, 1, 7)
     assert x[0, 0] == 0b100 and z[0, 0] == 0b100  # X * Z = Y
 
 
 def test_fault_plan_rejects_codes_that_do_not_fit():
     """A code outside 0..15, or a pair code at a one-qubit location, raises
-    ValueError naming the plan row and the slot; a row within idx is named
-    by its plan row."""
+    ValueError naming the plan row and the slot as the plan is built."""
     for bad in (300, 21, 16, -1, 2.5):
         with pytest.raises(ValueError, match=r"row 1, slot 4: code .* not in 0\.\.15"):
-            FaultPlanSource([[0], [4]], [[1], [bad]])
-    src = FaultPlanSource([[0], [3], [2]], [[1], [3], [7]])
+            FaultPlanSource([[0], [4]], [[1], [bad]], [15] * 5)
     with pytest.raises(ValueError, match="row 2, slot 2: code 7 does not fit a one-qubit"):
-        src.depolarize_steps(0.0, 1, 7)
-    src = FaultPlanSource([[0], [5]], [[15], [4]])
+        FaultPlanSource([[0], [3], [2]], [[1], [3], [7]], [3] * 7)
+    fits = [15, 15, 15, 3, 3, 3]  # three CNOTs, then three one-qubit locations
     with pytest.raises(ValueError, match="row 1, slot 5: code 4 does not fit"):
-        src.depolarize_steps(0.0, 1, 7, idx=np.array([1]))
-    assert FaultPlanSource([[2], [0]], [[15], [0]]).cnot_pairs(0.0, 3).tolist() == [
+        FaultPlanSource([[0], [5]], [[15], [4]], fits)
+    assert FaultPlanSource([[2], [0]], [[15], [0]], fits).cnot_pairs(0.0, 3).tolist() == [
         [0, 0, 15], [0, 0, 0]
     ]
 
@@ -515,7 +486,7 @@ def test_dense_draws_are_step_major():
     """The interpreter reads one step (one CNOT) of a draw at a time, across
     its trials: that column is contiguous."""
     bank = StreamBank(5, np.arange(40, dtype=np.uint64))
-    plan = FaultPlanSource(np.arange(40)[:, None], np.ones((40, 1)))
+    plan = FaultPlanSource(np.arange(40)[:, None], np.ones((40, 1)), [3] * 48)
     for src in (bank, plan):
         for a in (*src.depolarize_steps(0.3, 6, 7), src.cnot_pairs(0.3, 6)):
             assert a.shape == (40, 6) and a[:, 2].flags.c_contiguous

@@ -30,9 +30,8 @@ def _config(mode, **kw):
 
 def _interpret(cfg, slots, codes):
     """The residuals (dx, dz) of a fault plan replayed by the interpreter."""
-    src = FaultPlanSource(slots, codes)
+    src = FaultPlanSource(slots, codes, eng._table(cfg.mode, cfg.schedule).codes)
     dx, dz, _ = eng._run(cfg, src)
-    src.check_reached()
     return dx, dz
 
 
@@ -141,3 +140,35 @@ def test_kernel_replays_multi_fault_plans_as_the_interpreter(mode, reruns):
     assert np.array_equal(dx, ref[0]) and np.array_equal(dz, ref[1])
     assert len({row for row, _ in reruns}) >= rows // 10 and set(reruns.values()) == {1}
     assert (plan_codes > 3).any()
+
+
+@pytest.mark.parametrize("mode", SWEEP_MODES)
+def test_kernel_replays_two_codes_at_one_location_as_the_interpreter(mode, reruns):
+    """Two codes planned at one location act as their product (XOR) on the
+    kernel as on the interpreter: one-qubit products, CNOT pairs whose
+    product is the identity, and two codes at one attempt slot that each
+    reject the attempt alone: flags are linear, so their product raises
+    none.  Exactly the rows whose product rejects an attempt rerun it,
+    once."""
+    cfg = _config(mode)
+    table = eng._table(mode, cfg.schedule)
+    slots, _ = _cases(table)
+    rng = np.random.default_rng(2020)
+    one = rng.choice(np.flatnonzero(table.codes == 3), size=600)
+    product = np.stack([one, one], axis=1), rng.integers(1, 4, size=(600, 2))
+    cnot = rng.choice(np.flatnonzero(table.codes == 15), size=300)
+    identity = np.stack([cnot, cnot], axis=1), np.repeat(rng.integers(1, 16, size=(300, 1)), 2, 1)
+    a = rng.choice(np.flatnonzero(table.flag), size=20000)
+    b = table.case0[slots[a]] + (rng.random(a.size) * table.codes[slots[a]]).astype(np.int64)
+    pairs = np.stack([a, b], axis=1)[table.flag[b] & (a != b)][:600]
+    both = slots[pairs], pairs - table.case0[slots[pairs]] + 1
+    plan_slots, plan_codes = (np.concatenate(p) for p in zip(product, identity, both))
+    dx, dz = eng.run_fault_plan(cfg, plan_slots, plan_codes)
+    ref = _interpret(cfg, plan_slots, plan_codes)
+    assert np.array_equal(dx, ref[0]) and np.array_equal(dz, ref[1])
+    assert not dx[600:900].any() and not dz[600:900].any()  # a pair times itself is I
+    code = plan_codes[:, 0] ^ plan_codes[:, 1]
+    loud = (code > 0) & table.flag[table.case0[plan_slots[:, 0]] + code - 1]
+    assert len(pairs) == 600 and loud[:600].any() and not loud[600:].any()
+    assert {row for row, _ in reruns} == set(np.flatnonzero(loud).tolist())
+    assert set(reruns.values()) == {1}
