@@ -30,9 +30,8 @@ class FitResult:
 
     `rss` is the weighted residual sum of squares sum((y - fit)^2 / sigma^2),
     i.e. the chi^2 of the fit against the supplied sigmas, with
-    `n_points - len(coefficients)` degrees of freedom.  Without sigmas the
-    weights are 1 and `rss` is the plain residual sum of squares.  `stderrs`
-    are the unscaled WLS standard errors, not inflated by chi^2/dof.
+    `n_points - len(coefficients)` degrees of freedom.  `stderrs` are the
+    unscaled WLS standard errors, not inflated by chi^2/dof.
     """
 
     model: str
@@ -119,14 +118,11 @@ def _wls(design: np.ndarray, y: np.ndarray, sigma: np.ndarray):
     return beta, stderrs, rss
 
 
-def _unpack_points(points, sigma_required: bool):
+def _unpack_points(points):
     arr = np.asarray(list(points), dtype=float)
-    if arr.ndim != 2 or arr.shape[1] not in (2, 3):
-        raise AnalysisError("points must be (x, y) or (x, y, sigma) tuples")
-    if sigma_required and arr.shape[1] != 3:
-        raise AnalysisError("this fit requires (x, y, sigma) points")
-    x, y = arr[:, 0], arr[:, 1]
-    sigma = arr[:, 2] if arr.shape[1] == 3 else np.ones_like(x)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise AnalysisError("points must be (x, y, sigma) tuples")
+    x, y, sigma = arr.T
     if not np.all(sigma >= SIGMA_MIN):  # also rejects nan
         raise AnalysisError(
             f"all sigmas must be at least {SIGMA_MIN:.4g}, so that 1 / sigma^2 is finite "
@@ -135,10 +131,10 @@ def _unpack_points(points, sigma_required: bool):
     return x, y, sigma
 
 
-def _fit(points, powers, model: str, sigma_required: bool = True) -> FitResult:
+def _fit(points, powers, model: str) -> FitResult:
     """WLS for y = sum_i c_i x^powers[i].  Its k = len(powers) coefficients
     need k + 1 points (one degree of freedom) and max(k, 2) distinct x."""
-    x, y, sigma = _unpack_points(points, sigma_required)
+    x, y, sigma = _unpack_points(points)
     k = len(powers)
     if len(x) < k + 1:
         raise AnalysisError(f"need at least {k + 1} points")
@@ -182,11 +178,11 @@ def fit_line(series) -> FitResult:
 
 
 def fit_slope_poly(points, degree: int) -> FitResult:
-    """LSQ polynomial with zero constant term; coefficients (c1, c2[, c3])."""
+    """WLS polynomial with zero constant term; coefficients (c1, c2[, c3])."""
     if degree not in (2, 3):
         raise AnalysisError("degree must be 2 or 3")
     model = f"sum c_k x^k, k=1..{degree}"
-    return _fit(points, range(1, degree + 1), model, sigma_required=False)
+    return _fit(points, range(1, degree + 1), model)
 
 
 def poly_eval_zero_constant(coefficients: Sequence[float], x: float) -> float:
@@ -198,15 +194,10 @@ _RTOL = 1e-10  # the relative width a crossing is narrowed to
 _NAKED_STEPS = 20  # storage steps of the naked qubit eps_pth compares against
 
 
-def crossing(
-    f: Callable[[float], float],
-    g: Callable[[float], float],
-    bracket: tuple[float, float] = _BRACKET,
-) -> float:
-    """Bisection root of f - g on the bracket, to relative tolerance _RTOL."""
-    lo, hi = bracket
-    if not lo < hi:
-        raise AnalysisError(f"bad bracket {bracket}")
+def crossing(f: Callable[[float], float], g: Callable[[float], float]) -> float:
+    """Bisection root of f - g on the epsilon range _BRACKET, to relative
+    tolerance _RTOL."""
+    lo, hi = _BRACKET
     d_lo = f(lo) - g(lo)
     d_hi = f(hi) - g(hi)
     if d_lo == 0.0:
@@ -214,7 +205,7 @@ def crossing(
     if d_hi == 0.0:
         return hi
     if (d_lo > 0) == (d_hi > 0):
-        raise AnalysisError(f"no sign change of f-g on bracket {bracket}")
+        raise AnalysisError(f"no sign change of f-g on bracket {_BRACKET}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if hi - lo <= _RTOL * max(abs(lo), abs(hi)):

@@ -447,10 +447,9 @@ def _network(ops, data_qubits=DATA_QUBITS) -> Network:
 
 def build_ancilla_prep(kind: str) -> Network:
     """Verified cat/Shor ancilla synthesis on 5 qubits (qubit 4 verifies)."""
-    if kind not in ("phase_syndrome", "bit_syndrome", "phase", "bit"):
+    if kind not in ("phase", "bit"):
         raise ValueError(f"unknown ancilla kind {kind!r}")
-    short = "bit" if kind.startswith("bit") else "phase"
-    return _network(_prep(short, tuple(range(5)), 1, "prep"), data_qubits=())
+    return _network(_prep(kind, tuple(range(5)), 1, "prep"), data_qubits=())
 
 
 def build_encoder() -> Network:

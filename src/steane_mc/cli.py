@@ -311,8 +311,7 @@ def cmd_selftest(args, argv) -> int:
         str(list(sizes.values())),
     )
     lin_ok = all(
-        codebook.syndrome_of(e ^ f)
-        == tuple(a ^ b for a, b in zip(codebook.syndrome_of(e), codebook.syndrome_of(f)))
+        codebook.syndrome_of(e ^ f) == codebook.syndrome_of(e) ^ codebook.syndrome_of(f)
         for e in range(0, 128, 7)
         for f in range(128)
     )
@@ -652,11 +651,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command in ("selftest", "sweep", "stabilize"):
-            try:
-                engine.batch_size()
-            except ValueError as exc:  # a malformed STEANE_MC_BATCH is a usage error
-                raise UsageError(str(exc)) from None
         return _COMMANDS[args.command](args, argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -1,18 +1,17 @@
 """Coset algebra of the [7,4,3] Hamming code pair used by the [[7,1,3]] code.
 
-Errors on the 7-qubit data block are 7-bit vectors.  Internally a vector is a
-plain int in 0..127 with bit j-1 standing for data qubit j; every public
-function also accepts a length-7 iterable of 0/1.  The parity-check matrix is
-fixed so that column j is the binary expansion of j, which makes Hamming
-decoding "syndrome == error position".
+Errors on the 7-qubit data block are 7-bit vectors: a plain int in 0..127
+with bit j-1 standing for data qubit j.  The parity-check matrix is fixed so
+that column j is the binary expansion of j, which makes Hamming decoding
+"syndrome == error position".
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -24,8 +23,6 @@ H_ROWS = (0b1010101, 0b1100110, 0b1111000)
 
 ALL_ONES = 0b1111111
 
-ErrorLike = Union[int, Sequence[int], Iterable[int]]
-
 
 class ErrorClass(enum.IntEnum):
     """Correctability class of a residual error, ordered by effective weight."""
@@ -36,47 +33,13 @@ class ErrorClass(enum.IntEnum):
     LOGICAL = 3
 
 
-class Syndrome(NamedTuple):
-    s1: int
-    s2: int
-    s3: int
-    s4: int
-
-    @property
-    def position(self) -> int:
-        """Hamming-decoded error position (0 means no error)."""
-        return self.s1 | (self.s2 << 1) | (self.s3 << 2)
-
-
 @dataclass(frozen=True)
 class ResidualClass:
     x_class: ErrorClass
     z_class: ErrorClass
 
 
-def as_int(e: ErrorLike) -> int:
-    """Coerce an error vector (int or length-7 bit sequence) to its int form."""
-    if isinstance(e, (int, np.integer)):
-        v = int(e)
-        if not 0 <= v < 128:
-            raise ValueError(f"error vector out of range: {v}")
-        return v
-    bits = list(e)
-    if len(bits) != N_QUBITS or any(b not in (0, 1) for b in bits):
-        raise ValueError(f"expected 7 bits of 0/1, got {bits!r}")
-    return sum(b << i for i, b in enumerate(bits))
-
-
-def as_bits(e: ErrorLike) -> tuple[int, ...]:
-    v = as_int(e)
-    return tuple((v >> i) & 1 for i in range(N_QUBITS))
-
-
-def weight(e: ErrorLike) -> int:
-    return bin(as_int(e)).count("1")
-
-
-def _span(generators: Sequence[int]) -> frozenset[int]:
+def _span(generators: tuple[int, ...]) -> frozenset[int]:
     words = {0}
     for g in generators:
         words |= {w ^ g for w in words}
@@ -103,64 +66,40 @@ def build_tables() -> CodeTables:
     return CodeTables(cperp_words=cperp, c_words=c, class_lut=w_eff)
 
 
-_TABLES: CodeTables | None = None
+tables = functools.cache(build_tables)  # the tables, built once per process
 
 
-def tables() -> CodeTables:
-    global _TABLES
-    if _TABLES is None:
-        _TABLES = build_tables()
-    return _TABLES
+def syndrome_of(e: int) -> int:
+    """The 3-bit C-syndrome of e, bit k from row k of H: the Hamming-decoded
+    error position (0 means no error).  Linear over F2."""
+    return sum((bin(e & row).count("1") & 1) << k for k, row in enumerate(H_ROWS))
 
 
-def syndrome_of(e: ErrorLike) -> Syndrome:
-    """C-syndrome (s1,s2,s3) plus the overall-parity bit s4.
-
-    Linear over F2: syndrome_of(e ^ f) == syndrome_of(e) xor syndrome_of(f).
-    """
-    v = as_int(e)
-    bits = [bin(v & row).count("1") & 1 for row in H_ROWS]
-    return Syndrome(bits[0], bits[1], bits[2], bin(v).count("1") & 1)
-
-
-def effective_weight(e: ErrorLike) -> int:
+def effective_weight(e: int) -> int:
     """Min weight of e modulo C_perp; always in 0..3."""
-    return int(tables().class_lut[as_int(e)])
+    return int(tables().class_lut[e])
 
 
-def classify(e: ErrorLike) -> ErrorClass:
+def classify(e: int) -> ErrorClass:
     """Correctability class of e, a function of its effective weight only."""
     return ErrorClass(effective_weight(e))
 
 
-def correction_for(s: ErrorLike | Syndrome) -> int:
-    """The unique weight<=1 vector with the given 3-bit C-syndrome."""
-    if isinstance(s, Syndrome):
-        pos = s.position
-    elif isinstance(s, (int, np.integer)):
-        pos = int(s)
-    else:
-        bits = list(s)
-        if len(bits) != 3:
-            raise ValueError(f"expected a 3-bit syndrome, got {bits!r}")
-        pos = bits[0] | (bits[1] << 1) | (bits[2] << 2)
+def correction_for(pos: int) -> int:
+    """The unique weight<=1 vector with the 3-bit C-syndrome pos."""
     if not 0 <= pos < 8:
         raise ValueError(f"syndrome out of range: {pos}")
     return 0 if pos == 0 else 1 << (pos - 1)
 
 
-def ideal_recovery(x_residual: ErrorLike, z_residual: ErrorLike) -> ResidualClass:
+def ideal_recovery(x_residual: int, z_residual: int) -> ResidualClass:
     """Noise-free Hamming correction of both sectors, then classification.
 
     The corrected vectors always land in C, so each output class is either
     TRIVIAL or LOGICAL; this is the oracle behind "uncorrectable".
     """
-    out = []
-    for res in (x_residual, z_residual):
-        v = as_int(res)
-        v ^= correction_for(syndrome_of(v).position)
-        out.append(classify(v))
-    return ResidualClass(out[0], out[1])
+    x, z = (classify(v ^ correction_for(syndrome_of(v))) for v in (x_residual, z_residual))
+    return ResidualClass(x, z)
 
 
 def overlap_factor(cls: ResidualClass, a: float) -> float:

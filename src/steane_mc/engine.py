@@ -57,22 +57,22 @@ Every recovery of a program ends in a tally, which counts the joint (x, z)
 residual classes at its correction step.  An experiment's result is one
 `TrialStats` per tally: one for a sweep mode, t_max for stabilize.
 
-`run_experiments` splits every experiment into chunks and, on more than one
-worker, forks at most one worker per chunk from the `fork` start method,
-asked for by name so that the configs and the plans built beforehand reach
-every worker through the fork on any Python version; nothing is pickled on
-the way in.  Worker w runs the interleaved share jobs[w::workers], so each
-gets a like mix of cells, and sends back one message through its pipe: its
-chunks' TrialStats lists, or the exception a chunk raised, which the caller
-re-raises after terminating the other workers.  Where the platform cannot
-fork, a process pool runs one task per chunk.
+`run_experiments` splits every experiment into chunks of `BATCH` trials
+and, on more than one worker, forks at most one worker per chunk from the
+`fork` start method, asked for by name so that the configs and the plans
+built beforehand reach every worker through the fork on any Python version;
+nothing is pickled on the way in.  Worker w runs the interleaved share
+jobs[w::workers], so each gets a like mix of cells, and sends back one
+message through its pipe: its chunks' TrialStats lists, or the exception a
+chunk raised, which the caller re-raises after terminating the other
+workers.  Where the platform cannot fork, a process pool runs one task per
+chunk.
 """
 
 from __future__ import annotations
 
 import functools
 import multiprocessing
-import os
 import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -91,6 +91,9 @@ from .noise import (
 )
 
 MAX_PREP_ATTEMPTS = 100
+
+# trials per chunk; the rows do not depend on it
+BATCH = 32768
 
 # whether sweep workers can be forked (not on Windows)
 _HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -577,14 +580,6 @@ class TrialStats:
         return self.eta0 + self.eta3_p + 4.0 * a * a * (1.0 - a * a) * self.delta_eta3
 
 
-def batch_size() -> int:
-    """Trials per chunk: STEANE_MC_BATCH, default 32768."""
-    raw = os.environ.get("STEANE_MC_BATCH", "32768").strip()
-    if not raw.isdecimal() or int(raw) < 1:
-        raise ValueError(f"STEANE_MC_BATCH must be a positive integer, got {raw!r}")
-    return int(raw)
-
-
 def _run_chunk(config: ExperimentConfig, start: int, size: int) -> list[TrialStats]:
     """TrialStats per tally of a chunk of trials.  Only the trials with a
     fault among their nominal locations are run, through the signature kernel."""
@@ -654,14 +649,13 @@ def run_experiments(configs, threads: int = 1) -> list[list[TrialStats]]:
     returns each config's TrialStats per tally, merged over its chunks in
     order.  Workers are forked where the platform can fork, so they inherit
     the configs and plans; elsewhere a process pool runs one task per chunk."""
-    size = batch_size()
     for config in configs:
         _warn_small_n(config)
         _plan(config)  # plans built before any fork
     jobs = [
-        (cell, start, min(size, config.trial_offset + config.trials - start))
+        (cell, start, min(BATCH, config.trial_offset + config.trials - start))
         for cell, config in enumerate(configs)
-        for start in range(config.trial_offset, config.trial_offset + config.trials, size)
+        for start in range(config.trial_offset, config.trial_offset + config.trials, BATCH)
     ]
     workers = min(threads, len(jobs))
     if workers <= 1:
@@ -761,13 +755,13 @@ def certify_single_faults(
     the run must leave a residual that one ideal recovery maps to the
     trivial class in both sectors.
     """
-    config = ExperimentConfig(
-        mode="memory_t20", noise=NoiseParams.zero(), schedule=schedule, trials=1
-    )
-    cases = enumerate_fault_cases(config)
-    slots = np.array([[c.slot] for c in cases], dtype=np.int64)
-    codes = np.array([[c.code] for c in cases], dtype=np.uint8)
-    dx, dz = run_fault_plan(config, slots, codes)  # one batch, one trial per case
-    bad = np.nonzero(IDEAL_FAILS[dx] | IDEAL_FAILS[dz])[0]
-    n_loc = len({c.slot for c in cases})
-    return CertificationReport(n_loc, len(cases), [cases[int(i)] for i in bad])
+    table = _table("memory_t20", schedule)
+    # a case that makes its attempt's verification fire is dropped with the
+    # attempt, whose rerun is fault-free; every other case keeps its signature
+    dx, dz = _correct(np.where(table.flag, _SIG(0), table.sig))
+    bad = np.flatnonzero(IDEAL_FAILS[dx] | IDEAL_FAILS[dz])
+    cases = []
+    if bad.size:  # the cases only label the failures
+        config = ExperimentConfig("memory_t20", NoiseParams.zero(), schedule)
+        cases = enumerate_fault_cases(config)
+    return CertificationReport(len(table.case0), len(table.sig), [cases[i] for i in bad])

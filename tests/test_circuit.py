@@ -85,12 +85,12 @@ def test_encoder_perturbations_fail():
 
 
 def test_prep_census():
-    for kind in ("phase_syndrome", "bit_syndrome"):
+    for kind in ("phase", "bit"):
         c = census(build_ancilla_prep(kind))
         assert c.cnot_count == 5  # 3 fan-out + 2 verification
         assert c.measure_count == 1
-    assert census(build_ancilla_prep("phase_syndrome")).h_count == 1
-    assert census(build_ancilla_prep("bit_syndrome")).h_count == 5
+    assert census(build_ancilla_prep("phase")).h_count == 1
+    assert census(build_ancilla_prep("bit")).h_count == 5
 
 
 def test_prep_unknown_kind():
@@ -99,7 +99,7 @@ def test_prep_unknown_kind():
 
 
 def _verify_outcome(inject):
-    net = build_ancilla_prep("phase_syndrome")
+    net = build_ancilla_prep("phase")
     frame, outcomes = _walk(net, PauliFrame(0, 0, 5), inject)
     assert len(outcomes) == 1
     return frame, outcomes[0][1]
@@ -113,7 +113,7 @@ def test_prep_ideal_run_accepts():
 def test_prep_verification_semantics():
     """Accepted single bit-flip faults always touch <= 1 data qubit modulo
     the stabilizer; weight-2 cat patterns are rejected."""
-    m_step = max(l.step for l in build_ancilla_prep("phase_syndrome").locations)
+    m_step = max(l.step for l in build_ancilla_prep("phase").locations)
     reject_seen = 0
     for step in range(1, m_step):  # injection after any pre-readout step
         for q in range(4):

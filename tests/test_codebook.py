@@ -27,6 +27,18 @@ CPERP_ORACLE = _span(H_ROWS_BITS)
 C_ORACLE = _span(H_ROWS_BITS + [(1,) * 7])
 
 
+def _bits(v):
+    return tuple((v >> i) & 1 for i in range(7))
+
+
+def _int(bits):
+    return sum(b << i for i, b in enumerate(bits))
+
+
+def _weight(v):
+    return sum(_bits(v))
+
+
 def _brute_effective_weight(bits):
     return min(sum(a ^ b for a, b in zip(bits, u)) for u in CPERP_ORACLE)
 
@@ -36,48 +48,43 @@ def test_h_rows_match_position_encoding():
     for j in range(1, 8):
         col = tuple(row[j - 1] for row in H_ROWS_BITS)
         assert col == ((j >> 0) & 1, (j >> 1) & 1, (j >> 2) & 1)
-    assert [cb.as_bits(r) for r in cb.H_ROWS] == [tuple(r) for r in H_ROWS_BITS]
+    assert [_bits(r) for r in cb.H_ROWS] == [tuple(r) for r in H_ROWS_BITS]
 
 
 def test_build_tables_words():
     t = cb.build_tables()
     assert len(t.cperp_words) == 8
     assert len(t.c_words) == 16
-    assert {cb.as_bits(w) for w in t.cperp_words} == CPERP_ORACLE
-    assert {cb.as_bits(w) for w in t.c_words} == C_ORACLE
+    assert {_bits(w) for w in t.cperp_words} == CPERP_ORACLE
+    assert {_bits(w) for w in t.c_words} == C_ORACLE
     assert 0 in t.c_words and 0b1111111 in t.c_words
-    assert cb.as_int((0, 1, 1, 1, 1, 0, 0)) in t.cperp_words
+    assert _int((0, 1, 1, 1, 1, 0, 0)) in t.cperp_words
 
 
 def test_word_weights():
     t = cb.build_tables()
-    cperp_w = sorted(cb.weight(w) for w in t.cperp_words)
+    cperp_w = sorted(_weight(w) for w in t.cperp_words)
     assert cperp_w == [0] + [4] * 7
-    rest_w = sorted(cb.weight(w) for w in t.c_words - t.cperp_words)
+    rest_w = sorted(_weight(w) for w in t.c_words - t.cperp_words)
     assert rest_w == [3] * 7 + [7]
 
 
 def test_syndrome_examples():
-    assert cb.syndrome_of(0) == (0, 0, 0, 0)
-    assert cb.syndrome_of(0b1111111) == (0, 0, 0, 1)
+    assert cb.syndrome_of(0) == 0
+    assert cb.syndrome_of(0b1111111) == 0
     for j in range(1, 8):
-        s = cb.syndrome_of(1 << (j - 1))
-        assert (s.s1, s.s2, s.s3) == ((j >> 0) & 1, (j >> 1) & 1, (j >> 2) & 1)
-        assert s.position == j
-        assert s.s4 == 1
+        assert cb.syndrome_of(1 << (j - 1)) == j
 
 
 def test_syndrome_matches_matrix_oracle():
     for e in range(128):
-        bits = cb.as_bits(e)
+        bits = _bits(e)
         want = tuple(sum(a * b for a, b in zip(bits, row)) % 2 for row in H_ROWS_BITS)
-        got = cb.syndrome_of(e)
-        assert (got.s1, got.s2, got.s3) == want
-        assert got.s4 == sum(bits) % 2
+        assert cb.syndrome_of(e) == _int(want)
 
 
 def test_syndrome_linearity_exhaustive():
-    syn = np.array([list(cb.syndrome_of(e)) for e in range(128)], dtype=np.uint8)
+    syn = np.array([cb.syndrome_of(e) for e in range(128)], dtype=np.uint8)
     e = np.arange(128)[:, None]
     f = np.arange(128)[None, :]
     assert np.array_equal(syn[e ^ f], syn[e] ^ syn[f])
@@ -85,7 +92,7 @@ def test_syndrome_linearity_exhaustive():
 
 def test_effective_weight_brute_force():
     for e in range(128):
-        assert cb.effective_weight(e) == _brute_effective_weight(cb.as_bits(e))
+        assert cb.effective_weight(e) == _brute_effective_weight(_bits(e))
 
 
 def test_effective_weight_examples():
@@ -112,17 +119,16 @@ def test_classification_partition():
 
 
 def test_classify_examples():
-    assert cb.classify((1, 1, 1, 0, 0, 0, 0)) is cb.ErrorClass.LOGICAL
-    assert cb.classify((1, 0, 0, 0, 0, 0, 0)) is cb.ErrorClass.CORRECTABLE_W1
-    assert cb.classify((1, 1, 0, 0, 0, 0, 0)) is cb.ErrorClass.MISCORRECT_W2
+    assert cb.classify(0b0000111) is cb.ErrorClass.LOGICAL
+    assert cb.classify(0b0000001) is cb.ErrorClass.CORRECTABLE_W1
+    assert cb.classify(0b0000011) is cb.ErrorClass.MISCORRECT_W2
 
 
 def test_correction_for():
     assert cb.correction_for(0) == 0
-    assert cb.correction_for((0, 0, 0)) == 0
     for j in range(1, 8):
         unit = 1 << (j - 1)
-        assert cb.correction_for(cb.syndrome_of(unit).position) == unit
+        assert cb.correction_for(cb.syndrome_of(unit)) == unit
     with pytest.raises(ValueError):
         cb.correction_for(8)
 
@@ -130,8 +136,8 @@ def test_correction_for():
 def test_weight2_miscorrects_into_logical():
     t = cb.tables()
     for e in cb.weight_k_vectors(2):
-        v = cb.correction_for(cb.syndrome_of(e).position)
-        assert cb.weight(v) == 1
+        v = cb.correction_for(cb.syndrome_of(e))
+        assert _weight(v) == 1
         assert (e ^ v) in t.c_words and (e ^ v) not in t.cperp_words
 
 
@@ -175,18 +181,8 @@ def test_overlap_factor():
         cb.overlap_factor(mk(T, T), 1.5)
 
 
-def test_as_int_validation():
-    with pytest.raises(ValueError):
-        cb.as_int(200)
-    with pytest.raises(ValueError):
-        cb.as_int([0, 1])
-    with pytest.raises(ValueError):
-        cb.as_int([0, 1, 2, 0, 0, 0, 0])
-    assert cb.as_int(cb.as_bits(93)) == 93
-
-
 def test_weight_k_counts():
     for k, count in ((1, 7), (2, 21), (3, 35)):
         vs = cb.weight_k_vectors(k)
         assert len(vs) == count
-        assert all(cb.weight(v) == k for v in vs)
+        assert all(_weight(v) == k for v in vs)

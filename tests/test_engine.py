@@ -192,10 +192,10 @@ def test_scalar_batch_thread_equivalence(monkeypatch):
             tallies = eng.run_experiment(replace(config, trials=1, trial_offset=i))
             for total, st in zip(singles, tallies, strict=True):
                 total += st.counts
-        monkeypatch.setenv("STEANE_MC_BATCH", "37")
+        monkeypatch.setattr(eng, "BATCH", 37)
         batched = eng.run_experiment(config)
         pooled = eng.run_experiment(config, threads=3)
-        monkeypatch.delenv("STEANE_MC_BATCH")
+        monkeypatch.undo()
         for run in (batched, pooled):
             for a, b in zip(whole, run, strict=True):
                 assert (a.t_steps, a.trials) == (b.t_steps, b.trials)
@@ -425,7 +425,7 @@ def started(monkeypatch):
             super().start()
 
     monkeypatch.setattr(type(ctx), "Process", CountingProcess)
-    monkeypatch.setenv("STEANE_MC_BATCH", "100")
+    monkeypatch.setattr(eng, "BATCH", 100)
     yield shares
     assert multiprocessing.active_children() == []
 
@@ -470,7 +470,7 @@ def test_no_fork_path_has_at_most_one_worker_per_chunk(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setenv("STEANE_MC_BATCH", "100")
+    monkeypatch.setattr(eng, "BATCH", 100)
     serial = _tallies(eng.run_experiments(_POOL_CONFIGS))
     monkeypatch.setattr(eng, "_HAS_FORK", False)
     monkeypatch.setattr(eng, "ProcessPoolExecutor", InlinePool)
@@ -526,24 +526,25 @@ def test_worker_that_exits_without_sending_raises(started, monkeypatch):
     assert len(started) == 2
 
 
-def test_batch_size_validation(monkeypatch):
-    monkeypatch.delenv("STEANE_MC_BATCH", raising=False)
-    assert eng.batch_size() == 32768
-    monkeypatch.setenv("STEANE_MC_BATCH", "37")
-    assert eng.batch_size() == 37
-    for raw in ("0", "-1", "ten", "1.5", ""):
-        monkeypatch.setenv("STEANE_MC_BATCH", raw)
-        with pytest.raises(ValueError, match="STEANE_MC_BATCH"):
-            eng.batch_size()
-    monkeypatch.setenv("STEANE_MC_BATCH", "-1")
-    with pytest.raises(ValueError, match="STEANE_MC_BATCH"):
-        eng.run_experiment(_cfg(trials=4))
-
-
 def test_certification_passes():
     report = eng.certify_single_faults(RecoverySchedule())
     assert report.passed, [f.label for f in report.failures[:5]]
     assert report.n_cases > 5000
+
+
+def test_certification_reports_the_replayed_failures(monkeypatch):
+    """Certification reads the single-fault table directly; under a decoder
+    that puts every correction on qubit 1, the cases it reports are the
+    ones whose replay as a fault plan leaves a logical error."""
+    monkeypatch.setattr(eng, "CORRECT9", np.where(eng.CORRECT9 > 0, 1, 0).astype(np.uint8))
+    report = eng.certify_single_faults()
+    cases = eng.enumerate_fault_cases(_cfg())
+    slots = np.array([[c.slot] for c in cases])
+    codes = np.array([[c.code] for c in cases], dtype=np.uint8)
+    dx, dz = eng.run_fault_plan(_cfg(), slots, codes)
+    replayed = [cases[i] for i in np.flatnonzero(eng.IDEAL_FAILS[dx] | eng.IDEAL_FAILS[dz])]
+    assert 0 < len(report.failures) < report.n_cases
+    assert report.failures == replayed
 
 
 def test_fault_case_enumeration_is_stable():

@@ -16,7 +16,7 @@ chunks are merged across workers changes a digest.  Such a change alters
 published numbers and has to say so (a `stream_version` manifest key).
 The sweep and stabilize rows are pinned under STREAM_VERSION, version 3,
 where each ancilla rerun draws from its own substream, and must not move
-with the worker count or the chunk size (STEANE_MC_BATCH).
+with the worker count or the chunk size (`engine.BATCH`).
 """
 
 import hashlib
@@ -86,17 +86,17 @@ def _manifest(path) -> dict:
     "mode,threads,batch",
     [
         # 400: small chunks, so that two workers share the chunks of both cells
-        pytest.param("memory_t20", 1, "400", id="memory_t20-1"),
-        pytest.param("memory_t20", 2, "400", id="memory_t20-2"),
-        pytest.param("ec1", 1, "400", id="ec1-1"),
-        pytest.param("zgate", 1, "400", id="zgate-1"),
-        pytest.param("fig5", 1, "400", id="fig5-1"),
-        pytest.param("memory_t20", 1, "7", id="memory_t20-1-batch7"),
-        pytest.param("memory_t20", 2, "32768", id="memory_t20-2-batch32768"),
+        pytest.param("memory_t20", 1, 400, id="memory_t20-1"),
+        pytest.param("memory_t20", 2, 400, id="memory_t20-2"),
+        pytest.param("ec1", 1, 400, id="ec1-1"),
+        pytest.param("zgate", 1, 400, id="zgate-1"),
+        pytest.param("fig5", 1, 400, id="fig5-1"),
+        pytest.param("memory_t20", 1, 7, id="memory_t20-1-batch7"),
+        pytest.param("memory_t20", 2, 32768, id="memory_t20-2-batch32768"),
     ],
 )
 def test_sweep_rows_pinned(mode, threads, batch, tmp_path, monkeypatch):
-    monkeypatch.setenv("STEANE_MC_BATCH", batch)
+    monkeypatch.setattr(engine, "BATCH", batch)
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--mode", mode, "--C", "inf", "--C", "1", "--epsilon", EPS,
             "--trials", TRIALS, "--seed", SEED, "--threads", str(threads),
@@ -106,10 +106,13 @@ def test_sweep_rows_pinned(mode, threads, batch, tmp_path, monkeypatch):
     assert _sha(_data_rows(out)) == SWEEP_ROWS[mode]
 
 
-def test_stabilize_rows_pinned(tmp_path):
+@pytest.mark.parametrize("batch", [7, 32768], ids=lambda b: f"batch{b}")
+@pytest.mark.parametrize("threads", [1, 2], ids=lambda t: f"threads{t}")
+def test_stabilize_rows_pinned(threads, batch, tmp_path, monkeypatch):
+    monkeypatch.setattr(engine, "BATCH", batch)
     out = tmp_path / "stab.csv"
     argv = ["stabilize", "--C", "inf", "--C", "1", "--epsilon", EPS, "--t-max", "4",
-            "--trials", TRIALS, "--seed", SEED, "--threads", "1", "--out", str(out)]
+            "--trials", TRIALS, "--seed", SEED, "--threads", str(threads), "--out", str(out)]
     assert cli.main(argv) == 0
     assert _manifest(out)["stream_version"] == STREAM_VERSION
     assert _sha(_data_rows(out)) == STABILIZE_ROWS
