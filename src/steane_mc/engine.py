@@ -31,13 +31,17 @@ program off one linear run of `_execute` (reruns off, `P` left out), once per
 the faults of its nominal locations from its `StreamBank` as a sparse list
 (`StreamBank.faults`, one call per location class), maps each to its
 location and Pauli, drops the faults of every ancilla attempt whose flags
-XOR to 1, and keeps the rest.  The rejected attempts of all trials rerun
-together, one batch per try, each from its own substreams, so no location
-moves; then the trial XORs the signatures it keeps and applies the majority
-vote and the class lookup.  Stabilize reuses one recovery's table for every
-recovery, recovery k's prep i being attempt 18k + i of the program; the
-residual a recovery inherits adds its syndromes through the signatures of a
-data error ahead of the recovery.  A fault plan runs on the same kernel with
+XOR to 1, and keeps the rest.  The rejected attempts of all trials and all
+recoveries of a window rerun together, one batch per try, each from its own
+substreams, so neither the batching nor the order of the reruns moves a
+location; then the trial XORs the signatures it keeps and applies the
+majority vote and the class lookup, recovery by recovery.  A window is
+max(1, BATCH // trials) recoveries of a chunk's faulting trials, so its
+accumulators and reruns cover about BATCH trial-recoveries at most.
+Stabilize reuses one recovery's table for every recovery, recovery k's prep
+i being attempt 18k + i of the program; the residual a recovery inherits
+adds its syndromes through the signatures of a data error ahead of the
+recovery.  A fault plan runs on the same kernel with
 every location of a sweep mode's program in one class, in draw order, so the
 plan's flat cursor is that class's stream; its reruns are fault-free.
 
@@ -446,62 +450,98 @@ def _build_plan(mode, schedule, t_max, noise) -> _Plan:
     return _Plan(table, segments, steps, nominal, screen, residual)
 
 
-def _signatures(table: _Table, seg: _Segment, bank, first: int = 0) -> np.ndarray:
-    """XOR of the signatures of the faults each trial of bank (a `StreamBank`
-    or a `FaultPlanSource`) keeps in one recovery, whose prep i is ancilla
-    attempt first + i of the program.
+def _faults(table: _Table, seg: _Segment, src, n, start=None):
+    """(row, case, slot) of every fault src draws over n[c] locations of each
+    class c of seg: nominal ones, or, given start, those of the attempt that
+    row i reruns, which begin at start[i, c] in the class."""
+    found = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0, _U8),)]
+    for c, (kind, p) in enumerate(seg.classes):
+        if n[c]:
+            r, off, code = src.faults(kind, p, int(n[c]))
+            found.append((r, np.full(r.size, c), off, code))
+    row, cls, off, code = (np.concatenate(a) for a in zip(*found))
+    if start is not None:
+        off += start[row, cls]
+    slot = seg.loc[seg.base[cls] + off]
+    return row, table.case0[slot] + code - 1, slot
 
-    One pass draws the recovery's nominal locations, class by class.  Every
-    (trial, attempt) whose flags XOR to 1 drops its faults, and every other
-    fault is kept.  The rejected attempts then rerun together, one batch per
-    try: `bank.rerun` draws each one's locations of every class from its
-    own substream, so no other location moves, and a rerun is dropped and
-    tried again on the same rule."""
-    width = len(seg.start)  # per row: column 0 for no attempt, 1 + a for attempt a
-    acc = np.zeros(bank.size, dtype=_SIG)
-    owner = np.arange(bank.size)  # the trial each row of src draws for
-    src, n, attempt, j = bank, seg.n, None, 0
-    while True:
-        found = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0, _U8),)]
-        for c, (kind, p) in enumerate(seg.classes):
-            if n[c]:
-                r, off, code = src.faults(kind, p, int(n[c]))
-                found.append((r, np.full(r.size, c), off, code))
-        row, cls, off, code = (np.concatenate(a) for a in zip(*found))
-        if attempt is not None:  # a rerun draws its attempt's locations
-            off += seg.start[attempt[row], cls]
-        slot = seg.loc[seg.base[cls] + off]
-        case = table.case0[slot] + code - 1
-        pair = row * width + 1 + (table.prep[slot] if attempt is None else attempt[row])
-        flips = np.zeros(src.size * width, dtype=bool)  # per (row, attempt): flags XORed
-        np.bitwise_xor.at(flips, pair[table.flag[case]], True)  # only attempts raise flags
-        keep = ~flips[pair]
-        np.bitwise_xor.at(acc, owner[row[keep]], table.sig[case[keep]])
-        rejected = np.flatnonzero(flips)
-        if not rejected.size:
+
+def _keep(table: _Table, case, pair, size):
+    """Whether each fault, of (row, attempt) pair number pair in 0..size-1,
+    is kept, and the pairs whose flags XOR to 1, which drop their faults."""
+    flips = np.zeros(size, dtype=bool)
+    np.bitwise_xor.at(flips, pair[table.flag[case]], True)  # only attempts raise flags
+    return ~flips[pair], np.flatnonzero(flips)
+
+
+def _nominal(table: _Table, seg: _Segment, bank, acc):
+    """XOR into acc the signatures of the nominal faults that each trial of
+    bank keeps in seg's recovery; returns (trial, prep) of each attempt
+    rejected.  Its arrays go on return, so a window holds one recovery's
+    nominal faults at a time."""
+    width = len(seg.start)  # per trial: column 0 for no attempt, 1 + i for prep i
+    row, case, slot = _faults(table, seg, bank, seg.n)
+    pair = row * width + 1 + table.prep[slot]
+    keep, rejected = _keep(table, case, pair, bank.size * width)
+    np.bitwise_xor.at(acc, row[keep], table.sig[case[keep]])
+    return rejected // width, rejected % width - 1
+
+
+def _signatures(table: _Table, segs, bank, first: int = 0) -> np.ndarray:
+    """XOR of the signatures of the faults each trial of bank (a `StreamBank`
+    or a `FaultPlanSource`) keeps in each of a run of recoveries, one row
+    per recovery: segs[k]'s prep i is ancilla attempt first + k * preps + i
+    of the program.
+
+    Each recovery draws its nominal locations in one pass, class by class,
+    in recovery order.  Every (trial, attempt) whose flags XOR to 1 drops
+    its faults, and every other fault is kept.  The rejected attempts of all
+    the recoveries then rerun together, one batch per try: `bank.rerun`
+    draws each one's locations of every class from its own substream, so
+    the order of the reruns moves no location, and a rerun is dropped and
+    tried again on the same rule.  An attempt's locations sit at the same
+    table slots in every recovery, so one segment maps the reruns of all."""
+    preps = len(segs[0].start) - 1
+    acc = np.zeros((len(segs), bank.size), dtype=_SIG)
+    owner, attempt = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]  # the rejected
+    for k, seg in enumerate(segs):
+        trial, prep = _nominal(table, seg, bank, acc[k])
+        owner.append(trial)
+        attempt.append(k * preps + prep)
+    owner, attempt = np.concatenate(owner), np.concatenate(attempt)
+    seg = segs[0]
+    for j in range(1, MAX_PREP_ATTEMPTS):
+        if not owner.size:
             return acc
-        j += 1
-        if j >= MAX_PREP_ATTEMPTS:
-            over = np.unique(owner[rejected // width]).size
-            raise AncillaRejectionError(
-                f"{over} trials exceeded {MAX_PREP_ATTEMPTS} ancilla attempts"
-            )
-        owner, attempt = owner[rejected // width], rejected % width - 1
-        src, n = bank.rerun(owner, first + attempt, j), seg.alen
+        src = bank.rerun(owner, first + attempt, j)
+        row, case, _ = _faults(table, seg, src, seg.alen, seg.start[attempt % preps])
+        keep, rejected = _keep(table, case, row, src.size)
+        kept = row[keep]
+        np.bitwise_xor.at(acc, (attempt[kept] // preps, owner[kept]), table.sig[case[keep]])
+        owner, attempt = owner[rejected], attempt[rejected]
+    raise AncillaRejectionError(
+        f"{np.unique(owner).size} trials exceeded {MAX_PREP_ATTEMPTS} ancilla attempts"
+    )
 
 
 def _kernel(config: ExperimentConfig, bank: StreamBank):
     """Every trial of bank through config's signature tables; returns each
-    tally as (step, joint class counts), as `_run` does."""
+    tally as (step, joint class counts), as `_run` does.  The recoveries run
+    in windows of max(1, BATCH // bank.size), each window's reruns in one
+    batch per try, so a window's accumulators and reruns hold about BATCH
+    trial-recoveries at most."""
     plan = _plan(config)
     x = z = np.zeros(bank.size, dtype=_SIG)
     tallies = []
-    for k, (seg, step) in enumerate(zip(plan.segments, plan.steps)):
-        acc = _signatures(plan.table, seg, bank, k * (len(seg.start) - 1))
-        if plan.residual is not None:
-            acc ^= plan.residual[0][x] ^ plan.residual[1][z]
-        x, z = _correct(acc)
-        tallies.append((step, _tally(x, z)))
+    window = max(1, BATCH // max(1, bank.size))
+    preps = len(plan.segments[0].start) - 1
+    for k in range(0, len(plan.segments), window):
+        accs = _signatures(plan.table, plan.segments[k:k + window], bank, k * preps)
+        for acc, step in zip(accs, plan.steps[k:k + window]):
+            if plan.residual is not None:
+                acc ^= plan.residual[0][x] ^ plan.residual[1][z]
+            x, z = _correct(acc)
+            tallies.append((step, _tally(x, z)))
     return tallies
 
 
@@ -741,7 +781,8 @@ def run_fault_plan(
     table = _table(config.mode, config.schedule)
     # every location one class, in draw order; the rates are not read
     seg = _segment([(None, 0, prep, s) for _, _, prep, s in table.draws], (1.0,))
-    dx, dz = _correct(_signatures(table, seg, FaultPlanSource(slots, codes, table.codes)))
+    (sig,) = _signatures(table, (seg,), FaultPlanSource(slots, codes, table.codes))
+    dx, dz = _correct(sig)
     return dx.astype(_U8), dz.astype(_U8)
 
 

@@ -364,6 +364,38 @@ def test_kernel_matches_interpreter_at_high_rate(mode, C, reruns):
     assert max(reruns.values()) >= 2
 
 
+@pytest.mark.filterwarnings("ignore:trials=")
+def test_kernel_reruns_a_window_of_recoveries_at_once(monkeypatch, reruns):
+    """With a window of two recoveries, five recoveries run as windows of 2,
+    2 and 1, each window's rejected attempts rerunning together; recovery
+    0's attempts sit at other offsets of the class streams than the rest's."""
+    schedule = RecoverySchedule(channel_prefix_steps=2, inter_recovery_gap=3)
+    cfg = _cfg(mode="stabilize", eps=2e-2, C=1.0, trials=600, seed=32, t_max=5,
+               schedule=schedule)
+    monkeypatch.setattr(eng, "BATCH", 2 * cfg.trials)
+    windows = []
+    signatures = eng._signatures
+
+    def counting(table, segs, bank, first=0):
+        windows.append(len(segs))
+        return signatures(table, segs, bank, first)
+
+    monkeypatch.setattr(eng, "_signatures", counting)
+    _kernel_matches_interpreter(cfg, 0)
+    assert windows == [2, 2, 1]
+    assert max(reruns.values()) >= 2
+
+
+@pytest.mark.filterwarnings("ignore:trials=")
+def test_rejection_cap_counts_distinct_trials(monkeypatch):
+    """Ten recoveries in one window reject attempts of the same trials many
+    times over; the error counts each trial once."""
+    monkeypatch.setattr(eng, "MAX_PREP_ATTEMPTS", 2)
+    with pytest.raises(eng.AncillaRejectionError) as err:
+        eng.run_experiment(_cfg(mode="stabilize", eps=0.5, trials=8, seed=6, t_max=10))
+    assert 1 <= int(str(err.value).split()[0]) <= 8
+
+
 def test_fault_plans_run_no_interpreter(monkeypatch):
     """Once the tables are built, fault plans and certification never
     interpret ops."""

@@ -106,7 +106,8 @@ def test_sweep_rows_pinned(mode, threads, batch, tmp_path, monkeypatch):
     assert _sha(_data_rows(out)) == SWEEP_ROWS[mode]
 
 
-@pytest.mark.parametrize("batch", [7, 32768], ids=lambda b: f"batch{b}")
+# 4500 runs the one 1,500-trial chunk's 4 recoveries as windows of 3 and 1
+@pytest.mark.parametrize("batch", [7, 4500, 32768], ids=lambda b: f"batch{b}")
 @pytest.mark.parametrize("threads", [1, 2], ids=lambda t: f"threads{t}")
 def test_stabilize_rows_pinned(threads, batch, tmp_path, monkeypatch):
     monkeypatch.setattr(engine, "BATCH", batch)
