@@ -15,6 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .circuit import RecoverySchedule
+
 
 class AnalysisError(RuntimeError):
     """Numerical failure: degenerate design matrix or missing bracket."""
@@ -191,7 +193,6 @@ def poly_eval_zero_constant(coefficients: Sequence[float], x: float) -> float:
 
 _BRACKET = (1e-8, 1e-1)  # the epsilon range every threshold is searched in
 _RTOL = 1e-10  # the relative width a crossing is narrowed to
-_NAKED_STEPS = 20  # storage steps of the naked qubit eps_pth compares against
 
 
 def crossing(f: Callable[[float], float], g: Callable[[float], float]) -> float:
@@ -246,7 +247,8 @@ def thresholds_from(row: TableRow, slope: Sequence[float] | None = None) -> Thre
     g1 = g1_combine(row.ratio_C, row.D1, row.D2)
     eps_pth = crossing(
         lambda e: row.D2 * e * e,
-        lambda e: uncorrected_error_probability(e, _NAKED_STEPS),
+        # a naked qubit stored for one recovery cycle
+        lambda e: uncorrected_error_probability(e, RecoverySchedule.total_steps),
     )
     eps_sth = math.nan
     if slope is not None:
@@ -256,7 +258,7 @@ def thresholds_from(row: TableRow, slope: Sequence[float] | None = None) -> Thre
         ratio_C=row.ratio_C,
         g1=g1,
         eps_pth=eps_pth,
-        eps_pth_approx=40.0 / (3.0 * row.D2),
+        eps_pth_approx=2.0 * RecoverySchedule.total_steps / (3.0 * row.D2),
         eps_sth=eps_sth,
         eps_mth=1.0 / row.D2,
         eps_g1=2.0 * (2.0 + ic) / (3.0 * g1),

@@ -183,33 +183,22 @@ def census(net: Network) -> Census:
     )
 
 
-@dataclass(frozen=True)
 class RecoverySchedule:
-    """Step accounting for one full recovery (three rounds plus correction).
+    """Step accounting for the one recovery cycle of the model: a channel
+    step, then three syndrome rounds and the correction step.
 
     The majority vote needs exactly 3 rounds, the interaction layout spans 6
-    data steps and the correction one, so only the idle steps around a
-    recovery are settable."""
+    data steps and the correction one; the channel step stands for the
+    storage a recovery protects, and stabilize repeats the whole 20-step
+    cycle.  Every count is a class constant, so nothing is settable."""
 
-    rounds = 3  # unannotated: class constants, not dataclass fields
+    rounds = 3
     steps_per_round = 6
     correction_steps = 1
-    channel_prefix_steps: int = 1
-    inter_recovery_gap: int = 1
-
-    def __post_init__(self) -> None:
-        if self.channel_prefix_steps < 0 or self.inter_recovery_gap < 0:
-            raise ValueError("step counts must be non-negative")
-
-    @property
-    def data_exposure_steps(self) -> int:
-        """Data steps inside the recovery proper (3x6 rounds + correction)."""
-        return self.rounds * self.steps_per_round + self.correction_steps
-
-    @property
-    def total_steps(self) -> int:
-        """Including the channel prefix; 20 for the default schedule."""
-        return self.channel_prefix_steps + self.data_exposure_steps
+    channel_prefix_steps = 1
+    inter_recovery_gap = 1  # the channel step between stabilize's recoveries
+    data_exposure_steps = rounds * steps_per_round + correction_steps  # 19
+    total_steps = channel_prefix_steps + data_exposure_steps  # 20
 
 
 # ---------------------------------------------------------------------------
@@ -358,32 +347,29 @@ def _round(tag: str, rnd: int, t0: int, base: int) -> list[Op]:
     return ops
 
 
-def _recovery(tag: str, t0: int, base: int, schedule: RecoverySchedule) -> list[Op]:
+def _recovery(tag: str, t0: int, base: int) -> list[Op]:
     """Three rounds from data step t0, then the majority-vote correction step
     and the class tally of the residual it leaves, placed at that step."""
     ops: list[Op] = []
-    for rnd in range(schedule.rounds):
-        step = t0 + rnd * schedule.steps_per_round
+    for rnd in range(RecoverySchedule.rounds):
+        step = t0 + rnd * RecoverySchedule.steps_per_round
         ops += _round(f"{tag}/r{rnd}", rnd, step, base + 30 * rnd)
-    step = t0 + schedule.rounds * schedule.steps_per_round
+    step = t0 + RecoverySchedule.rounds * RecoverySchedule.steps_per_round
     ops.append(Op("P", step, DATA_QUBITS))
     ops += [_draw(EPS, 1, N_DATA, tag + "/corr/mem"), _xor(step, "mem", 0, DATA, DATA_QUBITS)]
     ops.append(Op("tally", step, ()))
     return ops
 
 
-def program(
-    mode: str, schedule: RecoverySchedule = RecoverySchedule(), t_max: int = 1
-) -> Iterator[Op]:
+def program(mode: str, t_max: int = 1) -> Iterator[Op]:
     """The op program of one experiment mode, op by op; data steps count from 1.
 
     fig5 starts with the noisy encoder, then: ec1 one recovery; zgate an idle
     step, the transversal-Z step, one recovery; memory_t20 and fig5 the
-    channel prefix, one recovery; stabilize the prefix, then t_max
-    recoveries with an idle gap between them.  Every recovery ends in a
-    tally, so a sweep mode has one and stabilize t_max.  Ops are made as
-    they are read, so a long stabilize program is never held in memory at
-    once."""
+    channel step, one recovery; stabilize t_max cycles of a channel step and
+    a recovery (`RecoverySchedule`).  Every recovery ends in a tally, so a
+    sweep mode has one and stabilize t_max.  Ops are made as they are read,
+    so a long stabilize program is never held in memory at once."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     t = 1
@@ -396,17 +382,17 @@ def program(
         yield from _idle(1, "zg/mem", t + 1)
         t += 2
     elif mode != "ec1":
-        yield from _idle(schedule.channel_prefix_steps, "chan", t)
-        t += schedule.channel_prefix_steps
+        yield from _idle(RecoverySchedule.channel_prefix_steps, "chan", t)
+        t += RecoverySchedule.channel_prefix_steps
     if mode != "stabilize":
-        yield from _recovery("rec", t, N_DATA, schedule)
+        yield from _recovery("rec", t, N_DATA)
         return
     for k in range(t_max):
-        yield from _recovery(f"rec{k}", t, N_DATA + 90 * k, schedule)
-        t += schedule.data_exposure_steps
+        yield from _recovery(f"rec{k}", t, N_DATA + 90 * k)
+        t += RecoverySchedule.data_exposure_steps
         if k + 1 < t_max:
-            yield from _idle(schedule.inter_recovery_gap, f"gap{k}", t)
-            t += schedule.inter_recovery_gap
+            yield from _idle(RecoverySchedule.inter_recovery_gap, f"gap{k}", t)
+            t += RecoverySchedule.inter_recovery_gap
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +448,12 @@ def build_syndrome_round() -> Network:
     return _network(_round("rec/r0", 0, 1, N_DATA))
 
 
-def build_recovery(schedule: RecoverySchedule = RecoverySchedule()) -> Network:
-    """Three syndrome rounds plus the correction step, with channel prefix."""
-    return _network(program("memory_t20", schedule))
+def build_recovery(schedule: RecoverySchedule | None = None) -> Network:
+    """Three syndrome rounds plus the correction step, with channel prefix.
+
+    The argument is ignored: the cycle is fixed, and the benchmark scripts
+    still pass `RecoverySchedule()`."""
+    return _network(program("memory_t20"))
 
 
 def _f2_rank(rows: list[int]) -> int:

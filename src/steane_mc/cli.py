@@ -207,18 +207,18 @@ def _base_manifest(command: str, argv, pairs: list[tuple[str, str]]):
     return man
 
 
-def _schedule_manifest(schedule: RecoverySchedule):
-    net = build_recovery(schedule)
+def _schedule_manifest():
+    s = RecoverySchedule
     return [
         (
             "schedule",
-            f"dt0={schedule.channel_prefix_steps},rounds={schedule.rounds},"
-            f"steps_per_round={schedule.steps_per_round},"
-            f"correction={schedule.correction_steps},gap={schedule.inter_recovery_gap}",
+            f"dt0={s.channel_prefix_steps},rounds={s.rounds},"
+            f"steps_per_round={s.steps_per_round},"
+            f"correction={s.correction_steps},gap={s.inter_recovery_gap}",
         ),
-        ("schedule_fingerprint", net.fingerprint()),
-        ("data_exposure_steps", str(schedule.data_exposure_steps)),
-        ("total_steps_with_prefix", str(schedule.total_steps)),
+        ("schedule_fingerprint", build_recovery().fingerprint()),
+        ("data_exposure_steps", str(s.data_exposure_steps)),
+        ("total_steps_with_prefix", str(s.total_steps)),
     ]
 
 
@@ -329,15 +329,15 @@ def cmd_selftest(args, argv) -> int:
     check("encoder verification", verify_encoder(build_encoder()))
     c_round = census(build_syndrome_round())
     check("syndrome round data CNOT census", c_round.data_cnot_count == 24, "24")
-    sched = RecoverySchedule()
-    c_rec = census(build_recovery(sched))
+    sched = RecoverySchedule
+    c_rec = census(build_recovery())
     check("recovery data CNOT census", c_rec.data_cnot_count == 72, "72")
     check(
         "recovery data exposure",
         c_rec.data_step_count == sched.total_steps == 20,
         f"{sched.data_exposure_steps} + {sched.channel_prefix_steps} channel",
     )
-    report = engine.certify_single_faults(sched)
+    report = engine.certify_single_faults()
     check(
         "single-fault certification",
         report.passed,
@@ -373,13 +373,11 @@ def _run_cells(args, argv, command, columns, settings, cell_rows, **config_kw) -
     c_values = [_parse_c(c) for c in args.C]
     eps_values = _epsilon_list(args)
     threads = args.threads or _usable_cpus()
-    schedule = RecoverySchedule()
     cells = [(c, eps) for c in c_values for eps in eps_values]
     try:
         configs = [
             engine.ExperimentConfig(
                 noise=NoiseParams(eps, c),
-                schedule=schedule,
                 trials=args.trials,
                 master_seed=args.seed,
                 trial_offset=cell * args.trials,
@@ -405,7 +403,7 @@ def _run_cells(args, argv, command, columns, settings, cell_rows, **config_kw) -
             ("stream_version", str(STREAM_VERSION)),
         ]
         + settings
-        + _schedule_manifest(schedule),
+        + _schedule_manifest(),
     )
     man.append(("duration_s", f"{time.time() - t0:.3f}"))
     write_csv(args.out, man, columns, rows)
@@ -540,26 +538,46 @@ def _threshold_row(row: analysis.TableRow, slope=None):
     ]
 
 
+def _once(path, per_c: dict, c, value, what: str) -> None:
+    """Set per_c[c] = value; a second row of one kind for one C is a usage error."""
+    if c in per_c:
+        raise UsageError(f"{path} has more than one {what} row for C={_fmt(c)}")
+    per_c[c] = value
+
+
+def _matched(path, per_c: dict, c_values, what: str, where: str) -> None:
+    """Every C of per_c must be in c_values; a row no threshold row takes is
+    a usage error, not silently dropped."""
+    extra = sorted(set(per_c) - set(c_values))
+    if extra:
+        raise UsageError(f"{path} has {what} rows for C={','.join(map(_fmt, extra))}, {where}")
+
+
 def cmd_thresholds(args, argv) -> int:
     slopes: dict[float, list] = {}  # C -> its slope polynomial's coefficients
     if args.slopes:
         for d in read_csv(args.slopes, ("model", "C", "c1", "c2", "c3"))[2]:
             if d["model"] in ("slope2", "slope3"):
-                slopes[d["C"]] = [d[c] for c in ("c1", "c2", "c3") if not math.isnan(d[c])]
+                coefficients = [d[c] for c in ("c1", "c2", "c3") if not math.isnan(d[c])]
+                _once(args.slopes, slopes, d["C"], coefficients, "slope2/slope3")
     if args.use_paper_table:
         table = analysis.PUBLISHED_TABLE1
     else:
         c1 = {"quad": {}, "lin": {}}  # model -> C -> its c1
         for d in read_csv(args.fits, ("model", "C", "c1"))[2]:
             if d["model"] in c1:
-                c1[d["model"]][d["C"]] = d["c1"]
+                _once(args.fits, c1[d["model"]], d["C"], d["c1"], f"model={d['model']}")
         d2, d1 = c1["quad"], c1["lin"]
         if not d2:
             raise UsageError(f"{args.fits} has no model=quad rows")
+        _matched(args.fits, d1, d2, "model=lin", "where it has no model=quad row")
         table = [
             analysis.TableRow(c, d2[c], d1.get(c, float("nan")), float("nan"))
             for c in sorted(d2)
         ]
+    source = "the paper table" if args.use_paper_table else args.fits
+    where = f"where {source} has no threshold row"
+    _matched(args.slopes, slopes, [row.ratio_C for row in table], "slope2/slope3", where)
     rows = [_threshold_row(row, slopes.get(row.ratio_C)) for row in table]
     man = _base_manifest(
         "thresholds",

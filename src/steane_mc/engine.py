@@ -27,7 +27,7 @@ through a fixed signature: the data frame and the 18 syndrome bits it leaves
 before the correction, and whether it alone makes its ancilla attempt's
 verification fire.  `_table` reads the signature of every single fault of a
 program off one linear run of `_execute` (reruns off, `P` left out), once per
-(mode, schedule) and process, on first use.  A Monte Carlo trial then reads
+mode and process, on first use.  A Monte Carlo trial then reads
 the faults of its nominal locations from its `StreamBank` as a sparse list
 (`StreamBank.faults`, one call per location class), maps each to its
 location and Pauli, drops the faults of every ancilla attempt whose flags
@@ -38,10 +38,12 @@ location; then the trial XORs the signatures it keeps and applies the
 majority vote and the class lookup, recovery by recovery.  A window is
 max(1, BATCH // trials) recoveries of a chunk's faulting trials, so its
 accumulators and reruns cover about BATCH trial-recoveries at most.
-Stabilize reuses one recovery's table for every recovery, recovery k's prep
-i being attempt 18k + i of the program; the residual a recovery inherits
-adds its syndromes through the signatures of a data error ahead of the
-recovery.  A fault plan runs on the same kernel with
+A plan holds one segment, the draws of its table, which every recovery
+runs.  Stabilize repeats memory_t20's cycle (`RecoverySchedule`: a channel
+step, then a recovery), so it runs that table t_max times, recovery k's
+prep i being attempt 18k + i of the program; the residual a recovery
+inherits adds its syndromes through the signatures of a data error in the
+channel step.  A fault plan runs on the same kernel with
 every location of a sweep mode's program in one class, in draw order, so the
 plan's flat cursor is that class's stream; its reruns are fault-free.
 
@@ -78,9 +80,8 @@ from __future__ import annotations
 import functools
 import multiprocessing
 import warnings
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from itertools import product, repeat
 from multiprocessing.connection import wait
 from typing import NamedTuple
@@ -144,7 +145,6 @@ class AncillaRejectionError(RuntimeError):
 class ExperimentConfig:
     mode: str
     noise: NoiseParams
-    schedule: RecoverySchedule = field(default_factory=RecoverySchedule)
     trials: int = 1
     master_seed: int = 0
     encoder_noisy: bool = False
@@ -166,7 +166,7 @@ class ExperimentConfig:
             raise ValueError("stabilize mode needs t_max >= 1")
 
     def program(self):
-        return program(self.mode, self.schedule, self.t_max)
+        return program(self.mode, self.t_max)
 
 
 def _warn_small_n(config: ExperimentConfig) -> None:
@@ -340,11 +340,11 @@ class _Table:
 
 
 @functools.cache
-def _table(mode: str, schedule: RecoverySchedule) -> _Table:
+def _table(mode: str) -> _Table:
     """Run every single fault of mode's program, one trial each, through one
     linear pass of `_execute`."""
     draws, n_slots = [], 0
-    for kind, rate, n, _, _, prep in _draws(program(mode, schedule)):
+    for kind, rate, n, _, _, prep in _draws(program(mode)):
         draws.append((kind, rate, prep, np.arange(n_slots, n_slots + n)))
         n_slots += n
     # the cases of enumerate_fault_cases, location by location
@@ -354,7 +354,7 @@ def _table(mode: str, schedule: RecoverySchedule) -> _Table:
     codes = np.arange(len(slots)) - case0[slots] + 1
     src = FaultPlanSource(slots[:, None], codes[:, None], n_codes)
     flags: list = []
-    x, z, syn, _, tallies = _execute(program(mode, schedule), src, (0, 0), len(slots), flags=flags)
+    x, z, syn, _, tallies = _execute(program(mode), src, (0, 0), len(slots), flags=flags)
     sig = x[DATA].astype(_SIG) | z[DATA].astype(_SIG) << 7 | syn
     return _Table(
         sig,
@@ -405,49 +405,38 @@ def _segment(draws, rates) -> _Segment:
 
 @dataclass(frozen=True)
 class _Plan:
-    """What the kernel needs of one (mode, schedule, t_max, noise)."""
+    """What the kernel needs of one (mode, t_max, noise)."""
 
     table: _Table
-    segments: tuple  # the _Segment of each tally's recovery, in order
+    segment: _Segment  # the draws of the table, which every recovery runs
     steps: tuple  # data step of each tally
-    nominal: Counter  # locations per class of one pass with no ancilla rejected
+    nominal: dict  # locations per class of one pass with no ancilla rejected
     screen: dict  # class -> screen_threshold of its nominal locations
     residual: np.ndarray | None  # (2, 128): signature of an incoming x / z residual
 
 
 def _plan(config: ExperimentConfig) -> _Plan:
     t_max = config.t_max if config.mode == "stabilize" else 1
-    return _build_plan(config.mode, config.schedule, t_max, config.noise)
+    return _build_plan(config.mode, t_max, config.noise)
 
 
 @functools.lru_cache(maxsize=64)  # far more than the cells of a sweep; a plan is tens of kB
-def _build_plan(mode, schedule, t_max, noise) -> _Plan:
-    rates = (noise.epsilon, noise.gamma)
-    if mode != "stabilize":
-        table = _table(mode, schedule)
-        segments, steps, residual = (_segment(table.draws, rates),), table.steps, None
-    else:
-        # One recovery's table, led by a one-step channel prefix: a data error
-        # there stands for the prefix, the gaps and the residual that reach
-        # a recovery, none of which the recovery's gates change.
-        table = _table("memory_t20", replace(schedule, channel_prefix_steps=1))
-        (kind, rate, _, qubits), rec = table.draws[0], table.draws[1:]
-
-        def block(n_steps):
-            return _segment(((kind, rate, -1, np.tile(qubits, n_steps)),) + rec, rates)
-
-        rest = block(schedule.inter_recovery_gap)
-        segments = (block(schedule.channel_prefix_steps),) + (rest,) * (t_max - 1)
-        s0, s1 = (op.step for op in program(mode, schedule, 2) if op.kind == "tally")
-        steps = tuple(s0 + k * (s1 - s0) for k in range(t_max))
+def _build_plan(mode, t_max, noise) -> _Plan:
+    # Stabilize repeats memory_t20's cycle, a channel step and a recovery, so
+    # it runs that table t_max times: a data error in the channel step also
+    # stands for the residual a recovery inherits, which its gates do not change.
+    table = _table("memory_t20" if mode == "stabilize" else mode)
+    seg = _segment(table.draws, (noise.epsilon, noise.gamma))
+    steps = tuple(table.steps[0] + k * RecoverySchedule.total_steps for k in range(t_max))
+    residual = None
+    if mode == "stabilize":
+        qubits = table.draws[0][3]  # the channel step's slot of each data qubit
         units = table.sig[table.case0[qubits] + np.array([[0], [2]])]  # X, Z on each qubit
         bits = (np.arange(128)[:, None] >> np.arange(len(qubits))) & 1
         residual = np.bitwise_xor.reduce(np.where(bits, units[:, None], _SIG(0)), axis=2)
-    nominal: Counter = Counter()
-    for seg in segments:
-        nominal.update(dict(zip(seg.classes, seg.n.tolist())))
+    nominal = {c: n * t_max for c, n in zip(seg.classes, seg.n.tolist())}
     screen = {c: screen_threshold(c[1], n) for c, n in nominal.items()}
-    return _Plan(table, segments, steps, nominal, screen, residual)
+    return _Plan(table, seg, steps, nominal, screen, residual)
 
 
 def _faults(table: _Table, seg: _Segment, src, n, start=None):
@@ -487,11 +476,11 @@ def _nominal(table: _Table, seg: _Segment, bank, acc):
     return rejected // width, rejected % width - 1
 
 
-def _signatures(table: _Table, segs, bank, first: int = 0) -> np.ndarray:
+def _signatures(table: _Table, seg: _Segment, recoveries: int, bank, first=0) -> np.ndarray:
     """XOR of the signatures of the faults each trial of bank (a `StreamBank`
-    or a `FaultPlanSource`) keeps in each of a run of recoveries, one row
-    per recovery: segs[k]'s prep i is ancilla attempt first + k * preps + i
-    of the program.
+    or a `FaultPlanSource`) keeps in each of a run of recoveries of seg, one
+    row per recovery: recovery k's prep i is ancilla attempt
+    first + k * preps + i of the program.
 
     Each recovery draws its nominal locations in one pass, class by class,
     in recovery order.  Every (trial, attempt) whose flags XOR to 1 drops
@@ -500,16 +489,15 @@ def _signatures(table: _Table, segs, bank, first: int = 0) -> np.ndarray:
     draws each one's locations of every class from its own substream, so
     the order of the reruns moves no location, and a rerun is dropped and
     tried again on the same rule.  An attempt's locations sit at the same
-    table slots in every recovery, so one segment maps the reruns of all."""
-    preps = len(segs[0].start) - 1
-    acc = np.zeros((len(segs), bank.size), dtype=_SIG)
+    table slots in every recovery, so seg maps the reruns of all."""
+    preps = len(seg.start) - 1
+    acc = np.zeros((recoveries, bank.size), dtype=_SIG)
     owner, attempt = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]  # the rejected
-    for k, seg in enumerate(segs):
+    for k in range(recoveries):
         trial, prep = _nominal(table, seg, bank, acc[k])
         owner.append(trial)
         attempt.append(k * preps + prep)
     owner, attempt = np.concatenate(owner), np.concatenate(attempt)
-    seg = segs[0]
     for j in range(1, MAX_PREP_ATTEMPTS):
         if not owner.size:
             return acc
@@ -525,7 +513,7 @@ def _signatures(table: _Table, segs, bank, first: int = 0) -> np.ndarray:
 
 
 def _kernel(config: ExperimentConfig, bank: StreamBank):
-    """Every trial of bank through config's signature tables; returns each
+    """Every trial of bank through config's signature table; returns each
     tally as (step, joint class counts), as `_run` does.  The recoveries run
     in windows of max(1, BATCH // bank.size), each window's reruns in one
     batch per try, so a window's accumulators and reruns hold about BATCH
@@ -534,10 +522,11 @@ def _kernel(config: ExperimentConfig, bank: StreamBank):
     x = z = np.zeros(bank.size, dtype=_SIG)
     tallies = []
     window = max(1, BATCH // max(1, bank.size))
-    preps = len(plan.segments[0].start) - 1
-    for k in range(0, len(plan.segments), window):
-        accs = _signatures(plan.table, plan.segments[k:k + window], bank, k * preps)
-        for acc, step in zip(accs, plan.steps[k:k + window]):
+    preps = len(plan.segment.start) - 1
+    for k in range(0, len(plan.steps), window):
+        steps = plan.steps[k:k + window]
+        accs = _signatures(plan.table, plan.segment, len(steps), bank, k * preps)
+        for acc, step in zip(accs, steps):
             if plan.residual is not None:
                 acc ^= plan.residual[0][x] ^ plan.residual[1][z]
             x, z = _correct(acc)
@@ -778,17 +767,15 @@ def run_fault_plan(
     recovery."""
     if config.mode == "stabilize":
         raise ValueError("fault plans replay a sweep mode, not mode 'stabilize'")
-    table = _table(config.mode, config.schedule)
+    table = _table(config.mode)
     # every location one class, in draw order; the rates are not read
     seg = _segment([(None, 0, prep, s) for _, _, prep, s in table.draws], (1.0,))
-    (sig,) = _signatures(table, (seg,), FaultPlanSource(slots, codes, table.codes))
+    (sig,) = _signatures(table, seg, 1, FaultPlanSource(slots, codes, table.codes))
     dx, dz = _correct(sig)
     return dx.astype(_U8), dz.astype(_U8)
 
 
-def certify_single_faults(
-    schedule: RecoverySchedule = RecoverySchedule(),
-) -> CertificationReport:
+def certify_single_faults() -> CertificationReport:
     """Prove every single fault in one recovery block is ideally recoverable.
 
     Every error location (memory slot, gate, measurement) of a full channel
@@ -796,13 +783,13 @@ def certify_single_faults(
     the run must leave a residual that one ideal recovery maps to the
     trivial class in both sectors.
     """
-    table = _table("memory_t20", schedule)
+    table = _table("memory_t20")
     # a case that makes its attempt's verification fire is dropped with the
     # attempt, whose rerun is fault-free; every other case keeps its signature
     dx, dz = _correct(np.where(table.flag, _SIG(0), table.sig))
     bad = np.flatnonzero(IDEAL_FAILS[dx] | IDEAL_FAILS[dz])
     cases = []
     if bad.size:  # the cases only label the failures
-        config = ExperimentConfig("memory_t20", NoiseParams.zero(), schedule)
+        config = ExperimentConfig("memory_t20", NoiseParams.zero())
         cases = enumerate_fault_cases(config)
     return CertificationReport(len(table.case0), len(table.sig), [cases[i] for i in bad])

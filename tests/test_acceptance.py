@@ -131,7 +131,7 @@ def test_criterion_4_censuses():
     from steane_mc.circuit import build_syndrome_round
 
     c_round = census(build_syndrome_round())
-    c_rec = census(build_recovery(sched))
+    c_rec = census(build_recovery())
     ok = (
         c_round.data_cnot_count == 24
         and c_rec.data_cnot_count == 72
@@ -150,7 +150,7 @@ def test_criterion_4_censuses():
 
 def test_criterion_5_single_fault_certification():
     t0 = time.time()
-    report = eng.certify_single_faults(RecoverySchedule())
+    report = eng.certify_single_faults()
     elapsed = time.time() - t0
     ok = report.passed and elapsed < 60.0
     detail = (

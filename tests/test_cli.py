@@ -331,6 +331,39 @@ def test_thresholds_paper_table(tmp_path):
     assert len(rows) == 7
 
 
+def test_thresholds_conflicting_or_unmatched_rows_exit_1(tmp_path, capsys):
+    """Two rows of one kind for one C, or a lin or slope row for a C with no
+    threshold row, is a usage error naming the file and the C; no output is
+    written, rather than the last row winning or the row vanishing."""
+    quad = "model,C,c1\nquad,inf,33961.0\n"
+    slope2 = "slope2,inf,1.0,-100.0,\n"
+    head = "model,C,c1,c2,c3\n"
+    cases = [  # (fits text or None for the paper table, slopes text or None, C named)
+        (quad + "quad,inf,34000.0\n", None, "C=inf"),
+        (quad + "lin,1,343.8\nquad,1,43843.2\nlin,1,344.0\n", None, "C=1.0"),
+        (quad + "lin,inf,290.8\nlin,0.5,409.6\n", None, "C=0.5"),
+        (None, head + slope2 + "slope3,inf,5.0,-500.0,1000.0\n", "C=inf"),
+        (None, head + slope2 + "slope3,inf,5.0,-500.0,1000.0\nslope2,7,1.0,-100.0,\n", "C=inf"),
+        (None, head + "slope2,7,1.0,-100.0,\n", "C=7.0"),
+        (quad, head + slope2 + "slope2,1,1.0,-100.0,\n", "C=1.0"),
+    ]
+    for k, (fits, slopes, named) in enumerate(cases):
+        argv, bad = ["thresholds"], []
+        for flag, text in (("--fits", fits), ("--slopes", slopes)):
+            if text is not None:
+                path = tmp_path / f"{flag[2:]}{k}.csv"
+                path.write_text(text)
+                argv += [flag, str(path)]
+                bad.append(str(path))
+        if fits is None:
+            argv.append("--use-paper-table")
+        out = tmp_path / f"thr{k}.csv"
+        assert run(argv + ["--out", str(out)]) == 1, argv
+        err = capsys.readouterr().err
+        assert bad[-1] in err and named in err, err
+        assert not out.exists()
+
+
 def test_thresholds_bracket_failure_exits_2(tmp_path):
     src = str(tmp_path / "fits.csv")
     cli.write_csv(

@@ -15,13 +15,7 @@ import numpy as np
 import pytest
 
 from steane_mc import codebook, engine
-from steane_mc.circuit import (
-    GROUP_ORDER,
-    N_DATA,
-    RecoverySchedule,
-    build_recovery,
-    program,
-)
+from steane_mc.circuit import GROUP_ORDER, N_DATA, build_recovery, program
 from steane_mc.noise import NoiseParams
 from steane_mc.pauli import PauliFrame, apply_cnot, apply_h, apply_pauli, measure_flip
 
@@ -138,13 +132,10 @@ def _network_faults(case_slots, case_codes, places, shift):
 
 
 def _setup():
-    schedule = RecoverySchedule()
-    config = engine.ExperimentConfig(
-        mode="memory_t20", noise=NoiseParams.zero(), schedule=schedule
-    )
-    net = build_recovery(schedule)
+    config = engine.ExperimentConfig(mode="memory_t20", noise=NoiseParams.zero())
+    net = build_recovery()
     steps = [(locs[0].step, locs) for locs in net.steps()]
-    places = _slot_places(program("memory_t20", schedule))
+    places = _slot_places(program("memory_t20"))
     # every step holds memory locations, so the first slot step is the network's
     shift = 1 - min(step for step, _ in places.values())
     return config, net.n_qubits, steps, places, shift
@@ -175,7 +166,7 @@ def test_engine_matches_network_walk_on_multi_fault_plans(k):
     reject one ancilla attempt, so that their flags cancel.  Rows that
     reject an attempt are common."""
     config, n_qubits, steps, places, shift = _setup()
-    table = engine._table("memory_t20", config.schedule)
+    table = engine._table("memory_t20")
     case_slot = np.repeat(np.arange(len(table.case0)), table.codes)
     loud = np.flatnonzero(table.flag)
     rng = np.random.default_rng(1997 + k)

@@ -12,7 +12,7 @@ import pytest
 from steane_mc import cli
 from steane_mc import engine as eng
 from steane_mc.codebook import ErrorClass, ResidualClass, overlap_factor
-from steane_mc.circuit import ATTEMPT, MODES, RecoverySchedule
+from steane_mc.circuit import ATTEMPT, MODES
 from steane_mc.noise import FaultPlanSource, NoiseParams, RecordingSource, StreamBank
 
 INF = math.inf
@@ -102,7 +102,7 @@ def test_run_fault_plan_rejects_a_code_that_does_not_fit():
     assert dx.tolist() == dz.tolist() == [0, 0]
     # an X at slot 8, a gate of the first ancilla attempt, rejects that attempt;
     # its rerun plans no fault, so slot n stays out of reach
-    table = eng._table("memory_t20", config.schedule)
+    table = eng._table("memory_t20")
     assert table.flag[table.case0[8]]  # the case of code 1 at slot 8
     for plan in ([[8, n]], [[0, 3], [8, n]]):
         row = len(plan) - 1
@@ -155,7 +155,7 @@ def test_a_rejected_attempt_draws_it_once_more():
     from the plan's fault-free rerun source, so the plan's cursor ends at the
     1,508 nominal locations; on the kernel too, slot 1,508 is never reached."""
     config = _cfg()
-    src = _TaggingPlan([[8]], [[1]], eng._table(config.mode, config.schedule).codes)
+    src = _TaggingPlan([[8]], [[1]], eng._table(config.mode).codes)
     dx, dz, _ = eng._run(config, src)
     assert src.cursor == 1508
     assert src.reran == [([0], 0, 1)]
@@ -367,18 +367,15 @@ def test_kernel_matches_interpreter_at_high_rate(mode, C, reruns):
 @pytest.mark.filterwarnings("ignore:trials=")
 def test_kernel_reruns_a_window_of_recoveries_at_once(monkeypatch, reruns):
     """With a window of two recoveries, five recoveries run as windows of 2,
-    2 and 1, each window's rejected attempts rerunning together; recovery
-    0's attempts sit at other offsets of the class streams than the rest's."""
-    schedule = RecoverySchedule(channel_prefix_steps=2, inter_recovery_gap=3)
-    cfg = _cfg(mode="stabilize", eps=2e-2, C=1.0, trials=600, seed=32, t_max=5,
-               schedule=schedule)
+    2 and 1, each window's rejected attempts rerunning together."""
+    cfg = _cfg(mode="stabilize", eps=2e-2, C=1.0, trials=600, seed=32, t_max=5)
     monkeypatch.setattr(eng, "BATCH", 2 * cfg.trials)
     windows = []
     signatures = eng._signatures
 
-    def counting(table, segs, bank, first=0):
-        windows.append(len(segs))
-        return signatures(table, segs, bank, first)
+    def counting(table, seg, recoveries, bank, first=0):
+        windows.append(recoveries)
+        return signatures(table, seg, recoveries, bank, first)
 
     monkeypatch.setattr(eng, "_signatures", counting)
     _kernel_matches_interpreter(cfg, 0)
@@ -400,7 +397,7 @@ def test_fault_plans_run_no_interpreter(monkeypatch):
     """Once the tables are built, fault plans and certification never
     interpret ops."""
     config = _cfg()
-    eng._table(config.mode, config.schedule)
+    eng._table(config.mode)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the interpreter ran")
@@ -559,7 +556,7 @@ def test_worker_that_exits_without_sending_raises(started, monkeypatch):
 
 
 def test_certification_passes():
-    report = eng.certify_single_faults(RecoverySchedule())
+    report = eng.certify_single_faults()
     assert report.passed, [f.label for f in report.failures[:5]]
     assert report.n_cases > 5000
 
@@ -588,14 +585,11 @@ def test_fault_case_enumeration_is_stable():
     assert max(slots) == len(slots) - 1  # contiguous location numbering
 
 
-@pytest.mark.parametrize("schedule", [RecoverySchedule(), RecoverySchedule(2, 3)])
 @pytest.mark.parametrize("mode", MODES)
-def test_draw_walk_numbers_the_interpreter_locations(mode, schedule):
+def test_draw_walk_numbers_the_interpreter_locations(mode):
     """The static draw walk lists the draws an interpreter run records, and
     every fault case's label follows from that record."""
-    cfg = eng.ExperimentConfig(
-        mode, NoiseParams.zero(), schedule, encoder_noisy=mode == "fig5", t_max=3
-    )
+    cfg = eng.ExperimentConfig(mode, NoiseParams.zero(), encoder_noisy=mode == "fig5", t_max=3)
     rec = RecordingSource()
     eng._run(cfg, rec)
     records = [(r.slot, r.n, r.kind, r.width, r.tag) for r in rec.records]

@@ -139,7 +139,7 @@ def test_multi_fault_outcomes_pinned(mode, k):
     slots = np.array([c.slot for c in cases], dtype=np.int64)
     case0 = np.flatnonzero(np.diff(slots, prepend=-1))  # first case of each location
     n_codes = np.diff(np.append(case0, len(cases)))
-    flag = engine._table(mode, cfg.schedule).flag
+    flag = engine._table(mode).flag
     rng = np.random.default_rng(2004 + k)
     where = rng.random((MULTI_FAULT_ROWS, len(case0))).argsort(axis=1)[:, :k]
     pick = case0[where] + (rng.random(where.shape) * n_codes[where]).astype(np.int64)

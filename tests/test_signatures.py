@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from steane_mc import engine as eng
-from steane_mc.circuit import RecoverySchedule
 from steane_mc.noise import FaultPlanSource, NoiseParams, RecordingSource
 
 SWEEP_MODES = ["memory_t20", "ec1", "zgate", "fig5"]
@@ -30,7 +29,7 @@ def _config(mode, **kw):
 
 def _interpret(cfg, slots, codes):
     """The residuals (dx, dz) of a fault plan replayed by the interpreter."""
-    src = FaultPlanSource(slots, codes, eng._table(cfg.mode, cfg.schedule).codes)
+    src = FaultPlanSource(slots, codes, eng._table(cfg.mode).codes)
     dx, dz, _ = eng._run(cfg, src)
     return dx, dz
 
@@ -44,7 +43,7 @@ def _cases(table):
 @pytest.mark.parametrize("mode", SWEEP_MODES)
 def test_table_matches_fault_plans_on_single_faults(mode):
     cfg = _config(mode)
-    table = eng._table(mode, cfg.schedule)
+    table = eng._table(mode)
     cases = eng.enumerate_fault_cases(cfg)
     slots, codes = _cases(table)
     assert slots.tolist() == [c.slot for c in cases]
@@ -66,7 +65,7 @@ def test_pair_signatures_match_fault_plans(mode):
     random pairs that raise no flag, and pairs in one attempt that each
     reject it alone."""
     cfg = _config(mode)
-    table = eng._table(mode, cfg.schedule)
+    table = eng._table(mode)
     slots, codes = _cases(table)
     rng = np.random.default_rng(2103)
     quiet = np.flatnonzero(~table.flag)
@@ -88,7 +87,7 @@ def test_same_location_faults_match_their_product(mode):
     """Two faults planned at one location, one-qubit or CNOT, whose flags
     XOR to 0 leave the correction of the XOR of their signatures."""
     cfg = _config(mode)
-    table = eng._table(mode, cfg.schedule)
+    table = eng._table(mode)
     slots, codes = _cases(table)
     rng = np.random.default_rng(2004)
     a = rng.integers(len(slots), size=6000)
@@ -106,8 +105,7 @@ def test_nominal_locations_count_one_recorded_pass(mode):
     """A plan's nominal locations per class add up to the locations of one
     recorded pass, the CNOT class to its CNOT locations."""
     cfg = eng.ExperimentConfig(
-        mode=mode, noise=NoiseParams(1e-3, 0.5), encoder_noisy=(mode == "fig5"), t_max=3,
-        schedule=RecoverySchedule(channel_prefix_steps=2, inter_recovery_gap=3),
+        mode=mode, noise=NoiseParams(1e-3, 0.5), encoder_noisy=(mode == "fig5"), t_max=3
     )
     rec = RecordingSource()
     eng._run(cfg, rec)
@@ -127,7 +125,7 @@ def test_kernel_replays_multi_fault_plans_as_the_interpreter(mode, reruns):
     fault, so it is never rejected again.  `run_fault_plan` and the
     interpreter agree row for row."""
     cfg = _config(mode)
-    table = eng._table(mode, cfg.schedule)
+    table = eng._table(mode)
     slots, codes = _cases(table)
     rng = np.random.default_rng(1208)
     rows = 3000
@@ -151,7 +149,7 @@ def test_kernel_replays_two_codes_at_one_location_as_the_interpreter(mode, rerun
     none.  Exactly the rows whose product rejects an attempt rerun it,
     once."""
     cfg = _config(mode)
-    table = eng._table(mode, cfg.schedule)
+    table = eng._table(mode)
     slots, _ = _cases(table)
     rng = np.random.default_rng(2020)
     one = rng.choice(np.flatnonzero(table.codes == 3), size=600)
