@@ -28,11 +28,7 @@ import numpy as np
 
 from . import __version__, analysis, codebook, engine
 from .circuit import (
-    RecoverySchedule,
-    build_encoder,
-    build_recovery,
-    build_syndrome_round,
-    census,
+    MODES, RecoverySchedule, build_encoder, build_recovery, build_syndrome_round, census,
     verify_encoder,
 )
 from .noise import STREAM_VERSION, NoiseParams
@@ -143,6 +139,17 @@ _FIELDS = {
 }
 
 
+def _lines(path, what=""):
+    """A text input file's lines; unreadable is an I/O error, undecodable a usage error."""
+    try:
+        with open(path) as fh:
+            yield from fh
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot decode {what}{path}: {exc}") from None
+    except OSError as exc:
+        raise IOError(f"cannot read {what}{path}: {exc}") from exc
+
+
 def read_csv(path, need=()):
     """Returns (manifest pairs, columns, rows).  Every data row must have the
     header's field count, and the header every column in need.  Without need
@@ -152,28 +159,24 @@ def read_csv(path, need=()):
     columns: list[str] | None = None
     rows: list[list[str]] = []
     numbers: list[int] = []  # the line number of each data row
-    try:
-        with open(path) as fh:
-            for number, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                if line.startswith("# "):
-                    key, _, value = line[2:].partition(" = ")
-                    manifest.append((key, value))
-                elif columns is None:
-                    columns = line.split(",")
-                else:
-                    fields = line.split(",")
-                    if len(fields) != len(columns):
-                        raise UsageError(
-                            f"{path} line {number}: {len(fields)} fields, "
-                            f"the header has {len(columns)}"
-                        )
-                    rows.append(fields)
-                    numbers.append(number)
-    except OSError as exc:
-        raise IOError(f"cannot read {path}: {exc}") from exc
+    for number, line in enumerate(_lines(path), 1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        if line.startswith("# "):
+            key, _, value = line[2:].partition(" = ")
+            manifest.append((key, value))
+        elif columns is None:
+            columns = line.split(",")
+        else:
+            fields = line.split(",")
+            if len(fields) != len(columns):
+                raise UsageError(
+                    f"{path} line {number}: {len(fields)} fields, "
+                    f"the header has {len(columns)}"
+                )
+            rows.append(fields)
+            numbers.append(number)
     if columns is None:
         raise UsageError(f"{path} contains no data header")
     missing = [c for c in need if c not in columns]
@@ -229,16 +232,12 @@ def _schedule_manifest():
 
 def _load_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    try:
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, value = line.partition("=")
-                out[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
-        raise IOError(f"cannot read config {path}: {exc}") from exc
+    for line in _lines(path, "config "):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")
+        out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 
@@ -359,6 +358,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+_SWEEP_MODES = tuple(m for m in MODES if m != "stabilize")  # stabilize has its own command
 _CELL_DEFAULTS = dict(C=["inf"], epsilon=[], epsilon_grid="", trials=10000, seed=0, threads=0)
 _SWEEP_DEFAULTS = dict(_CELL_DEFAULTS, mode="memory_t20", out="sweep.csv")
 _STABILIZE_DEFAULTS = dict(_CELL_DEFAULTS, t_max=10, out="stabilize.csv")
@@ -414,7 +414,7 @@ def _run_cells(args, argv, command, columns, settings, cell_rows, **config_kw) -
 def cmd_sweep(args, argv) -> int:
     args = _resolve(args, _SWEEP_DEFAULTS)
     mode = args.mode
-    if mode not in ("memory_t20", "ec1", "zgate", "fig5"):
+    if mode not in _SWEEP_MODES:
         raise UsageError(
             f"sweep does not support mode {mode!r} (use the stabilize command)"
         )
@@ -631,7 +631,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="run one experiment per (C, epsilon) cell")
     common(p)
-    p.add_argument("--mode", choices=["memory_t20", "ec1", "zgate", "fig5"])
+    p.add_argument("--mode", choices=_SWEEP_MODES)
 
     p = sub.add_parser("stabilize", help="repeated-recovery fidelity series")
     common(p)
@@ -673,7 +673,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (analysis.AnalysisError, ValueError, engine.AncillaRejectionError) as exc:
+    except (ValueError, RuntimeError) as exc:  # AnalysisError, AncillaRejectionError, a dead worker
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IOError as exc:

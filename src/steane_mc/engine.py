@@ -38,14 +38,13 @@ location; then the trial XORs the signatures it keeps and applies the
 majority vote and the class lookup, recovery by recovery.  A window is
 max(1, BATCH // trials) recoveries of a chunk's faulting trials, so its
 accumulators and reruns cover about BATCH trial-recoveries at most.
-A plan holds one segment, the draws of its table, which every recovery
-runs.  Stabilize repeats memory_t20's cycle (`RecoverySchedule`: a channel
-step, then a recovery), so it runs that table t_max times, recovery k's
-prep i being attempt 18k + i of the program; the residual a recovery
+A config's `_Plan` holds one segment, the draws of its table, which every
+recovery runs.  Stabilize repeats memory_t20's cycle (`RecoverySchedule`: a
+channel step, then a recovery), so it runs that table t_max times, recovery
+k's prep i being attempt 18k + i of the program; the residual a recovery
 inherits adds its syndromes through the signatures of a data error in the
-channel step.  A fault plan runs on the same kernel with
-every location of a sweep mode's program in one class, in draw order, so the
-plan's flat cursor is that class's stream; its reruns are fault-free.
+channel step.  A fault plan is read off the same table: each planned code
+is a fault case, kept or dropped as a trial's are, and its reruns are fault-free.
 
 Randomness is keyed by (master_seed, trial_index, location class, fault
 ordinal), and for a rerun also by (attempt, try), so results are
@@ -335,6 +334,7 @@ class _Table:
     case0: np.ndarray  # per location (slot): its first case; Pauli code c is case0 + c - 1
     codes: np.ndarray  # per location: its number of Pauli codes, 3 or 15
     prep: np.ndarray  # per location: the prep op whose attempt draws it (-1: none)
+    preps: int  # prep ops of the program: its ancilla attempts in one recovery
     draws: tuple  # (kind, rate, prep, slots) per draw op, in draw order
     steps: tuple  # data step of each tally
 
@@ -362,6 +362,7 @@ def _table(mode: str) -> _Table:
         case0,
         n_codes,
         np.concatenate([np.full(len(s), p) for _, _, p, s in draws]),
+        len(flags),
         tuple(draws),
         tuple(step for step, _ in tallies),
     )
@@ -376,7 +377,7 @@ class _Segment:
     n: np.ndarray  # locations per class
     base: np.ndarray  # where each class starts in loc
     loc: np.ndarray  # table slot of every location, class after class
-    start: np.ndarray  # (preps + 1, classes) first offset of each attempt; last row: n
+    start: np.ndarray  # (table.preps, classes) first offset of each attempt
     alen: np.ndarray  # locations of one attempt per class
 
 
@@ -390,7 +391,7 @@ def _segment(draws, rates) -> _Segment:
             locs.setdefault((kind, rates[rate]), []).append(slots)
     classes = tuple(locs)
     n = np.array([sum(map(len, locs[c])) for c in classes], dtype=np.int64)
-    start = [[seen[a].get(c, 0) for c in classes] for a in sorted(seen)] + [list(n)]
+    start = [[seen[a].get(c, 0) for c in classes] for a in sorted(seen)]
     # every prep op runs the one shared attempt, so any attempt gives the lengths
     alen = [sum(len(s) for k, r, p, s in draws if p == 0 and (k, rates[r]) == c) for c in classes]
     return _Segment(
@@ -398,7 +399,7 @@ def _segment(draws, rates) -> _Segment:
         n,
         np.cumsum(n) - n,
         np.concatenate([np.zeros(0, np.int64), *(s for c in classes for s in locs[c])]),
-        np.array(start, dtype=np.int64).reshape(len(start), len(classes)),
+        np.array(start, dtype=np.int64),
         np.array(alen, dtype=np.int64),
     )
 
@@ -439,14 +440,14 @@ def _build_plan(mode, t_max, noise) -> _Plan:
     return _Plan(table, seg, steps, nominal, screen, residual)
 
 
-def _faults(table: _Table, seg: _Segment, src, n, start=None):
-    """(row, case, slot) of every fault src draws over n[c] locations of each
+def _faults(table: _Table, seg: _Segment, bank, n, start=None):
+    """(row, case, slot) of every fault bank draws over n[c] locations of each
     class c of seg: nominal ones, or, given start, those of the attempt that
     row i reruns, which begin at start[i, c] in the class."""
     found = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0, _U8),)]
     for c, (kind, p) in enumerate(seg.classes):
         if n[c]:
-            r, off, code = src.faults(kind, p, int(n[c]))
+            r, off, code = bank.faults(kind, p, int(n[c]))
             found.append((r, np.full(r.size, c), off, code))
     row, cls, off, code = (np.concatenate(a) for a in zip(*found))
     if start is not None:
@@ -463,24 +464,22 @@ def _keep(table: _Table, case, pair, size):
     return ~flips[pair], np.flatnonzero(flips)
 
 
-def _nominal(table: _Table, seg: _Segment, bank, acc):
-    """XOR into acc the signatures of the nominal faults that each trial of
-    bank keeps in seg's recovery; returns (trial, prep) of each attempt
-    rejected.  Its arrays go on return, so a window holds one recovery's
-    nominal faults at a time."""
-    width = len(seg.start)  # per trial: column 0 for no attempt, 1 + i for prep i
-    row, case, slot = _faults(table, seg, bank, seg.n)
+def _nominal(table: _Table, row, case, slot, acc):
+    """XOR into acc[row] the signatures of the faults (row, case, slot) of one
+    recovery's nominal locations that the row keeps; returns (row, prep) of
+    each ancilla attempt rejected, whose faults are dropped."""
+    width = table.preps + 1  # per row: column 0 for no attempt, 1 + i for prep i
     pair = row * width + 1 + table.prep[slot]
-    keep, rejected = _keep(table, case, pair, bank.size * width)
+    keep, rejected = _keep(table, case, pair, acc.size * width)
     np.bitwise_xor.at(acc, row[keep], table.sig[case[keep]])
     return rejected // width, rejected % width - 1
 
 
-def _signatures(table: _Table, seg: _Segment, recoveries: int, bank, first=0) -> np.ndarray:
-    """XOR of the signatures of the faults each trial of bank (a `StreamBank`
-    or a `FaultPlanSource`) keeps in each of a run of recoveries of seg, one
-    row per recovery: recovery k's prep i is ancilla attempt
-    first + k * preps + i of the program.
+def _signatures(table: _Table, seg: _Segment, recoveries: int, bank, first) -> np.ndarray:
+    """XOR of the signatures of the faults each trial of the `StreamBank`
+    bank keeps in each of a run of recoveries of seg, one row per recovery:
+    recovery k's prep i is ancilla attempt first + k * table.preps + i of
+    the program.
 
     Each recovery draws its nominal locations in one pass, class by class,
     in recovery order.  Every (trial, attempt) whose flags XOR to 1 drops
@@ -490,11 +489,12 @@ def _signatures(table: _Table, seg: _Segment, recoveries: int, bank, first=0) ->
     the order of the reruns moves no location, and a rerun is dropped and
     tried again on the same rule.  An attempt's locations sit at the same
     table slots in every recovery, so seg maps the reruns of all."""
-    preps = len(seg.start) - 1
+    preps = table.preps
     acc = np.zeros((recoveries, bank.size), dtype=_SIG)
     owner, attempt = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]  # the rejected
     for k in range(recoveries):
-        trial, prep = _nominal(table, seg, bank, acc[k])
+        # the faults go on return, so a window holds one recovery's at a time
+        trial, prep = _nominal(table, *_faults(table, seg, bank, seg.n), acc[k])
         owner.append(trial)
         attempt.append(k * preps + prep)
     owner, attempt = np.concatenate(owner), np.concatenate(attempt)
@@ -522,10 +522,9 @@ def _kernel(config: ExperimentConfig, bank: StreamBank):
     x = z = np.zeros(bank.size, dtype=_SIG)
     tallies = []
     window = max(1, BATCH // max(1, bank.size))
-    preps = len(plan.segment.start) - 1
     for k in range(0, len(plan.steps), window):
         steps = plan.steps[k:k + window]
-        accs = _signatures(plan.table, plan.segment, len(steps), bank, k * preps)
+        accs = _signatures(plan.table, plan.segment, len(steps), bank, k * plan.table.preps)
         for acc, step in zip(accs, steps):
             if plan.residual is not None:
                 acc ^= plan.residual[0][x] ^ plan.residual[1][z]
@@ -760,17 +759,18 @@ def enumerate_fault_cases(config: ExperimentConfig) -> list[FaultCase]:
 def run_fault_plan(
     config: ExperimentConfig, slots, codes
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Replay one trial per plan row with the planned Paulis forced in, on the
-    signature kernel, and return each row's data residual (dx, dz).  A plan
-    that `FaultPlanSource` rejects against the program's locations raises
-    ValueError, and so does a stabilize config: one table holds one
-    recovery."""
+    """Replay one trial per plan row with the planned Paulis forced in, and
+    return each row's data residual (dx, dz): each planned code is one case
+    of the signature table, kept or dropped by the rule of a trial's nominal
+    faults, and reruns are fault-free.  A plan that `FaultPlanSource` rejects
+    against the program's locations raises ValueError, and so does a
+    stabilize config: one table holds one recovery."""
     if config.mode == "stabilize":
         raise ValueError("fault plans replay a sweep mode, not mode 'stabilize'")
     table = _table(config.mode)
-    # every location one class, in draw order; the rates are not read
-    seg = _segment([(None, 0, prep, s) for _, _, prep, s in table.draws], (1.0,))
-    (sig,) = _signatures(table, seg, 1, FaultPlanSource(slots, codes, table.codes))
+    plan = FaultPlanSource(slots, codes, table.codes)
+    sig = np.zeros(plan.size, dtype=_SIG)
+    _nominal(table, plan.rows, table.case0[plan.slots] + plan.codes - 1, plan.slots, sig)
     dx, dz = _correct(sig)
     return dx.astype(_U8), dz.astype(_U8)
 

@@ -37,9 +37,9 @@ offset, code) list, which the engine's signature kernel reads;
 `depolarize_steps` and `cnot_pairs` scatter the same faults into the dense
 arrays the interpreter reads (views of step-major arrays, so each step's
 column is contiguous), and there a channel with p = 0 consumes no locations.
-`FaultPlanSource` has the same three methods over planned faults, so fault
-plans run on the kernel too; it checks a whole plan against the program's
-nominal locations when it is built, so a run raises nothing about the plan.
+`FaultPlanSource` has the same three methods over planned faults, for the
+interpreter; it checks a whole plan against the program's nominal
+locations when it is built, so a run raises nothing about the plan.
 
 A trial has no fault among the first n locations of a class exactly when its
 first gap reaches n.  `_gaps` rises with the top 52 bits of the class's first
@@ -359,16 +359,15 @@ class FaultPlanSource:
     A plan row is one trial: codes[r, k] is planned at location slots[r, k]
     of trial r, and code 0 plans nothing.  Locations are numbered per trial
     in draw order (each depolarizing or measurement slot is one location,
-    each CNOT one), one flat cursor for all trials: the engine runs a plan on
-    its signature kernel with every location of the program in one class,
-    so `faults` ignores kind and p.  A plan names nominal locations only,
-    those of one pass with no ancilla attempt rejected, and fits[s] is the
-    number of Pauli codes of nominal location s: 3 (X, Y, Z) at a one-qubit
-    location, 15 pair codes at a CNOT.  A rerun draws from `rerun`, which
-    plans no fault, so the cursor counts nominal locations alone.  All other
-    locations are noise-free, and every call consumes its locations even at
-    p = 0 (matching the draw walk that numbers them).  Two codes planned at
-    one location multiply (XOR), as two faults there would.
+    each CNOT one), one flat cursor for all trials, so `faults` ignores kind
+    and p.  A plan names nominal locations only, those of one pass with no
+    ancilla attempt rejected, and fits[s] is the number of Pauli codes of
+    nominal location s: 3 (X, Y, Z) at a one-qubit location, 15 pair codes
+    at a CNOT.  A rerun draws from `rerun`, which plans no fault, so the
+    cursor counts nominal locations alone.  All other locations are
+    noise-free, and every call consumes its locations even at p = 0
+    (matching the draw walk that numbers them).  Two codes planned at one
+    location multiply (XOR), as two faults there would.
 
     The constructor checks the whole plan: it raises ValueError, naming the
     first bad row and slot, for a code not in 0..15, a planned slot that is

@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 from steane_mc import analysis as an
-from steane_mc import cli
+from steane_mc import cli, engine
 
 # CLI tests run tiny trial counts on purpose
 pytestmark = pytest.mark.filterwarnings("ignore:trials=")
@@ -126,10 +126,11 @@ def test_fit_empty_input_exits_1(tmp_path):
 
 
 def test_malformed_fit_and_threshold_inputs_exit_1(tmp_path, capsys):
-    """A row with the wrong field count, a missing column a command reads or
-    a field of it that does not parse is a usage error naming the file, not a
-    KeyError or a ValueError."""
+    """A file that does not decode as text, a row with the wrong field count,
+    a missing column a command reads or a field of it that does not parse is
+    a usage error naming the file, not a KeyError or a ValueError."""
     cases = [
+        (["fit", "--model", "quad"], b"\xff\xfe,bad\n", "cannot decode"),
         (["fit", "--model", "quad"], "mode,C,epsilon,P_fail_a1,trials\nmemory_t20,inf,1e-3,0.01\n",
          "line 2"),
         (["fit", "--model", "quad"], "mode,C,epsilon,P_fail_a1\nmemory_t20,inf,1e-3,0.01\n",
@@ -189,7 +190,7 @@ def test_malformed_fit_and_threshold_inputs_exit_1(tmp_path, capsys):
     ]
     for k, (argv, text, named) in enumerate(cases):
         src = tmp_path / f"bad{k}.csv"
-        src.write_text(text)
+        (src.write_bytes if isinstance(text, bytes) else src.write_text)(text)
         out = str(tmp_path / "out.csv")
         flag = [] if argv[0] == "thresholds" else ["--in"]
         assert run(argv + flag + [str(src), "--out", out]) == 1, argv
@@ -411,12 +412,36 @@ def test_malformed_env_config_and_batch_exit_1(tmp_path, monkeypatch, capsys):
     conf = tmp_path / "conf.txt"
     conf.write_text("trials = ten\n")
     assert run(argv + ["--config", str(conf)]) == 1
+    conf.write_bytes(b"trials=\xff\n")  # not text: the message names the file
+    assert run(argv + ["--config", str(conf)]) == 1
+    assert f"cannot decode config {conf}" in capsys.readouterr().err
     for key in ("trails", "t_max"):  # misspelt; an option of stabilize only
         conf.write_text(f"{key} = 5\n")
         assert run(argv + ["--config", str(conf)]) == 1
         assert key in capsys.readouterr().err
     assert run(argv + ["--trials", "ten"]) == 1
     assert not os.path.exists(out)
+
+
+@pytest.mark.skipif(not engine._HAS_FORK, reason="no fork start method")
+def test_dead_sweep_worker_exits_2(tmp_path, monkeypatch, capsys):
+    """A sweep worker that exits without sending its counts is one error
+    line and exit 2, not a traceback."""
+    run_chunk = engine._run_chunk
+
+    def chunk(config, start, size):
+        if start == 100:
+            os._exit(3)
+        return run_chunk(config, start, size)
+
+    monkeypatch.setattr(engine, "BATCH", 100)
+    monkeypatch.setattr(engine, "_run_chunk", chunk)
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--epsilon", "2e-3", "--trials", "150", "--threads", "2", "--out", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep worker 1 exited with code 3"), err
+    assert not out.exists()
 
 
 def test_non_finite_inputs_exit_1(tmp_path, capsys):

@@ -373,7 +373,7 @@ def test_kernel_reruns_a_window_of_recoveries_at_once(monkeypatch, reruns):
     windows = []
     signatures = eng._signatures
 
-    def counting(table, seg, recoveries, bank, first=0):
+    def counting(table, seg, recoveries, bank, first):
         windows.append(recoveries)
         return signatures(table, seg, recoveries, bank, first)
 
@@ -395,15 +395,21 @@ def test_rejection_cap_counts_distinct_trials(monkeypatch):
 
 def test_fault_plans_run_no_interpreter(monkeypatch):
     """Once the tables are built, fault plans and certification never
-    interpret ops."""
+    interpret ops, and they read the table without the Monte Carlo kernel:
+    no location classes, no sampled faults and no rerun round."""
     config = _cfg()
     eng._table(config.mode)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the interpreter ran")
+        raise AssertionError("the interpreter or the Monte Carlo kernel ran")
 
     monkeypatch.setattr(eng, "_execute", forbidden)
     monkeypatch.setattr(eng, "_prepare", forbidden)
+    for name in ("_segment", "_signatures", "_faults"):
+        monkeypatch.setattr(eng, name, forbidden)
+    for cls, name in ((StreamBank, "rerun"), (FaultPlanSource, "rerun"),
+                      (FaultPlanSource, "faults")):
+        monkeypatch.setattr(cls, name, forbidden)
     dx, dz = eng.run_fault_plan(config, [[8, 57], [0, 1]], [[1, 7], [1, 1]])
     assert eng.CLASS_LUT[dx].tolist() == [0, int(ErrorClass.LOGICAL)] and not dz.any()
     report = eng.certify_single_faults()

@@ -8,8 +8,9 @@ fault set whose attempt flags XOR to 0 keeps every attempt, so its residual
 must be the majority-vote correction of the XOR of its signatures; these
 tests replay such sets through the interpreter, `engine._run` on a
 `FaultPlanSource`, which reruns rejected attempts op by op.  `run_fault_plan`
-replays plans on the signature kernel, so the last test checks it against
-the interpreter on plans of several faults that reject attempts.
+reads plans off the table instead, keeping or dropping each planned fault
+by its attempt's flags, so the last two tests check it against the
+interpreter on plans of several faults that reject attempts.
 """
 
 import numpy as np
@@ -142,8 +143,8 @@ def test_kernel_replays_multi_fault_plans_as_the_interpreter(mode, reruns):
 
 @pytest.mark.parametrize("mode", SWEEP_MODES)
 def test_kernel_replays_two_codes_at_one_location_as_the_interpreter(mode, reruns):
-    """Two codes planned at one location act as their product (XOR) on the
-    kernel as on the interpreter: one-qubit products, CNOT pairs whose
+    """Two codes planned at one location act as their product (XOR) off the
+    table as on the interpreter: one-qubit products, CNOT pairs whose
     product is the identity, and two codes at one attempt slot that each
     reject the attempt alone: flags are linear, so their product raises
     none.  Exactly the rows whose product rejects an attempt rerun it,
