@@ -108,6 +108,18 @@ def write_csv(path, manifest: list[tuple[str, str]], columns, rows) -> None:
         raise IOError(f"cannot write {path}: {exc}") from exc
 
 
+def _check_writable(path) -> None:
+    """Fail as `write_csv` would, before any work: open path for appending,
+    which truncates nothing, and remove it again if this made it."""
+    made = not os.path.exists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise IOError(f"cannot write {path}: {exc}") from exc
+    if made:
+        os.remove(path)
+
+
 def _number(lo=-math.inf, hi=math.inf, parse=float):
     """The parser of a column of finite numbers in [lo, hi]."""
 
@@ -387,6 +399,7 @@ def _run_cells(args, argv, command, columns, settings, cell_rows, **config_kw) -
         ]
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    _check_writable(args.out)
     t0 = time.time()
     results = engine.run_experiments(configs, threads)
     rows = [row for cfg, res in zip(configs, results) for row in cell_rows(cfg, res)]
@@ -560,6 +573,8 @@ def cmd_thresholds(args, argv) -> int:
             if d["model"] in ("slope2", "slope3"):
                 coefficients = [d[c] for c in ("c1", "c2", "c3") if not math.isnan(d[c])]
                 _once(args.slopes, slopes, d["C"], coefficients, "slope2/slope3")
+        if not slopes:
+            raise UsageError(f"{args.slopes} has no model=slope2 or model=slope3 rows")
     if args.use_paper_table:
         table = analysis.PUBLISHED_TABLE1
     else:

@@ -38,13 +38,15 @@ location; then the trial XORs the signatures it keeps and applies the
 majority vote and the class lookup, recovery by recovery.  A window is
 max(1, BATCH // trials) recoveries of a chunk's faulting trials, so its
 accumulators and reruns cover about BATCH trial-recoveries at most.
-A config's `_Plan` holds one segment, the draws of its table, which every
-recovery runs.  Stabilize repeats memory_t20's cycle (`RecoverySchedule`: a
-channel step, then a recovery), so it runs that table t_max times, recovery
-k's prep i being attempt 18k + i of the program; the residual a recovery
-inherits adds its syndromes through the signatures of a data error in the
-channel step.  A fault plan is read off the same table: each planned code
-is a fault case, kept or dropped as a trial's are, and its reruns are fault-free.
+The table keeps its locations in one form, per-location arrays of kind,
+rate and ancilla attempt, and a config's `_Plan` reads its location classes
+off them with array masks; every recovery runs that layout.  Stabilize
+repeats memory_t20's cycle (`RecoverySchedule`: a channel step, then a
+recovery), so it runs that table t_max times, recovery k's prep i being
+attempt 18k + i of the program; the residual a recovery inherits adds its
+syndromes through the signatures of a data error in the channel step.  A
+fault plan is read off the same table: each planned code is a fault case,
+kept or dropped as a trial's are, and its reruns are fault-free.
 
 Randomness is keyed by (master_seed, trial_index, location class, fault
 ordinal), and for a rerun also by (attempt, try), so results are
@@ -88,7 +90,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import codebook
-from .circuit import ANC, BIT, DATA, GAMMA, MODES, PHASE, RecoverySchedule, program
+from .circuit import ANC, BIT, DATA, GAMMA, MODES, N_DATA, PHASE, RecoverySchedule, program
 from .noise import (
     N_CODES, FaultPlanSource, LocationRecord, NoiseParams, StreamBank, pauli_bits,
     screen_threshold,
@@ -327,89 +329,52 @@ def _draws(ops, prefix=""):
 
 @dataclass(frozen=True)
 class _Table:
-    """The signatures of every single fault of one op program."""
+    """The signatures of every single fault of one recovery's op program, and
+    its locations (slots) in draw order."""
 
     sig: np.ndarray  # signature word per fault case, in enumerate_fault_cases order
     flag: np.ndarray  # per case: alone, it makes its attempt's verification fire
-    case0: np.ndarray  # per location (slot): its first case; Pauli code c is case0 + c - 1
-    codes: np.ndarray  # per location: its number of Pauli codes, 3 or 15
+    case0: np.ndarray  # per location: its first case; Pauli code c is case0 + c - 1
+    codes: np.ndarray  # per location: its number of Pauli codes, 3 or 15 (its kind)
     prep: np.ndarray  # per location: the prep op whose attempt draws it (-1: none)
+    rate: np.ndarray  # per location: the rate it draws at, EPS or GAMMA
     preps: int  # prep ops of the program: its ancilla attempts in one recovery
-    draws: tuple  # (kind, rate, prep, slots) per draw op, in draw order
-    steps: tuple  # data step of each tally
+    step: int  # data step of the program's one tally
 
 
 @functools.cache
 def _table(mode: str) -> _Table:
     """Run every single fault of mode's program, one trial each, through one
     linear pass of `_execute`."""
-    draws, n_slots = [], 0
-    for kind, rate, n, _, _, prep in _draws(program(mode)):
-        draws.append((kind, rate, prep, np.arange(n_slots, n_slots + n)))
-        n_slots += n
+    kind, rate, n, _, _, prep = zip(*_draws(program(mode)))
     # the cases of enumerate_fault_cases, location by location
-    n_codes = np.concatenate([np.full(len(s), N_CODES[k]) for k, _, _, s in draws])
+    n_codes = np.repeat([N_CODES[k] for k in kind], n)
     case0 = np.cumsum(n_codes) - n_codes
-    slots = np.repeat(np.arange(n_slots), n_codes)
+    slots = np.repeat(np.arange(len(n_codes)), n_codes)
     codes = np.arange(len(slots)) - case0[slots] + 1
     src = FaultPlanSource(slots[:, None], codes[:, None], n_codes)
     flags: list = []
-    x, z, syn, _, tallies = _execute(program(mode), src, (0, 0), len(slots), flags=flags)
+    x, z, syn, _, [(step, _)] = _execute(program(mode), src, (0, 0), len(slots), flags=flags)
     sig = x[DATA].astype(_SIG) | z[DATA].astype(_SIG) << 7 | syn
     return _Table(
-        sig,
-        np.any(flags, axis=0),
-        case0,
-        n_codes,
-        np.concatenate([np.full(len(s), p) for _, _, p, s in draws]),
-        len(flags),
-        tuple(draws),
-        tuple(step for step, _ in tallies),
-    )
-
-
-@dataclass(frozen=True)
-class _Segment:
-    """The draws of one recovery at given rates, as location classes
-    (kind, p), p > 0, each listing its locations in draw order."""
-
-    classes: tuple  # (kind, p) per class
-    n: np.ndarray  # locations per class
-    base: np.ndarray  # where each class starts in loc
-    loc: np.ndarray  # table slot of every location, class after class
-    start: np.ndarray  # (table.preps, classes) first offset of each attempt
-    alen: np.ndarray  # locations of one attempt per class
-
-
-def _segment(draws, rates) -> _Segment:
-    locs: dict = {}  # class -> slot arrays in draw order
-    seen: dict = {}  # prep -> locations per class drawn before its attempt
-    for kind, rate, prep, slots in draws:
-        if prep >= 0 and prep not in seen:
-            seen[prep] = {c: sum(map(len, v)) for c, v in locs.items()}
-        if rates[rate] > 0:
-            locs.setdefault((kind, rates[rate]), []).append(slots)
-    classes = tuple(locs)
-    n = np.array([sum(map(len, locs[c])) for c in classes], dtype=np.int64)
-    start = [[seen[a].get(c, 0) for c in classes] for a in sorted(seen)]
-    # every prep op runs the one shared attempt, so any attempt gives the lengths
-    alen = [sum(len(s) for k, r, p, s in draws if p == 0 and (k, rates[r]) == c) for c in classes]
-    return _Segment(
-        classes,
-        n,
-        np.cumsum(n) - n,
-        np.concatenate([np.zeros(0, np.int64), *(s for c in classes for s in locs[c])]),
-        np.array(start, dtype=np.int64),
-        np.array(alen, dtype=np.int64),
+        sig, np.any(flags, axis=0), case0, n_codes, np.repeat(prep, n), np.repeat(rate, n),
+        len(flags), step,
     )
 
 
 @dataclass(frozen=True)
 class _Plan:
-    """What the kernel needs of one (mode, t_max, noise)."""
+    """What the kernel needs of one (mode, t_max, noise): its table's
+    locations at the noise's rates as location classes (kind, p), p > 0,
+    which every recovery runs."""
 
     table: _Table
-    segment: _Segment  # the draws of the table, which every recovery runs
+    classes: tuple  # (kind, p) per class, in the order of their first locations
+    n: np.ndarray  # locations per class
+    base: np.ndarray  # where each class starts in loc
+    loc: np.ndarray  # table slot of every location, class after class, each in draw order
+    start: np.ndarray  # (table.preps, classes): class locations before each attempt's first
+    alen: np.ndarray  # locations of one attempt per class
     steps: tuple  # data step of each tally
     nominal: dict  # locations per class of one pass with no ancilla rejected
     screen: dict  # class -> screen_threshold of its nominal locations
@@ -427,33 +392,47 @@ def _build_plan(mode, t_max, noise) -> _Plan:
     # it runs that table t_max times: a data error in the channel step also
     # stands for the residual a recovery inherits, which its gates do not change.
     table = _table("memory_t20" if mode == "stabilize" else mode)
-    seg = _segment(table.draws, (noise.epsilon, noise.gamma))
-    steps = tuple(table.steps[0] + k * RecoverySchedule.total_steps for k in range(t_max))
+    kinds = dict(zip(N_CODES.values(), N_CODES))  # number of codes -> kind
+    p = np.array([noise.epsilon, noise.gamma])[table.rate]
+    locs = [(kinds[k], q) for k, q in zip(table.codes.tolist(), p.tolist())]
+    classes = tuple(dict.fromkeys(c for c in locs if c[1] > 0))
+    cls = np.array([classes.index(c) if c in classes else len(classes) for c in locs])
+    hot = cls[:, None] == np.arange(len(classes))  # (location, class)
+    n = hot.sum(axis=0)
+    loc = np.argsort(cls, kind="stable")[:n.sum()]  # class by class, each in slot order
+    # an attempt's locations are contiguous, and every prep op runs the one
+    # shared attempt, so attempt 0 gives the lengths of all
+    attempt, first = np.unique(table.prep, return_index=True)
+    start = (np.cumsum(hot, axis=0) - hot)[first[attempt >= 0]]
+    alen = hot[table.prep == 0].sum(axis=0)
+    steps = tuple(table.step + k * RecoverySchedule.total_steps for k in range(t_max))
     residual = None
     if mode == "stabilize":
-        qubits = table.draws[0][3]  # the channel step's slot of each data qubit
+        qubits = np.arange(N_DATA)  # the channel step's slot of each data qubit: the first draw's
         units = table.sig[table.case0[qubits] + np.array([[0], [2]])]  # X, Z on each qubit
-        bits = (np.arange(128)[:, None] >> np.arange(len(qubits))) & 1
+        bits = (np.arange(128)[:, None] >> qubits) & 1
         residual = np.bitwise_xor.reduce(np.where(bits, units[:, None], _SIG(0)), axis=2)
-    nominal = {c: n * t_max for c, n in zip(seg.classes, seg.n.tolist())}
-    screen = {c: screen_threshold(c[1], n) for c, n in nominal.items()}
-    return _Plan(table, seg, steps, nominal, screen, residual)
+    nominal = {c: k * t_max for c, k in zip(classes, n.tolist())}
+    screen = {c: screen_threshold(c[1], k) for c, k in nominal.items()}
+    return _Plan(
+        table, classes, n, np.cumsum(n) - n, loc, start, alen, steps, nominal, screen, residual
+    )
 
 
-def _faults(table: _Table, seg: _Segment, bank, n, start=None):
+def _faults(plan: _Plan, bank, n, start=None):
     """(row, case, slot) of every fault bank draws over n[c] locations of each
-    class c of seg: nominal ones, or, given start, those of the attempt that
+    class c of plan: nominal ones, or, given start, those of the attempt that
     row i reruns, which begin at start[i, c] in the class."""
     found = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0, _U8),)]
-    for c, (kind, p) in enumerate(seg.classes):
+    for c, (kind, p) in enumerate(plan.classes):
         if n[c]:
             r, off, code = bank.faults(kind, p, int(n[c]))
             found.append((r, np.full(r.size, c), off, code))
     row, cls, off, code = (np.concatenate(a) for a in zip(*found))
     if start is not None:
         off += start[row, cls]
-    slot = seg.loc[seg.base[cls] + off]
-    return row, table.case0[slot] + code - 1, slot
+    slot = plan.loc[plan.base[cls] + off]
+    return row, plan.table.case0[slot] + code - 1, slot
 
 
 def _keep(table: _Table, case, pair, size):
@@ -475,9 +454,9 @@ def _nominal(table: _Table, row, case, slot, acc):
     return rejected // width, rejected % width - 1
 
 
-def _signatures(table: _Table, seg: _Segment, recoveries: int, bank, first) -> np.ndarray:
+def _signatures(plan: _Plan, recoveries: int, bank, first) -> np.ndarray:
     """XOR of the signatures of the faults each trial of the `StreamBank`
-    bank keeps in each of a run of recoveries of seg, one row per recovery:
+    bank keeps in each of a run of recoveries of plan, one row per recovery:
     recovery k's prep i is ancilla attempt first + k * table.preps + i of
     the program.
 
@@ -488,13 +467,14 @@ def _signatures(table: _Table, seg: _Segment, recoveries: int, bank, first) -> n
     draws each one's locations of every class from its own substream, so
     the order of the reruns moves no location, and a rerun is dropped and
     tried again on the same rule.  An attempt's locations sit at the same
-    table slots in every recovery, so seg maps the reruns of all."""
+    table slots in every recovery, so the plan maps the reruns of all."""
+    table = plan.table
     preps = table.preps
     acc = np.zeros((recoveries, bank.size), dtype=_SIG)
     owner, attempt = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]  # the rejected
     for k in range(recoveries):
         # the faults go on return, so a window holds one recovery's at a time
-        trial, prep = _nominal(table, *_faults(table, seg, bank, seg.n), acc[k])
+        trial, prep = _nominal(table, *_faults(plan, bank, plan.n), acc[k])
         owner.append(trial)
         attempt.append(k * preps + prep)
     owner, attempt = np.concatenate(owner), np.concatenate(attempt)
@@ -502,7 +482,7 @@ def _signatures(table: _Table, seg: _Segment, recoveries: int, bank, first) -> n
         if not owner.size:
             return acc
         src = bank.rerun(owner, first + attempt, j)
-        row, case, _ = _faults(table, seg, src, seg.alen, seg.start[attempt % preps])
+        row, case, _ = _faults(plan, src, plan.alen, plan.start[attempt % preps])
         keep, rejected = _keep(table, case, row, src.size)
         kept = row[keep]
         np.bitwise_xor.at(acc, (attempt[kept] // preps, owner[kept]), table.sig[case[keep]])
@@ -524,7 +504,7 @@ def _kernel(config: ExperimentConfig, bank: StreamBank):
     window = max(1, BATCH // max(1, bank.size))
     for k in range(0, len(plan.steps), window):
         steps = plan.steps[k:k + window]
-        accs = _signatures(plan.table, plan.segment, len(steps), bank, k * plan.table.preps)
+        accs = _signatures(plan, len(steps), bank, k * plan.table.preps)
         for acc, step in zip(accs, steps):
             if plan.residual is not None:
                 acc ^= plan.residual[0][x] ^ plan.residual[1][z]

@@ -334,8 +334,10 @@ def test_thresholds_paper_table(tmp_path):
 
 def test_thresholds_conflicting_or_unmatched_rows_exit_1(tmp_path, capsys):
     """Two rows of one kind for one C, or a lin or slope row for a C with no
-    threshold row, is a usage error naming the file and the C; no output is
-    written, rather than the last row winning or the row vanishing."""
+    threshold row, is a usage error naming the file and the C, and a slopes
+    file with no slope2/slope3 rows, such as a line fit's, one naming the
+    file and the models.  No output is written, rather than the last row
+    winning, the row vanishing or every eps_sth left blank."""
     quad = "model,C,c1\nquad,inf,33961.0\n"
     slope2 = "slope2,inf,1.0,-100.0,\n"
     head = "model,C,c1,c2,c3\n"
@@ -347,6 +349,7 @@ def test_thresholds_conflicting_or_unmatched_rows_exit_1(tmp_path, capsys):
         (None, head + slope2 + "slope3,inf,5.0,-500.0,1000.0\nslope2,7,1.0,-100.0,\n", "C=inf"),
         (None, head + "slope2,7,1.0,-100.0,\n", "C=7.0"),
         (quad, head + slope2 + "slope2,1,1.0,-100.0,\n", "C=1.0"),
+        (None, head + "line,inf,-0.002,1.0,\n", "model=slope2 or model=slope3"),
     ]
     for k, (fits, slopes, named) in enumerate(cases):
         argv, bad = ["thresholds"], []
@@ -385,6 +388,31 @@ def test_table1_clean(tmp_path):
 def test_io_error_exits_3(tmp_path):
     rc = run(["table1", "--out", str(tmp_path / "nodir" / "t.csv")])
     assert rc == 3
+
+
+@pytest.mark.parametrize("command", ["sweep", "stabilize"])
+def test_unwritable_out_exits_3_before_any_cell(command, tmp_path, monkeypatch, capsys):
+    """An --out that cannot be written is exit 3 before any cell runs, and
+    the check leaves an existing file and a missing path as they were."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(engine, "run_experiments", forbidden)
+    out = tmp_path / "nodir" / "x.csv"
+    assert run([command, "--epsilon", "1e-3", "--trials", "10", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"io error: cannot write {out}"), err
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("the run failed")
+
+    monkeypatch.setattr(engine, "run_experiments", failing)
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text("kept\n")
+    for path in (old, new):
+        assert run([command, "--epsilon", "1e-3", "--trials", "10", "--out", str(path)]) == 2
+    assert old.read_text() == "kept\n" and not new.exists()
 
 
 def test_env_and_config_precedence(tmp_path, monkeypatch):

@@ -373,9 +373,9 @@ def test_kernel_reruns_a_window_of_recoveries_at_once(monkeypatch, reruns):
     windows = []
     signatures = eng._signatures
 
-    def counting(table, seg, recoveries, bank, first):
+    def counting(plan, recoveries, bank, first):
         windows.append(recoveries)
-        return signatures(table, seg, recoveries, bank, first)
+        return signatures(plan, recoveries, bank, first)
 
     monkeypatch.setattr(eng, "_signatures", counting)
     _kernel_matches_interpreter(cfg, 0)
@@ -405,7 +405,7 @@ def test_fault_plans_run_no_interpreter(monkeypatch):
 
     monkeypatch.setattr(eng, "_execute", forbidden)
     monkeypatch.setattr(eng, "_prepare", forbidden)
-    for name in ("_segment", "_signatures", "_faults"):
+    for name in ("_build_plan", "_signatures", "_faults"):
         monkeypatch.setattr(eng, name, forbidden)
     for cls, name in ((StreamBank, "rerun"), (FaultPlanSource, "rerun"),
                       (FaultPlanSource, "faults")):

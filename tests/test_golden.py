@@ -3,7 +3,9 @@
 The digests below fix, for one seed and a noise level high enough that
 ancilla verification rejects often (so the resynthesis loop runs):
 
-  * the data rows of `sweep` in every sweep mode and of `stabilize`;
+  * the data rows of `sweep` in every sweep mode and of `stabilize`, and at
+    C = 0.5, where gamma = 2 epsilon, of memory_t20 and of `stabilize` too:
+    there the one-qubit locations form two classes, and the CNOTs a third;
   * the (slot, code, dx, dz) outcome of every single fault per mode;
   * the outcomes of seeded plans of 2 and 3 faults at distinct locations,
     some of which reject an ancilla attempt, whose rerun plans no fault
@@ -41,6 +43,10 @@ SWEEP_ROWS = {
     "fig5": "dc9815c25fbfb0c562484f52498f21c36196465e1f9044a5000a11cd7928c263",
 }
 STABILIZE_ROWS = "9c6ec30ecbd9d7181ceb8a7fbfe4e69e7a9d4db3730d63cba26e350e48fbc311"
+THREE_CLASS_ROWS = {  # C = 0.5
+    "sweep": "f3e5ef02d7d403bed22dc0f8285019b9ed14c187f4c683657e9f4044ffcc670c",
+    "stabilize": "1f7d8559ccd82e02932942328cc47bf2e1ce46d940e1ff72a689303b82d5df4d",
+}
 FAULT_OUTCOMES = {
     "memory_t20": "855d86186b192872038928af082d7fde4cb0a86944863d30686b9430888e225d",
     "ec1": "9b758f9dda3c3dca49b8257c32edd08d13e979454da1d1541375256042a78201",
@@ -117,6 +123,20 @@ def test_stabilize_rows_pinned(threads, batch, tmp_path, monkeypatch):
     assert cli.main(argv) == 0
     assert _manifest(out)["stream_version"] == STREAM_VERSION
     assert _sha(_data_rows(out)) == STABILIZE_ROWS
+
+
+@pytest.mark.parametrize("batch", [7, 4500], ids=lambda b: f"batch{b}")
+@pytest.mark.parametrize("threads", [1, 2], ids=lambda t: f"threads{t}")
+@pytest.mark.parametrize("command", sorted(THREE_CLASS_ROWS))
+def test_three_class_rows_pinned(command, threads, batch, tmp_path, monkeypatch):
+    monkeypatch.setattr(engine, "BATCH", batch)
+    out = tmp_path / "rows.csv"
+    argv = [command, "--C", "0.5", "--epsilon", EPS, "--trials", TRIALS, "--seed", SEED,
+            "--threads", str(threads), "--out", str(out)]
+    argv += ["--mode", "memory_t20"] if command == "sweep" else ["--t-max", "4"]
+    assert cli.main(argv) == 0
+    assert _manifest(out)["stream_version"] == STREAM_VERSION
+    assert _sha(_data_rows(out)) == THREE_CLASS_ROWS[command]
 
 
 @pytest.mark.parametrize("mode", sorted(FAULT_OUTCOMES))

@@ -49,7 +49,8 @@ def test_table_matches_fault_plans_on_single_faults(mode):
     slots, codes = _cases(table)
     assert slots.tolist() == [c.slot for c in cases]
     assert codes.tolist() == [c.code for c in cases]
-    assert len(table.prep) == len(table.case0) == sum(len(d[3]) for d in table.draws)
+    n_locations = sum(draw[2] for draw in eng._draws(cfg.program()))
+    assert len(table.prep) == len(table.rate) == len(table.case0) == n_locations
     assert np.all(table.prep[slots[table.flag]] >= 0)  # only attempts raise flags
     dx, dz = _interpret(cfg, slots[:, None], codes[:, None])
     x, z = eng._correct(table.sig)
