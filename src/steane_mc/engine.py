@@ -64,16 +64,18 @@ Every recovery of a program ends in a tally, which counts the joint (x, z)
 residual classes at its correction step.  An experiment's result is one
 `TrialStats` per tally: one for a sweep mode, t_max for stabilize.
 
-`run_experiments` splits every experiment into chunks of `BATCH` trials
-and, on more than one worker, forks at most one worker per chunk from the
-`fork` start method, asked for by name so that the configs and the plans
-built beforehand reach every worker through the fork on any Python version;
-nothing is pickled on the way in.  Worker w runs the interleaved share
-jobs[w::workers], so each gets a like mix of cells, and sends back one
-message through its pipe: its chunks' TrialStats lists, or the exception a
-chunk raised, which the caller re-raises after terminating the other
-workers.  Where the platform cannot fork, a process pool runs one task per
-chunk.
+`run_experiments` splits every experiment into chunks of `BATCH` trials,
+`BATCH // 2` in a forked run, and runs them on at most one worker per
+chunk.  On more than one, the caller is worker 0 and forks the others from
+the `fork` start method, asked for by name so that the configs and the
+plans built beforehand reach every worker through the fork on any Python
+version; nothing is pickled on the way in.  Every worker, the caller too,
+takes the next chunk from one shared cursor until none are left, so a slow
+or co-scheduled process just takes fewer.  A forked worker then sends back
+one message through its pipe: its (job, TrialStats list) pairs, or the
+exception a chunk raised.  The caller reads the pipes between its own
+chunks and re-raises such an exception after terminating the other workers.
+Where the platform cannot fork, a process pool runs one task per chunk.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ from .noise import (
 
 MAX_PREP_ATTEMPTS = 100
 
-# trials per chunk; the rows do not depend on it
+# trials per chunk, halved in a forked run; the rows do not depend on it
 BATCH = 32768
 
 # whether sweep workers can be forked (not on Windows)
@@ -600,11 +602,24 @@ def _run_chunk(config: ExperimentConfig, start: int, size: int) -> list[TrialSta
     return out
 
 
-def _worker(configs, share, conn) -> None:
-    """A forked worker: one message, the TrialStats lists of its share's
-    chunks in share order, or the exception a chunk raised."""
+def _taken(jobs, cursor):
+    """(number, job) of each job this process takes from the shared cursor,
+    the next job to run, until none are left."""
+    while True:
+        with cursor.get_lock():
+            j = cursor.value
+            cursor.value = j + 1
+        if j >= len(jobs):
+            return
+        yield j, jobs[j]
+
+
+def _worker(configs, jobs, cursor, conn) -> None:
+    """A forked worker: takes chunks from the cursor until none are left,
+    then sends one message, the (job, TrialStats list) pairs of its chunks,
+    or the exception a chunk raised."""
     try:
-        msg = [_run_chunk(configs[cell], start, n) for cell, start, n in share]
+        msg = [(j, _run_chunk(configs[c], start, n)) for j, (c, start, n) in _taken(jobs, cursor)]
     except Exception as exc:  # re-raised in the caller
         msg = exc
     conn.send(msg)
@@ -612,36 +627,48 @@ def _worker(configs, share, conn) -> None:
 
 
 def _forked_parts(configs, jobs, workers: int) -> list:
-    """Each job's TrialStats list, from `workers` forked processes; worker w
-    runs the interleaved share jobs[w::workers].  A worker's exception is
-    re-raised here and the other workers are terminated."""
+    """Each job's TrialStats list, from the caller, worker 0, and `workers`
+    - 1 forked workers, each taking the next job from one shared cursor, so
+    a slow process just takes fewer.  The caller reads the workers' messages
+    between its own chunks and after its last: a worker's exception is
+    re-raised here, and so is the exit code of one that sends none, and the
+    other workers are terminated."""
     ctx = multiprocessing.get_context("fork")
-    procs, readers = [], {}  # reader -> its worker's index
+    cursor = ctx.Value("q", 0)
+    procs, readers = [], {}  # reader -> its worker's number
     parts = [None] * len(jobs)
+
+    def collect(timeout=None):
+        for recv in wait(list(readers), timeout):
+            w = readers.pop(recv)
+            try:
+                msg = recv.recv()
+            except EOFError:
+                procs[w - 1].join()
+                raise RuntimeError(
+                    f"sweep worker {w} exited with code {procs[w - 1].exitcode} "
+                    "without sending its result"
+                ) from None
+            finally:
+                recv.close()
+            if isinstance(msg, Exception):
+                raise msg
+            for j, part in msg:
+                parts[j] = part
+
     try:
-        for w in range(workers):
+        for w in range(1, workers):
             recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_worker, args=(configs, jobs[w::workers], send), daemon=True)
+            proc = ctx.Process(target=_worker, args=(configs, jobs, cursor, send), daemon=True)
             proc.start()
             send.close()  # so a worker that dies reads as EOF here
             procs.append(proc)
             readers[recv] = w
+        for j, (cell, start, n) in _taken(jobs, cursor):
+            parts[j] = _run_chunk(configs[cell], start, n)
+            collect(timeout=0)
         while readers:
-            for recv in wait(list(readers)):
-                w = readers.pop(recv)
-                try:
-                    msg = recv.recv()
-                except EOFError:
-                    procs[w].join()
-                    raise RuntimeError(
-                        f"sweep worker {w} exited with code {procs[w].exitcode} "
-                        "without sending its result"
-                    ) from None
-                finally:
-                    recv.close()
-                if isinstance(msg, Exception):
-                    raise msg
-                parts[w::workers] = msg
+            collect()
     finally:
         for recv in readers:
             recv.close()
@@ -655,15 +682,22 @@ def _forked_parts(configs, jobs, workers: int) -> list:
 def run_experiments(configs, threads: int = 1) -> list[list[TrialStats]]:
     """Run several experiments (sweep cells) on at most one worker per chunk;
     returns each config's TrialStats per tally, merged over its chunks in
-    order.  Workers are forked where the platform can fork, so they inherit
-    the configs and plans; elsewhere a process pool runs one task per chunk."""
+    order.  Where the platform can fork, the caller runs chunks as worker 0
+    beside forked workers, which inherit the configs and plans, every worker
+    taking the next chunk from a shared cursor; elsewhere a process pool
+    runs one task per chunk."""
     for config in configs:
         _warn_small_n(config)
         _plan(config)  # plans built before any fork
+    # The caller of a forked run takes chunks too, and keeps its largest
+    # chunk's peak resident set for the rest of the process, while forked
+    # workers exit; so forked runs cut chunks half as large, and a serial
+    # run keeps whole ones, whose per-chunk overhead is lower.
+    size = BATCH // 2 if threads > 1 and _HAS_FORK else BATCH
     jobs = [
-        (cell, start, min(BATCH, config.trial_offset + config.trials - start))
+        (cell, start, min(size, config.trial_offset + config.trials - start))
         for cell, config in enumerate(configs)
-        for start in range(config.trial_offset, config.trial_offset + config.trials, BATCH)
+        for start in range(config.trial_offset, config.trial_offset + config.trials, size)
     ]
     workers = min(threads, len(jobs))
     if workers <= 1:

@@ -1,5 +1,6 @@
 import math
 import os
+import time
 import warnings
 
 import pytest
@@ -454,12 +455,19 @@ def test_malformed_env_config_and_batch_exit_1(tmp_path, monkeypatch, capsys):
 @pytest.mark.skipif(not engine._HAS_FORK, reason="no fork start method")
 def test_dead_sweep_worker_exits_2(tmp_path, monkeypatch, capsys):
     """A sweep worker that exits without sending its counts is one error
-    line and exit 2, not a traceback."""
+    line and exit 2, not a traceback.  The caller runs chunks too, as
+    worker 0, so the pid check keeps the planted exit in the forked worker,
+    and the caller's chunks wait until that worker has taken one."""
     run_chunk = engine._run_chunk
+    pid, dying = os.getpid(), tmp_path / "dying"
 
     def chunk(config, start, size):
-        if start == 100:
+        if os.getpid() != pid:
+            dying.touch()
             os._exit(3)
+        deadline = time.monotonic() + 30
+        while not dying.exists() and time.monotonic() < deadline:
+            time.sleep(0.005)
         return run_chunk(config, start, size)
 
     monkeypatch.setattr(engine, "BATCH", 100)

@@ -446,22 +446,18 @@ def _tallies(results):
 
 @pytest.fixture
 def started(monkeypatch):
-    """The interleaved share of every forked worker, in start order."""
-    shares = []
+    """The forked workers, counted as they start."""
+    procs = []
     ctx = multiprocessing.get_context("fork")
 
     class CountingProcess(ctx.Process):
-        def __init__(self, *, args, **kwargs):
-            self.share = args[1]
-            super().__init__(args=args, **kwargs)
-
         def start(self):
-            shares.append(self.share)
+            procs.append(self)
             super().start()
 
     monkeypatch.setattr(type(ctx), "Process", CountingProcess)
-    monkeypatch.setattr(eng, "BATCH", 100)
-    yield shares
+    monkeypatch.setattr(eng, "BATCH", 200)  # forked runs cut chunks of 100
+    yield procs
     assert multiprocessing.active_children() == []
 
 
@@ -471,16 +467,15 @@ _POOL_CONFIGS = [_cfg(eps=2e-3, trials=150, seed=4), _cfg(eps=3e-3, C=1.0, trial
 @pytest.mark.skipif(not eng._HAS_FORK, reason="no fork start method")
 @pytest.mark.filterwarnings("ignore:trials=")
 def test_pool_has_at_most_one_worker_per_chunk(started):
-    """Forked workers: never more than one per chunk, worker w runs the
-    interleaved share jobs[w::workers], and the rows are the serial rows."""
+    """The caller is worker 0, so it forks min(threads, chunks) - 1 workers,
+    and the rows are the serial rows."""
     serial = _tallies(eng.run_experiments(_POOL_CONFIGS))
     assert started == []
     assert _tallies(eng.run_experiments(_POOL_CONFIGS, threads=64)) == serial
-    jobs = [(0, 0, 100), (0, 100, 50), (1, 0, 50)]  # 2 chunks of the first config, 1 of the second
-    assert started == [[job] for job in jobs]
+    assert len(started) == 2  # 3 chunks: 2 of the first config, 1 of the second
     started.clear()
     assert _tallies(eng.run_experiments(_POOL_CONFIGS, threads=2)) == serial
-    assert started == [jobs[0::2], jobs[1::2]]
+    assert len(started) == 1
 
 
 @pytest.mark.filterwarnings("ignore:trials=")
@@ -513,52 +508,138 @@ def test_no_fork_path_has_at_most_one_worker_per_chunk(monkeypatch):
     assert requested == [3]
 
 
-def _failing_chunk(monkeypatch, fail):
-    """Patch `_run_chunk` before the fork, so every worker runs fail(start)
-    ahead of each of its chunks."""
+def _plant(monkeypatch, child, caller=lambda start: None):
+    """Patch `_run_chunk` before the fork: ahead of each chunk, a forked
+    worker runs child(start) and the caller, worker 0, runs caller(start).
+    The pid check keeps a planted exit or raise out of the test process."""
+    pid = os.getpid()
     run_chunk = eng._run_chunk
 
     def chunk(config, start, size):
-        fail(start)
+        (caller if os.getpid() == pid else child)(start)
         return run_chunk(config, start, size)
 
     monkeypatch.setattr(eng, "_run_chunk", chunk)
 
 
+def _await(*paths, timeout=30.0):
+    """Wait until every file of paths exists, or the timeout passes."""
+    deadline = time.monotonic() + timeout
+    while not all(p.exists() for p in paths) and time.monotonic() < deadline:
+        time.sleep(0.005)
+
+
+def _first(path):
+    """Whether this process is the first to claim the file path."""
+    try:
+        os.close(os.open(path, os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return False
+    return True
+
+
 @pytest.mark.skipif(not eng._HAS_FORK, reason="no fork start method")
 @pytest.mark.filterwarnings("ignore:trials=")
 def test_worker_exception_reraised_and_other_workers_terminated(started, monkeypatch, tmp_path):
-    """A chunk that raises in one worker re-raises its exception type in the
-    caller at once, so `sweep` exits 2; the other worker, stuck in a long
-    chunk, is terminated."""
+    """A chunk that raises in one forked worker re-raises its exception type
+    in the caller, so `sweep` exits 2; the other worker, stuck in a long
+    chunk, is terminated.  The caller's first chunk waits until both have
+    begun."""
+    monkeypatch.setattr(eng, "BATCH", 20)  # 15 forked chunks of the 150-trial cell
 
-    def fail(start):
-        if start == 0:
-            raise eng.AncillaRejectionError("planted rejection")
-        time.sleep(60)
+    def run(tag, call):
+        raised, stuck = tmp_path / f"{tag}.raised", tmp_path / f"{tag}.stuck"
 
-    _failing_chunk(monkeypatch, fail)
+        def child(start):
+            if _first(raised):
+                raise eng.AncillaRejectionError("planted rejection")
+            stuck.touch()
+            time.sleep(60)
+
+        _plant(monkeypatch, child, lambda start: _await(raised, stuck))
+        return call()
+
     t0 = time.perf_counter()
     with pytest.raises(eng.AncillaRejectionError, match="planted rejection"):
-        eng.run_experiments(_POOL_CONFIGS[:1], threads=2)
-    argv = ["sweep", "--epsilon", "2e-3", "--trials", "150", "--threads", "2",
+        run("engine", lambda: eng.run_experiments(_POOL_CONFIGS[:1], threads=3))
+    argv = ["sweep", "--epsilon", "2e-3", "--trials", "150", "--threads", "3",
             "--out", str(tmp_path / "s.csv")]
-    assert cli.main(argv) == 2
+    assert run("cli", lambda: cli.main(argv)) == 2
     assert time.perf_counter() - t0 < 30
     assert len(started) == 4
 
 
 @pytest.mark.skipif(not eng._HAS_FORK, reason="no fork start method")
 @pytest.mark.filterwarnings("ignore:trials=")
-def test_worker_that_exits_without_sending_raises(started, monkeypatch):
-    def fail(start):
-        if start == 100:
-            os._exit(3)
+def test_worker_that_exits_without_sending_raises(started, monkeypatch, tmp_path):
+    """A forked worker that dies in a chunk raises an error naming it
+    (worker 1: the caller is worker 0) and its exit code."""
+    dying = tmp_path / "dying"
 
-    _failing_chunk(monkeypatch, fail)
-    with pytest.raises(RuntimeError, match="exited with code 3 without sending"):
+    def child(start):
+        dying.touch()
+        os._exit(3)
+
+    _plant(monkeypatch, child, lambda start: _await(dying))
+    with pytest.raises(RuntimeError, match="worker 1 exited with code 3 without sending"):
         eng.run_experiments(_POOL_CONFIGS, threads=2)
-    assert len(started) == 2
+    assert len(started) == 1
+
+
+@pytest.mark.skipif(not eng._HAS_FORK, reason="no fork start method")
+@pytest.mark.filterwarnings("ignore:trials=")
+def test_shared_cursor_runs_every_chunk_once(started, monkeypatch, tmp_path):
+    """Every chunk runs exactly once, whole, on the caller or one forked
+    worker, each `_run_chunk` call recorded with its pid; and the rows are
+    the serial rows for any thread count, though the 7 chunks of a forked
+    run, half as large as a serial run's, divide evenly among none of 2, 3
+    or 7 processes."""
+    monkeypatch.setattr(eng, "BATCH", 74)
+    serial = _tallies(eng.run_experiments(_POOL_CONFIGS))
+    log = tmp_path / "chunks"
+    run_chunk = eng._run_chunk
+
+    def chunk(config, start, size):
+        with open(log, "a") as fh:  # one short append per line: whole lines
+            fh.write(f"{os.getpid()} {_POOL_CONFIGS.index(config)} {start} {size}\n")
+        return run_chunk(config, start, size)
+
+    monkeypatch.setattr(eng, "_run_chunk", chunk)
+    for threads in (1, 2, 3, 64):
+        log.unlink(missing_ok=True)
+        started.clear()
+        assert _tallies(eng.run_experiments(_POOL_CONFIGS, threads=threads)) == serial
+        size = 74 if threads == 1 else 37  # forked: 37, .., 2 trials, 5 + 2 chunks
+        jobs = [(c, s, min(size, n - s)) for c, n in enumerate((150, 50)) for s in range(0, n, size)]
+        assert len(started) == min(threads, len(jobs)) - 1
+        calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        assert sorted(call[1:] for call in calls) == jobs
+        assert {call[0] for call in calls} <= {os.getpid()} | {p.pid for p in started}
+
+
+@pytest.mark.skipif(not eng._HAS_FORK, reason="no fork start method")
+@pytest.mark.filterwarnings("ignore:trials=")
+def test_worker_exception_raised_while_the_caller_has_chunks_left(started, monkeypatch):
+    """The caller reads a worker's exception between its own chunks: its
+    first chunk waits until the worker has raised and exited, and the next
+    read re-raises, with chunks still untaken."""
+    monkeypatch.setattr(eng, "BATCH", 20)  # 15 forked chunks
+    ran = []
+
+    def child(start):
+        raise eng.AncillaRejectionError("planted rejection")
+
+    def caller(start):
+        ran.append(start)
+        deadline = time.monotonic() + 30
+        while multiprocessing.active_children() and time.monotonic() < deadline:
+            time.sleep(0.005)
+
+    _plant(monkeypatch, child, caller)
+    with pytest.raises(eng.AncillaRejectionError, match="planted rejection"):
+        eng.run_experiments(_POOL_CONFIGS[:1], threads=2)
+    assert len(started) == 1
+    assert len(ran) == 1  # of 15 chunks, the caller ran one
 
 
 def test_certification_passes():
