@@ -1,8 +1,8 @@
 """The circuit, written down once: gate tables compiled into one op program.
 
 `program()` compiles the tables below, per experiment mode, into a flat
-sequence of `Op`s that the engine interprets.  The networks (encoder, ancilla
-prep, syndrome round, recovery), their censuses, the text dump and the
+sequence of `Op`s that the engine interprets.  The networks (encoder,
+syndrome round, recovery), their censuses, the text dump and the
 schedule fingerprint are derived from the same ops, so the pinned dump
 describes what the engine runs.  Qubits are 0-indexed (data bit j <-> data
 position j+1).
@@ -39,12 +39,10 @@ Layout notes:
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from . import codebook
-from .pauli import PauliFrame, apply_cnot, apply_h
 
 N_DATA = 7
 MODES = ("memory_t20", "stabilize", "ec1", "zgate", "fig5")
@@ -148,6 +146,8 @@ class Network:
         return "\n".join(lines) + "\n"
 
     def fingerprint(self) -> str:
+        import hashlib  # loads OpenSSL, which only the fingerprint needs
+
         return hashlib.sha256(self.dump_text().encode()).hexdigest()[:16]
 
 
@@ -431,13 +431,6 @@ def _network(ops, data_qubits=DATA_QUBITS) -> Network:
     )
 
 
-def build_ancilla_prep(kind: str) -> Network:
-    """Verified cat/Shor ancilla synthesis on 5 qubits (qubit 4 verifies)."""
-    if kind not in ("phase", "bit"):
-        raise ValueError(f"unknown ancilla kind {kind!r}")
-    return _network(_prep(kind, tuple(range(5)), 1, "prep"), data_qubits=())
-
-
 def build_encoder() -> Network:
     """Fig.-2-style encoding network on the 7 data qubits (input at index 2)."""
     return _network(_gate_table(ENCODER_STEPS, DATA, DATA_QUBITS, 1, "enc", hoist=False))
@@ -469,6 +462,22 @@ def _f2_rank(rows: list[int]) -> int:
     return rank
 
 
+def _propagate(net: Network, x: int, z: int) -> tuple[int, int]:
+    """The Pauli frame (x, z masks) that net's H and CNOT gates make of (x,
+    z), step by step: H swaps bit q between x and z, and a CNOT copies x from
+    control to target and z from target to control."""
+    for step in net.steps():
+        for loc in step:
+            if loc.kind == "H":
+                swap = (x ^ z) & 1 << loc.qubits[0]
+                x, z = x ^ swap, z ^ swap
+            elif loc.kind == "CNOT":
+                c, t = loc.qubits
+                x ^= (x >> c & 1) << t
+                z ^= (z >> t & 1) << c
+    return x, z
+
+
 def verify_encoder(net: Network) -> bool:
     """Heisenberg check of an encoding network on 7 qubits.
 
@@ -478,33 +487,22 @@ def verify_encoder(net: Network) -> bool:
     """
     if net.n_qubits != N_DATA:
         return False
-
-    def propagate(x0: int, z0: int) -> tuple[int, int]:
-        frame = PauliFrame(x0, z0, N_DATA)
-        for step in net.steps():
-            for loc in step:
-                if loc.kind == "H":
-                    frame = apply_h(frame, loc.qubits[0])
-                elif loc.kind == "CNOT":
-                    frame = apply_cnot(frame, loc.qubits[0], loc.qubits[1])
-        return frame.x_mask, frame.z_mask
-
     cperp = codebook.tables().cperp_words
     c = codebook.tables().c_words
     stab_images = []
     for q in range(N_DATA):
         if q == ENCODER_INPUT:
             continue
-        x, z = propagate(0, 1 << q)
+        x, z = _propagate(net, 0, 1 << q)
         if x not in cperp or z not in cperp or (x == 0 and z == 0):
             return False
         stab_images.append((x << N_DATA) | z)
     if _f2_rank(stab_images) != 6:
         return False
-    x, z = propagate(1 << ENCODER_INPUT, 0)
+    x, z = _propagate(net, 1 << ENCODER_INPUT, 0)
     if not (x in c and x not in cperp and z in cperp):
         return False
-    x, z = propagate(0, 1 << ENCODER_INPUT)
+    x, z = _propagate(net, 0, 1 << ENCODER_INPUT)
     if not (z in c and z not in cperp and x in cperp):
         return False
     return True

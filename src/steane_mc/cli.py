@@ -21,7 +21,7 @@ import os
 import sys
 import time
 from datetime import datetime, timezone
-from functools import partial
+from functools import cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -222,6 +222,12 @@ def _base_manifest(command: str, argv, pairs: list[tuple[str, str]]):
     return man
 
 
+@cache
+def _fingerprint() -> str:
+    """The recovery cycle's fingerprint; the cycle is fixed, so once a process."""
+    return build_recovery().fingerprint()
+
+
 def _schedule_manifest():
     s = RecoverySchedule
     return [
@@ -231,7 +237,7 @@ def _schedule_manifest():
             f"steps_per_round={s.steps_per_round},"
             f"correction={s.correction_steps},gap={s.inter_recovery_gap}",
         ),
-        ("schedule_fingerprint", build_recovery().fingerprint()),
+        ("schedule_fingerprint", _fingerprint()),
         ("data_exposure_steps", str(s.data_exposure_steps)),
         ("total_steps_with_prefix", str(s.total_steps)),
     ]

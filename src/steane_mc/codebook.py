@@ -11,11 +11,8 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
-
-N_QUBITS = 7
 
 # Rows of the parity-check matrix H as bit masks (bit j-1 <-> position j).
 # Row k has 1s exactly at the positions whose k-th binary digit is set.
@@ -102,39 +99,9 @@ def ideal_recovery(x_residual: int, z_residual: int) -> ResidualClass:
     return ResidualClass(x, z)
 
 
-def overlap_factor(cls: ResidualClass, a: float) -> float:
-    """Squared overlap with the ideal encoded state a|0_L> + b|1_L>, b real >= 0.
-
-    A logical X alone contributes |2ab|^2, a logical Z alone |a^2-b^2|^2, a
-    combined logical XZ is taken as overlap 0, and any detectable (weight 1
-    or 2) residual is orthogonal to the ideal state.
-    """
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"amplitude a must lie in [0, 1], got {a}")
-    b_sq = 1.0 - a * a
-    x, z = cls.x_class, cls.z_class
-    if x in (ErrorClass.CORRECTABLE_W1, ErrorClass.MISCORRECT_W2):
-        return 0.0
-    if z in (ErrorClass.CORRECTABLE_W1, ErrorClass.MISCORRECT_W2):
-        return 0.0
-    x_log = x is ErrorClass.LOGICAL
-    z_log = z is ErrorClass.LOGICAL
-    if x_log and z_log:
-        return 0.0
-    if x_log:
-        return 4.0 * a * a * b_sq
-    if z_log:
-        return (a * a - b_sq) ** 2
-    return 1.0
-
-
 def enumerate_by_class() -> dict[ErrorClass, list[int]]:
     """All 128 vectors grouped by class (sizes 8 / 56 / 56 / 8)."""
     groups: dict[ErrorClass, list[int]] = {c: [] for c in ErrorClass}
     for e in range(128):
         groups[classify(e)].append(e)
     return groups
-
-
-def weight_k_vectors(k: int) -> list[int]:
-    return [sum(1 << i for i in idx) for idx in combinations(range(N_QUBITS), k)]

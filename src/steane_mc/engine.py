@@ -31,13 +31,15 @@ mode and process, on first use.  A Monte Carlo trial then reads
 the faults of its nominal locations from its `StreamBank` as a sparse list
 (`StreamBank.faults`, one call per location class), maps each to its
 location and Pauli, drops the faults of every ancilla attempt whose flags
-XOR to 1, and keeps the rest.  The rejected attempts of all trials and all
-recoveries of a window rerun together, one batch per try, each from its own
-substreams, so neither the batching nor the order of the reruns moves a
-location; then the trial XORs the signatures it keeps and applies the
-majority vote and the class lookup, recovery by recovery.  A window is
-max(1, BATCH // trials) recoveries of a chunk's faulting trials, so its
-accumulators and reruns cover about BATCH trial-recoveries at most.
+XOR to 1, and keeps the rest.  That keep rule has one home, `_xor_kept`,
+which the nominal pass, the reruns and fault plans all run.  The rejected
+attempts of all trials and all recoveries of a window rerun together, one
+batch per try, each from its own substreams, so neither the batching nor
+the order of the reruns moves a location; then the trial XORs the
+signatures it keeps and applies the majority vote and the class lookup,
+recovery by recovery.  A window is max(1, BATCH // trials) recoveries of
+a chunk's faulting trials, so its accumulators and reruns cover about
+BATCH trial-recoveries at most.
 The table keeps its locations in one form, per-location arrays of kind,
 rate and ancilla attempt, and a config's `_Plan` reads its location classes
 off them with array masks; every recovery runs that layout.  Stabilize
@@ -378,8 +380,7 @@ class _Plan:
     start: np.ndarray  # (table.preps, classes): class locations before each attempt's first
     alen: np.ndarray  # locations of one attempt per class
     steps: tuple  # data step of each tally
-    nominal: dict  # locations per class of one pass with no ancilla rejected
-    screen: dict  # class -> screen_threshold of its nominal locations
+    screen: dict  # class -> screen_threshold of its nominal locations, n * t_max
     residual: np.ndarray | None  # (2, 128): signature of an incoming x / z residual
 
 
@@ -414,11 +415,8 @@ def _build_plan(mode, t_max, noise) -> _Plan:
         units = table.sig[table.case0[qubits] + np.array([[0], [2]])]  # X, Z on each qubit
         bits = (np.arange(128)[:, None] >> qubits) & 1
         residual = np.bitwise_xor.reduce(np.where(bits, units[:, None], _SIG(0)), axis=2)
-    nominal = {c: k * t_max for c, k in zip(classes, n.tolist())}
-    screen = {c: screen_threshold(c[1], k) for c, k in nominal.items()}
-    return _Plan(
-        table, classes, n, np.cumsum(n) - n, loc, start, alen, steps, nominal, screen, residual
-    )
+    screen = {c: screen_threshold(c[1], k * t_max) for c, k in zip(classes, n.tolist())}
+    return _Plan(table, classes, n, np.cumsum(n) - n, loc, start, alen, steps, screen, residual)
 
 
 def _faults(plan: _Plan, bank, n, start=None):
@@ -437,22 +435,18 @@ def _faults(plan: _Plan, bank, n, start=None):
     return row, plan.table.case0[slot] + code - 1, slot
 
 
-def _keep(table: _Table, case, pair, size):
-    """Whether each fault, of (row, attempt) pair number pair in 0..size-1,
-    is kept, and the pairs whose flags XOR to 1, which drop their faults."""
-    flips = np.zeros(size, dtype=bool)
-    np.bitwise_xor.at(flips, pair[table.flag[case]], True)  # only attempts raise flags
-    return ~flips[pair], np.flatnonzero(flips)
-
-
-def _nominal(table: _Table, row, case, slot, acc):
-    """XOR into acc[row] the signatures of the faults (row, case, slot) of one
-    recovery's nominal locations that the row keeps; returns (row, prep) of
-    each ancilla attempt rejected, whose faults are dropped."""
+def _xor_kept(table: _Table, row, case, slot, acc):
+    """The keep rule: XOR into acc[row] the signatures of the faults (row,
+    case, slot) that the row keeps.  Every (row, ancilla attempt) whose flags
+    XOR to 1 is rejected and drops its faults; every other fault is kept.
+    Returns (row, prep) of each attempt rejected."""
     width = table.preps + 1  # per row: column 0 for no attempt, 1 + i for prep i
     pair = row * width + 1 + table.prep[slot]
-    keep, rejected = _keep(table, case, pair, acc.size * width)
+    flips = np.zeros(acc.size * width, dtype=bool)
+    np.bitwise_xor.at(flips, pair[table.flag[case]], True)  # only attempts raise flags
+    keep = ~flips[pair]
     np.bitwise_xor.at(acc, row[keep], table.sig[case[keep]])
+    rejected = np.flatnonzero(flips)
     return rejected // width, rejected % width - 1
 
 
@@ -463,20 +457,20 @@ def _signatures(plan: _Plan, recoveries: int, bank, first) -> np.ndarray:
     the program.
 
     Each recovery draws its nominal locations in one pass, class by class,
-    in recovery order.  Every (trial, attempt) whose flags XOR to 1 drops
-    its faults, and every other fault is kept.  The rejected attempts of all
-    the recoveries then rerun together, one batch per try: `bank.rerun`
-    draws each one's locations of every class from its own substream, so
-    the order of the reruns moves no location, and a rerun is dropped and
-    tried again on the same rule.  An attempt's locations sit at the same
-    table slots in every recovery, so the plan maps the reruns of all."""
+    in recovery order, and keeps them by `_xor_kept`.  The rejected attempts
+    of all the recoveries then rerun together, one batch per try:
+    `bank.rerun` draws each one's locations of every class from its own
+    substream, so the order of the reruns moves no location, and a rerun
+    goes through `_xor_kept` too, into a word per rerun row, which is added
+    to its (recovery, trial) accumulator.  An attempt's locations sit at the
+    same table slots in every recovery, so the plan maps the reruns of all."""
     table = plan.table
     preps = table.preps
     acc = np.zeros((recoveries, bank.size), dtype=_SIG)
     owner, attempt = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]  # the rejected
     for k in range(recoveries):
         # the faults go on return, so a window holds one recovery's at a time
-        trial, prep = _nominal(table, *_faults(plan, bank, plan.n), acc[k])
+        trial, prep = _xor_kept(table, *_faults(plan, bank, plan.n), acc[k])
         owner.append(trial)
         attempt.append(k * preps + prep)
     owner, attempt = np.concatenate(owner), np.concatenate(attempt)
@@ -484,10 +478,10 @@ def _signatures(plan: _Plan, recoveries: int, bank, first) -> np.ndarray:
         if not owner.size:
             return acc
         src = bank.rerun(owner, first + attempt, j)
-        row, case, _ = _faults(plan, src, plan.alen, plan.start[attempt % preps])
-        keep, rejected = _keep(table, case, row, src.size)
-        kept = row[keep]
-        np.bitwise_xor.at(acc, (attempt[kept] // preps, owner[kept]), table.sig[case[keep]])
+        faults = _faults(plan, src, plan.alen, plan.start[attempt % preps])
+        rerun = np.zeros(src.size, dtype=_SIG)  # a rerun row holds one attempt
+        rejected, _ = _xor_kept(table, *faults, rerun)
+        np.bitwise_xor.at(acc, (attempt // preps, owner), rerun)
         owner, attempt = owner[rejected], attempt[rejected]
     raise AncillaRejectionError(
         f"{np.unique(owner).size} trials exceeded {MAX_PREP_ATTEMPTS} ancilla attempts"
@@ -578,16 +572,6 @@ class TrialStats:
         """Effective weight exactly 1 in either sector (raw residual)."""
         w1 = self.counts[1, :].sum() + self.counts[:, 1].sum() - self.counts[1, 1]
         return self._p(w1)
-
-    @property
-    def delta_eta3(self) -> float:
-        return self.eta3_b - self.eta3_p
-
-    def fidelity_at(self, a: float) -> float:
-        """Analytic F(a) = eta0 + eta3p + 4 a^2 (1-a^2) (eta3b - eta3p)."""
-        if not 0.0 <= a <= 1.0:
-            raise ValueError("a must lie in [0, 1]")
-        return self.eta0 + self.eta3_p + 4.0 * a * a * (1.0 - a * a) * self.delta_eta3
 
 
 def _run_chunk(config: ExperimentConfig, start: int, size: int) -> list[TrialStats]:
@@ -715,12 +699,6 @@ def run_experiments(configs, threads: int = 1) -> list[list[TrialStats]]:
     return results
 
 
-def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[TrialStats]:
-    """TrialStats per tally of one experiment: one for a sweep mode, t_max
-    for stabilize."""
-    return run_experiments([config], threads)[0]
-
-
 # ---------------------------------------------------------------------------
 # forced-fault machinery (exhaustive single-fault certification)
 # ---------------------------------------------------------------------------
@@ -775,16 +753,17 @@ def run_fault_plan(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Replay one trial per plan row with the planned Paulis forced in, and
     return each row's data residual (dx, dz): each planned code is one case
-    of the signature table, kept or dropped by the rule of a trial's nominal
-    faults, and reruns are fault-free.  A plan that `FaultPlanSource` rejects
-    against the program's locations raises ValueError, and so does a
-    stabilize config: one table holds one recovery."""
+    of the signature table, kept or dropped by `_xor_kept` as a trial's
+    nominal faults are, and reruns are fault-free.  A plan that
+    `FaultPlanSource` rejects against the program's locations raises
+    ValueError, and so does a stabilize config: one table holds one
+    recovery."""
     if config.mode == "stabilize":
         raise ValueError("fault plans replay a sweep mode, not mode 'stabilize'")
     table = _table(config.mode)
     plan = FaultPlanSource(slots, codes, table.codes)
     sig = np.zeros(plan.size, dtype=_SIG)
-    _nominal(table, plan.rows, table.case0[plan.slots] + plan.codes - 1, plan.slots, sig)
+    _xor_kept(table, plan.rows, table.case0[plan.slots] + plan.codes - 1, plan.slots, sig)
     dx, dz = _correct(sig)
     return dx.astype(_U8), dz.astype(_U8)
 

@@ -4,6 +4,10 @@ A frame records the accumulated Pauli deviation from the ideal circuit as a
 pair of bit masks; Y on a qubit means both its x and z bits are set.  Global
 phases are dropped throughout, which is safe because every quantity reported
 downstream is a squared magnitude or a class probability.
+
+This is the tests' frame walker, kept apart from the package: the circuit
+and differential tests walk networks with it, as an independent reference
+for `circuit.verify_encoder`'s mask propagation and for the engine.
 """
 
 from __future__ import annotations

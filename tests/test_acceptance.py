@@ -22,12 +22,13 @@ import time
 
 import numpy as np
 import pytest
+from codes import delta_eta3, fidelity_at, weight_k_vectors
 
 from steane_mc import analysis as an
 from steane_mc import cli
 from steane_mc import engine as eng
 from steane_mc.circuit import RecoverySchedule, build_recovery, census
-from steane_mc.codebook import ErrorClass, enumerate_by_class, ideal_recovery, weight_k_vectors
+from steane_mc.codebook import ErrorClass, enumerate_by_class, ideal_recovery
 from steane_mc.noise import NoiseParams
 
 INF = math.inf
@@ -59,7 +60,7 @@ def _memory_stats(eps, C, trials, seed, t_max=None):
         trials=trials,
         master_seed=seed,
     )
-    (st,) = eng.run_experiment(config)
+    (st,) = eng.run_experiments([config])[0]
     return st
 
 
@@ -203,7 +204,7 @@ def test_criterion_7_d2_d1_reproduction(memory_grid_inf):
             trials=N_POINT,
             master_seed=SEED + 200 + k,
         )
-        (st,) = eng.run_experiment(config)
+        (st,) = eng.run_experiments([config])[0]
         ec_pts.append((eps, st.p_ec1, an.binomial_sigma(st.p_ec1 * st.trials, st.trials)))
     d1 = an.fit_through_origin(ec_pts, degree=1).coefficient
     d1_ok = 290.8 / 2 <= d1 <= 290.8 * 2
@@ -243,7 +244,7 @@ def _stabilize_points(eps, seed):
     )
     return [
         (float(st.t_steps), st.f_a1, max(st.stderr_of(st.f_a1), an.binomial_sigma(0, st.trials)))
-        for st in eng.run_experiment(config)
+        for st in eng.run_experiments([config])[0]
     ]
 
 
@@ -367,9 +368,9 @@ def test_criterion_9_amplitude_study():
         encoder_noisy=True,
     )
     a2_grid = np.linspace(0.0, 1.0, 21)
-    (stats,) = eng.run_experiment(config)
-    fidelity = np.array([stats.fidelity_at(a) for a in np.sqrt(a2_grid)])
-    delta_ok = abs(stats.delta_eta3) <= 1e-1
+    (stats,) = eng.run_experiments([config])[0]
+    fidelity = np.array([fidelity_at(stats, a) for a in np.sqrt(a2_grid)])
+    delta_ok = abs(delta_eta3(stats)) <= 1e-1
     sym_ok = fidelity[0] == fidelity[-1]
     half = fidelity[: len(fidelity) // 2 + 1]
     diffs = np.diff(half)
@@ -383,7 +384,7 @@ def test_criterion_9_amplitude_study():
     assert _report(
         9,
         ok,
-        f"delta_eta3 = {stats.delta_eta3:+.4f}, F(0) == F(1), monotone to the "
+        f"delta_eta3 = {delta_eta3(stats):+.4f}, F(0) == F(1), monotone to the "
         f"extremum at a^2 = 0.5, {elapsed:.0f}s",
     )
 

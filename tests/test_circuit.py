@@ -1,12 +1,15 @@
 """Structural and semantic checks of the built networks.
 
 The syndrome-extraction checks run a small reference simulator written here
-on top of the pauli module: it walks a Network's locations step by step and
-reads parity measurements with measure_flip.  This is an independent path
-from the vectorized engine.
+on top of the tests' frame algebra (`frames`): it walks a Network's
+locations step by step and reads parity measurements with measure_flip.
+This is an independent path from the vectorized engine, and from the mask
+propagation of `verify_encoder`.
 """
 
+import numpy as np
 import pytest
+from frames import PauliFrame, apply_cnot, apply_h, apply_pauli, measure_flip
 
 from steane_mc import codebook as cb
 from steane_mc.circuit import (
@@ -15,7 +18,9 @@ from steane_mc.circuit import (
     Location,
     Network,
     RecoverySchedule,
-    build_ancilla_prep,
+    _network,
+    _prep,
+    _propagate,
     build_encoder,
     build_recovery,
     build_syndrome_round,
@@ -23,7 +28,13 @@ from steane_mc.circuit import (
     program,
     verify_encoder,
 )
-from steane_mc.pauli import PauliFrame, apply_cnot, apply_h, apply_pauli, measure_flip
+
+
+def build_ancilla_prep(kind: str) -> Network:
+    """Verified cat/Shor ancilla synthesis on 5 qubits (qubit 4 verifies)."""
+    if kind not in ("phase", "bit"):
+        raise ValueError(f"unknown ancilla kind {kind!r}")
+    return _network(_prep(kind, tuple(range(5)), 1, "prep"), data_qubits=())
 
 
 def _walk(net, frame, inject=None):
@@ -77,6 +88,34 @@ def test_encoder_perturbations_fail():
     for drop in cnots:
         rest = tuple(l for l in net.locations if l is not drop)
         assert not verify_encoder(Network(7, rest, data_qubits=net.data_qubits))
+
+
+def _random_network(rng, n_steps):
+    """Random H and CNOT gates on 7 qubits, each qubit in at most one gate a
+    step."""
+    locs = []
+    for step in range(1, n_steps + 1):
+        free = list(rng.permutation(7))
+        while free:
+            gate = rng.choice(("H", "CNOT", None)) if len(free) > 1 else rng.choice(("H", None))
+            if gate == "CNOT":
+                locs.append(Location(step, gate, (int(free.pop()), int(free.pop()))))
+            else:
+                q = int(free.pop())
+                if gate == "H":
+                    locs.append(Location(step, gate, (q,)))
+    return Network(7, tuple(locs))
+
+
+def test_mask_propagation_matches_the_frame_walker():
+    """verify_encoder's mask propagation gives the frame walker's frame on
+    seeded random H/CNOT networks and random (x, z)."""
+    rng = np.random.default_rng(2027)
+    for _ in range(200):
+        net = _random_network(rng, int(rng.integers(1, 12)))
+        x, z = (int(v) for v in rng.integers(0, 128, size=2))
+        frame, _ = _walk(net, PauliFrame(x, z, 7))
+        assert _propagate(net, x, z) == (frame.x_mask, frame.z_mask)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from steane_mc import analysis as an
 from steane_mc import cli, engine
+from steane_mc.circuit import build_recovery
 
 # CLI tests run tiny trial counts on purpose
 pytestmark = pytest.mark.filterwarnings("ignore:trials=")
@@ -90,6 +91,26 @@ def test_sweep_multi_cell_and_modes(tmp_path):
     assert man["mode"] == "ec1"
     assert man["schedule_fingerprint"]
     assert man["data_exposure_steps"] == "19"
+
+
+def test_fingerprint_built_once_per_process(tmp_path, monkeypatch):
+    """Two sweeps in one process build the recovery network once, for the
+    manifest's fingerprint, which stays the pinned one."""
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_recovery()
+
+    cli._fingerprint.cache_clear()
+    monkeypatch.setattr(cli, "build_recovery", counting)
+    args = ["sweep", "--mode", "memory_t20", "--C", "inf", "--epsilon", "0",
+            "--trials", "50", "--seed", "3", "--threads", "1"]
+    for name in "ab":
+        out = str(tmp_path / f"{name}.csv")
+        assert run(args + ["--out", out]) == 0
+        assert _manifest(out)["schedule_fingerprint"] == "19a428be93203fd7"
+    assert len(built) == 1
 
 
 def test_round_trip_rewrite_byte_identical(tmp_path):

@@ -9,6 +9,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from codes import overlap_factor, weight_k_vectors
 
 from steane_mc import codebook as cb
 
@@ -98,7 +99,7 @@ def test_effective_weight_brute_force():
 def test_effective_weight_examples():
     assert cb.effective_weight(0) == 0
     assert cb.effective_weight(0b1111111) == 3
-    for e in cb.weight_k_vectors(2):
+    for e in weight_k_vectors(2):
         assert cb.effective_weight(e) == 2
     assert all(cb.effective_weight(e) <= 3 for e in range(128))
 
@@ -135,7 +136,7 @@ def test_correction_for():
 
 def test_weight2_miscorrects_into_logical():
     t = cb.tables()
-    for e in cb.weight_k_vectors(2):
+    for e in weight_k_vectors(2):
         v = cb.correction_for(cb.syndrome_of(e))
         assert _weight(v) == 1
         assert (e ^ v) in t.c_words and (e ^ v) not in t.cperp_words
@@ -144,15 +145,15 @@ def test_weight2_miscorrects_into_logical():
 def test_ideal_recovery_exhaustive():
     zero = cb.ideal_recovery(0, 0)
     assert (zero.x_class, zero.z_class) == (cb.ErrorClass.TRIVIAL, cb.ErrorClass.TRIVIAL)
-    for e in cb.weight_k_vectors(1):
+    for e in weight_k_vectors(1):
         rc = cb.ideal_recovery(e, 0)
         assert rc.x_class is cb.ErrorClass.TRIVIAL
         assert rc.z_class is cb.ErrorClass.TRIVIAL
-    for e in cb.weight_k_vectors(2):
+    for e in weight_k_vectors(2):
         assert cb.ideal_recovery(e, 0).x_class is cb.ErrorClass.LOGICAL
         assert cb.ideal_recovery(0, e).z_class is cb.ErrorClass.LOGICAL
     # weight-3: 28 correctable, 7 logical words
-    w3 = cb.weight_k_vectors(3)
+    w3 = weight_k_vectors(3)
     logical = [e for e in w3 if cb.ideal_recovery(e, 0).x_class is cb.ErrorClass.LOGICAL]
     trivial = [e for e in w3 if cb.ideal_recovery(e, 0).x_class is cb.ErrorClass.TRIVIAL]
     assert len(logical) == 7 and len(trivial) == 28
@@ -167,22 +168,22 @@ def test_ideal_recovery_exhaustive():
 def test_overlap_factor():
     T, W1, W2, L = cb.ErrorClass
     mk = cb.ResidualClass
-    assert cb.overlap_factor(mk(T, T), 0.3) == 1.0
-    assert cb.overlap_factor(mk(L, T), 1.0) == 0.0
-    assert cb.overlap_factor(mk(T, L), 1.0) == 1.0
-    assert cb.overlap_factor(mk(L, L), 0.6) == 0.0
-    assert cb.overlap_factor(mk(W1, T), 0.5) == 0.0
-    assert cb.overlap_factor(mk(T, W2), 0.5) == 0.0
+    assert overlap_factor(mk(T, T), 0.3) == 1.0
+    assert overlap_factor(mk(L, T), 1.0) == 0.0
+    assert overlap_factor(mk(T, L), 1.0) == 1.0
+    assert overlap_factor(mk(L, L), 0.6) == 0.0
+    assert overlap_factor(mk(W1, T), 0.5) == 0.0
+    assert overlap_factor(mk(T, W2), 0.5) == 0.0
     a = 0.6
     b2 = 1 - a * a
-    assert cb.overlap_factor(mk(L, T), a) == pytest.approx(4 * a * a * b2)
-    assert cb.overlap_factor(mk(T, L), a) == pytest.approx((a * a - b2) ** 2)
+    assert overlap_factor(mk(L, T), a) == pytest.approx(4 * a * a * b2)
+    assert overlap_factor(mk(T, L), a) == pytest.approx((a * a - b2) ** 2)
     with pytest.raises(ValueError):
-        cb.overlap_factor(mk(T, T), 1.5)
+        overlap_factor(mk(T, T), 1.5)
 
 
 def test_weight_k_counts():
     for k, count in ((1, 7), (2, 21), (3, 35)):
-        vs = cb.weight_k_vectors(k)
+        vs = weight_k_vectors(k)
         assert len(vs) == count
         assert all(_weight(v) == k for v in vs)

@@ -13,11 +13,11 @@ and under a fault plan the rerun is fault-free.
 
 import numpy as np
 import pytest
+from frames import PauliFrame, apply_cnot, apply_h, apply_pauli, measure_flip
 
 from steane_mc import codebook, engine
 from steane_mc.circuit import GROUP_ORDER, N_DATA, build_recovery, program
 from steane_mc.noise import NoiseParams
-from steane_mc.pauli import PauliFrame, apply_cnot, apply_h, apply_pauli, measure_flip
 
 PAULI = "IXYZ"
 

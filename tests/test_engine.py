@@ -8,10 +8,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from codes import delta_eta3, fidelity_at, overlap_factor
 
 from steane_mc import cli
 from steane_mc import engine as eng
-from steane_mc.codebook import ErrorClass, ResidualClass, overlap_factor
+from steane_mc.codebook import ErrorClass, ResidualClass
 from steane_mc.circuit import ATTEMPT, MODES
 from steane_mc.noise import FaultPlanSource, NoiseParams, RecordingSource, StreamBank
 
@@ -45,17 +46,17 @@ def test_config_validation():
 
 
 def test_zero_noise_totality():
-    (st,) = eng.run_experiment(_cfg(trials=64))
+    (st,) = eng.run_experiments([_cfg(trials=64)])[0]
     assert st.counts[0, 0] == 64
     assert st.p_e_strict == 0.0 and st.p_fail_a1 == 0.0 and st.f_a1 == 1.0
-    (st,) = eng.run_experiment(_cfg(mode="ec1", trials=16))
+    (st,) = eng.run_experiments([_cfg(mode="ec1", trials=16)])[0]
     assert st.p_ec1 == 0.0
-    (st,) = eng.run_experiment(_cfg(mode="zgate", trials=16))
+    (st,) = eng.run_experiments([_cfg(mode="zgate", trials=16)])[0]
     assert st.p_fail_a1 == 0.0
-    tallies = eng.run_experiment(_cfg(mode="stabilize", trials=16, t_max=4))
+    tallies = eng.run_experiments([_cfg(mode="stabilize", trials=16, t_max=4)])[0]
     assert len(tallies) == 4 and all(st.f_a1 == 1.0 for st in tallies)
-    (st,) = eng.run_experiment(_cfg(mode="fig5", trials=16, encoder_noisy=True))
-    assert all(st.fidelity_at(a) == 1.0 for a in np.sqrt(np.linspace(0.0, 1.0, 21)))
+    (st,) = eng.run_experiments([_cfg(mode="fig5", trials=16, encoder_noisy=True)])[0]
+    assert all(fidelity_at(st, a) == 1.0 for a in np.sqrt(np.linspace(0.0, 1.0, 21)))
 
 
 @pytest.mark.filterwarnings("ignore:trials=")
@@ -186,15 +187,15 @@ def test_scalar_batch_thread_equivalence(monkeypatch):
         _cfg(eps=2e-3, C=1.0, trials=300, seed=5),
         _cfg(mode="stabilize", eps=2e-3, C=1.0, trials=300, seed=6, t_max=3),
     ):
-        whole = eng.run_experiment(config)
+        whole = eng.run_experiments([config])[0]
         singles = [np.zeros((4, 4), dtype=np.int64) for _ in whole]
         for i in range(300):
-            tallies = eng.run_experiment(replace(config, trials=1, trial_offset=i))
+            tallies = eng.run_experiments([replace(config, trials=1, trial_offset=i)])[0]
             for total, st in zip(singles, tallies, strict=True):
                 total += st.counts
         monkeypatch.setattr(eng, "BATCH", 37)
-        batched = eng.run_experiment(config)
-        pooled = eng.run_experiment(config, threads=3)
+        batched = eng.run_experiments([config])[0]
+        pooled = eng.run_experiments([config], threads=3)[0]
         monkeypatch.undo()
         for run in (batched, pooled):
             for a, b in zip(whole, run, strict=True):
@@ -206,15 +207,15 @@ def test_scalar_batch_thread_equivalence(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:trials=")
 def test_trial_offset_disjoint():
-    (a,) = eng.run_experiment(_cfg(eps=2e-3, trials=500, seed=5))
-    (b,) = eng.run_experiment(_cfg(eps=2e-3, trials=500, seed=5, trial_offset=500))
+    (a,) = eng.run_experiments([_cfg(eps=2e-3, trials=500, seed=5)])[0]
+    (b,) = eng.run_experiments([_cfg(eps=2e-3, trials=500, seed=5, trial_offset=500)])[0]
     assert not np.array_equal(a.counts, b.counts)  # different trials
-    (both,) = eng.run_experiment(_cfg(eps=2e-3, trials=1000, seed=5))
+    (both,) = eng.run_experiments([_cfg(eps=2e-3, trials=1000, seed=5)])[0]
     assert np.array_equal(a.counts + b.counts, both.counts)
 
 
 def test_stabilize_time_axis_and_merge():
-    tallies = eng.run_experiment(_cfg(mode="stabilize", trials=8, t_max=3))
+    tallies = eng.run_experiments([_cfg(mode="stabilize", trials=8, t_max=3)])[0]
     assert [st.t_steps for st in tallies] == [20, 40, 60]
     merged = tallies[1] + tallies[1]
     assert (merged.t_steps, merged.trials, merged.f_a1) == (40, 16, 1.0)
@@ -224,9 +225,9 @@ def test_stabilize_time_axis_and_merge():
 
 @pytest.mark.filterwarnings("ignore:trials=")
 def test_stabilize_degrades_with_noise():
-    tallies = eng.run_experiment(
-        _cfg(mode="stabilize", eps=3e-3, trials=4000, seed=9, t_max=6)
-    )
+    tallies = eng.run_experiments(
+        [_cfg(mode="stabilize", eps=3e-3, trials=4000, seed=9, t_max=6)]
+    )[0]
     f = np.array([st.f_a1 for st in tallies])
     assert f[0] > f[-1]
     assert np.all((0.0 <= f) & (f <= 1.0))
@@ -240,49 +241,49 @@ def test_fig5_symmetry_and_deltas():
         master_seed=17,
         encoder_noisy=True,
     )
-    (st,) = eng.run_experiment(cfg)
-    assert st.fidelity_at(0.0) == pytest.approx(st.fidelity_at(1.0), abs=1e-15)
-    mid = st.fidelity_at(1 / math.sqrt(2))
-    assert mid == pytest.approx(st.eta0 + st.eta3_p + st.delta_eta3)
-    # the per-class overlaps of codebook are an independent reference for F(a)
+    (st,) = eng.run_experiments([cfg])[0]
+    assert fidelity_at(st, 0.0) == pytest.approx(fidelity_at(st, 1.0), abs=1e-15)
+    mid = fidelity_at(st, 1 / math.sqrt(2))
+    assert mid == pytest.approx(st.eta0 + st.eta3_p + delta_eta3(st))
+    # the per-class overlaps are an independent reference for F(a)
     for a in np.sqrt(np.linspace(0.0, 1.0, 21)):
         ref = sum(
             st.counts[x, z] * overlap_factor(ResidualClass(ErrorClass(x), ErrorClass(z)), a)
             for x in range(4)
             for z in range(4)
         ) / st.trials
-        assert abs(ref - st.fidelity_at(a)) <= 1e-12, a
+        assert abs(ref - fidelity_at(st, a)) <= 1e-12, a
 
 
 def test_monotone_degradation():
-    (lo,) = eng.run_experiment(_cfg(eps=1e-3, trials=40_000, seed=2))
-    (hi,) = eng.run_experiment(_cfg(eps=3e-3, trials=40_000, seed=3))
+    (lo,) = eng.run_experiments([_cfg(eps=1e-3, trials=40_000, seed=2)])[0]
+    (hi,) = eng.run_experiments([_cfg(eps=3e-3, trials=40_000, seed=3)])[0]
     s = math.hypot(lo.stderr_of(lo.p_fail_a1), hi.stderr_of(hi.p_fail_a1))
     assert hi.p_fail_a1 > lo.p_fail_a1 - 3 * s
 
 
 def test_small_n_warning():
     with pytest.warns(UserWarning, match="trials="):
-        eng.run_experiment(_cfg(eps=1e-4, trials=10))
+        eng.run_experiments([_cfg(eps=1e-4, trials=10)])
     import warnings as w
 
     with w.catch_warnings():
         w.simplefilter("error")
-        eng.run_experiment(_cfg(eps=0.0, trials=4))  # no rates -> no warning
+        eng.run_experiments([_cfg(eps=0.0, trials=4)])  # no rates -> no warning
 
 
 @pytest.mark.filterwarnings("ignore:trials=")
 def test_rejection_cap_enforced(monkeypatch):
     monkeypatch.setattr(eng, "MAX_PREP_ATTEMPTS", 1)
     with pytest.raises(eng.AncillaRejectionError):
-        eng.run_experiment(_cfg(eps=0.9, trials=512, seed=1))
+        eng.run_experiments([_cfg(eps=0.9, trials=512, seed=1)])
 
 
 @pytest.mark.filterwarnings("ignore:trials=")
 def test_rejection_loop_still_deterministic():
     # at this rate many preps get rejected and resynthesized
-    (a,) = eng.run_experiment(_cfg(eps=0.2, trials=400, seed=4))
-    (b,) = eng.run_experiment(_cfg(eps=0.2, trials=400, seed=4))
+    (a,) = eng.run_experiments([_cfg(eps=0.2, trials=400, seed=4)])[0]
+    (b,) = eng.run_experiments([_cfg(eps=0.2, trials=400, seed=4)])[0]
     assert np.array_equal(a.counts, b.counts)
     assert a.counts.sum() == 400
 
@@ -389,7 +390,7 @@ def test_rejection_cap_counts_distinct_trials(monkeypatch):
     times over; the error counts each trial once."""
     monkeypatch.setattr(eng, "MAX_PREP_ATTEMPTS", 2)
     with pytest.raises(eng.AncillaRejectionError) as err:
-        eng.run_experiment(_cfg(mode="stabilize", eps=0.5, trials=8, seed=6, t_max=10))
+        eng.run_experiments([_cfg(mode="stabilize", eps=0.5, trials=8, seed=6, t_max=10)])
     assert 1 <= int(str(err.value).split()[0]) <= 8
 
 
@@ -694,7 +695,7 @@ def test_draw_walk_numbers_the_interpreter_locations(mode):
 
 
 def test_trial_stats_accounting_identities():
-    (st,) = eng.run_experiment(_cfg(eps=5e-3, trials=30_000, seed=8))
+    (st,) = eng.run_experiments([_cfg(eps=5e-3, trials=30_000, seed=8)])[0]
     assert st.counts.sum() == st.trials
     assert st.f_a1 == pytest.approx(st.eta0 + st.eta3_p)
     w1x = st.counts[1, :].sum()

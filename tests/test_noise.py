@@ -379,7 +379,11 @@ def _workload_classes():
     configs.append(
         eng.ExperimentConfig(mode="stabilize", noise=NoiseParams(1e-3, 1.0), trials=1, t_max=30)
     )
-    return [(c, n) for cfg in configs for c, n in eng._plan(cfg).nominal.items()]
+    plans = [eng._plan(cfg) for cfg in configs]
+    return [
+        (c, n) for plan in plans
+        for c, n in zip(plan.classes, (plan.n * len(plan.steps)).tolist())
+    ]
 
 
 def _step_is_clean(p, n, top, reach=1024):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from steane_mc.pauli import (
+from frames import (
     PauliFrame,
     apply_cnot,
     apply_h,

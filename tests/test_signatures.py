@@ -111,11 +111,12 @@ def test_nominal_locations_count_one_recorded_pass(mode):
     )
     rec = RecordingSource()
     eng._run(cfg, rec)
-    nominal = eng._plan(cfg).nominal
+    plan = eng._plan(cfg)
+    nominal = dict(zip(plan.classes, (plan.n * len(plan.steps)).tolist()))
     assert sum(nominal.values()) == rec.cursor
     pairs = sum(r.n for r in rec.records if r.kind == "pauli2")
     assert nominal["pauli2", cfg.noise.gamma] == pairs
-    assert eng._plan(cfg).steps == tuple(
+    assert plan.steps == tuple(
         op.step for op in cfg.program() if op.kind == "tally"
     )
 
