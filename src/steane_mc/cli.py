@@ -633,7 +633,9 @@ def cmd_table1(args, argv) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The one parser; parsing leaves it unchanged, so it is built once a process."""
     parser = _Parser(prog="steane-mc", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

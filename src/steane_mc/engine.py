@@ -15,7 +15,10 @@ against it; no Monte Carlo trial, fault plan or certification runs it.
 `_draws` walks a program's noise draws statically, in draw order.  It is
 the one numbering of the error locations: the signature tables and
 `enumerate_fault_cases` both read it, and no run is needed; a fault case
-keeps its draw's record and makes its label from it on demand.  The tests
+keeps its draw's record and makes its label from it on demand.  A
+program's cases are built once per process (a small LRU cache, keyed as
+plans are); `enumerate_fault_cases` returns a fresh list on each call, and
+the cases in it are shared.  The tests
 check it against `noise.RecordingSource`, which records the draws of an
 interpreter run.  The syndrome bits of a trial sit in one uint32 laid out
 as in a signature word, and `CORRECT9` is the one decoder table: the
@@ -384,9 +387,13 @@ class _Plan:
     residual: np.ndarray | None  # (2, 128): signature of an incoming x / z residual
 
 
+def _program_key(config: ExperimentConfig) -> tuple[str, int]:
+    """(mode, t_max) of config's program; only stabilize's depends on t_max."""
+    return config.mode, config.t_max if config.mode == "stabilize" else 1
+
+
 def _plan(config: ExperimentConfig) -> _Plan:
-    t_max = config.t_max if config.mode == "stabilize" else 1
-    return _build_plan(config.mode, t_max, config.noise)
+    return _build_plan(*_program_key(config), config.noise)
 
 
 @functools.lru_cache(maxsize=64)  # far more than the cells of a sweep; a plan is tens of kB
@@ -735,17 +742,27 @@ class CertificationReport:
 
 
 def enumerate_fault_cases(config: ExperimentConfig) -> list[FaultCase]:
-    """All (location, Pauli) cases of config's program, in `_draws` order."""
+    """All (location, Pauli) cases of config's program, in `_draws` order.
+
+    The list is fresh on each call; the cases in it are built once per
+    program and process, and shared."""
+    return list(_fault_cases(*_program_key(config)))
+
+
+# the four sweep modes and a few stabilize lengths; a recovery's 6,468 cases
+# hold about 0.6 MB
+@functools.lru_cache(maxsize=8)
+def _fault_cases(mode, t_max) -> tuple[FaultCase, ...]:
     cases: list[FaultCase] = []
     slot = 0
-    for kind, _, n, width, tag, _ in _draws(config.program()):
+    for kind, _, n, width, tag, _ in _draws(program(mode, t_max)):
         draw = LocationRecord(slot, n, kind, width, tag)
         codes = range(1, N_CODES[kind] + 1)
         # tuple.__new__ builds each case in C, without _make's Python frame
         fields = product(range(slot, slot + n), codes, (draw,))
         cases += map(tuple.__new__, repeat(FaultCase), fields)
         slot += n
-    return cases
+    return tuple(cases)
 
 
 def run_fault_plan(

@@ -113,6 +113,36 @@ def test_fingerprint_built_once_per_process(tmp_path, monkeypatch):
     assert len(built) == 1
 
 
+def test_parser_built_once_per_process(tmp_path, monkeypatch, capsys):
+    """Repeated `main` calls build the parser once; the cached parser still
+    writes --version and --help to the current stdout and exits 1 on a
+    usage error."""
+    built = []
+
+    class Counting(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(cli, "_Parser", Counting)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            run(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.strip() == cli.__version__
+        with pytest.raises(SystemExit) as exc:
+            run(["sweep", "--help"])
+        assert exc.value.code == 0
+        assert "--mode" in capsys.readouterr().out
+        assert run(["table1", "--out", str(tmp_path / "t1.csv")]) == 0
+        assert run(["sweep", "--trials", "x"]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert built.count("steane-mc") == 1
+    finally:
+        cli._build_parser.cache_clear()
+
+
 def test_round_trip_rewrite_byte_identical(tmp_path):
     src = str(tmp_path / "rt.csv")
     run(["sweep", "--mode", "memory_t20", "--C", "inf", "--epsilon", "0.001",

@@ -14,7 +14,9 @@ from steane_mc import cli
 from steane_mc import engine as eng
 from steane_mc.codebook import ErrorClass, ResidualClass
 from steane_mc.circuit import ATTEMPT, MODES
-from steane_mc.noise import FaultPlanSource, NoiseParams, RecordingSource, StreamBank
+from steane_mc.noise import (
+    N_CODES, FaultPlanSource, LocationRecord, NoiseParams, RecordingSource, StreamBank,
+)
 
 INF = math.inf
 
@@ -665,12 +667,60 @@ def test_certification_reports_the_replayed_failures(monkeypatch):
 
 
 def test_fault_case_enumeration_is_stable():
+    """The cached cases equal a rebuild from an emptied cache."""
     cases1 = eng.enumerate_fault_cases(_cfg())
+    eng._fault_cases.cache_clear()
     cases2 = eng.enumerate_fault_cases(_cfg())
     assert cases1 == cases2
     slots = {c.slot for c in cases1}
     assert min(slots) == 0
     assert max(slots) == len(slots) - 1  # contiguous location numbering
+
+
+def test_fault_case_lists_are_fresh_per_call():
+    cases1 = eng.enumerate_fault_cases(_cfg())
+    cases2 = eng.enumerate_fault_cases(_cfg())
+    assert type(cases1) is list and cases1 == cases2 and cases1 is not cases2
+    n = len(cases2)
+    cases1.append(cases1[0])
+    cases1[0] = None
+    cases3 = eng.enumerate_fault_cases(_cfg())
+    assert len(cases3) == n and cases3 == cases2
+
+
+@pytest.mark.parametrize(
+    "mode,t_max", [(m, 1) for m in MODES if m != "stabilize"] + [("stabilize", 2), ("stabilize", 3)]
+)
+def test_cached_fault_cases_match_an_uncached_draw_walk(mode, t_max):
+    cfg = eng.ExperimentConfig(mode, NoiseParams.zero(), encoder_noisy=mode == "fig5", t_max=t_max)
+    want, slot = [], 0
+    for kind, _, n, width, tag, _ in eng._draws(cfg.program()):
+        draw = LocationRecord(slot, n, kind, width, tag)
+        want += [(s, code, draw) for s in range(slot, slot + n) for code in range(1, N_CODES[kind] + 1)]
+        slot += n
+    eng.enumerate_fault_cases(cfg)  # fill the cache, then read it
+    assert eng.enumerate_fault_cases(cfg) == want
+    if mode == "stabilize":  # t_max recoveries of memory_t20's cycle
+        assert len(want) == t_max * len(eng.enumerate_fault_cases(_cfg()))
+
+
+def test_fault_cases_are_walked_once_per_program(monkeypatch):
+    walks = []
+    draws = eng._draws
+
+    def counting(ops, prefix=""):
+        walks.append(prefix)
+        return draws(ops, prefix)
+
+    eng._fault_cases.cache_clear()
+    monkeypatch.setattr(eng, "_draws", counting)
+    first = eng.enumerate_fault_cases(_cfg(mode="ec1"))
+    assert walks
+    walked = len(walks)
+    assert eng.enumerate_fault_cases(_cfg(mode="ec1")) == first
+    assert len(walks) == walked
+    maxsize = eng._fault_cases.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 8  # a bounded cache
 
 
 @pytest.mark.parametrize("mode", MODES)
