@@ -39,7 +39,9 @@ Layout notes:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterator, NamedTuple
 
 from . import codebook
@@ -90,28 +92,15 @@ DATA, ANC = 0, 1  # interpreter registers
 EPS, GAMMA = 0, 1  # which rate a one-qubit noise draw uses
 PHASE, BIT = 0, 1  # syndrome sectors: phase bits correct z, bit bits correct x
 DATA_QUBITS = tuple(range(N_DATA))
+ARITY = {"CNOT": 2, "H": 1, "I": 1, "P": 1, "M": None}  # qubits per kind; None: any nonempty set
 
 
-@dataclass(frozen=True)
-class Location:
-    """One error location: a gate, measurement, idle slot, or correction."""
+class Location(NamedTuple):
+    """One error location; its tuple order, (step, kind, qubits), is the location order."""
 
     step: int
     kind: str  # "H", "CNOT", "M", "I" (idle), "P" (Pauli correction)
     qubits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.kind == "CNOT":
-            if len(self.qubits) != 2 or self.qubits[0] == self.qubits[1]:
-                raise ValueError(f"bad CNOT qubits {self.qubits}")
-        elif self.kind in ("H", "I", "P"):
-            if len(self.qubits) != 1:
-                raise ValueError(f"{self.kind} takes exactly one qubit")
-        elif self.kind == "M":
-            if not self.qubits:
-                raise ValueError("measurement set must be nonempty")
-        else:
-            raise ValueError(f"unknown location kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -121,29 +110,31 @@ class Network:
     data_qubits: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        """Each location's kind and qubit count, then its qubits: in range, and
+        none used twice in a step (so a CNOT's two qubits differ)."""
         busy: dict[int, set[int]] = {}
-        for loc in self.locations:
-            seen = busy.setdefault(loc.step, set())
-            for q in loc.qubits:
+        for step, kind, qubits in self.locations:
+            if kind not in ARITY:
+                raise ValueError(f"unknown location kind {kind!r}")
+            if not qubits or len(qubits) != (ARITY[kind] or len(qubits)):
+                raise ValueError(f"{kind} at step {step} on {len(qubits)} qubits")
+            seen = busy.setdefault(step, set())
+            for q in qubits:
                 if not 0 <= q < self.n_qubits:
-                    raise ValueError(f"qubit {q} out of range at step {loc.step}")
+                    raise ValueError(f"qubit {q} out of range at step {step}")
                 if q in seen:
-                    raise ValueError(f"qubit {q} used twice in step {loc.step}")
+                    raise ValueError(f"qubit {q} used twice in step {step}")
                 seen.add(q)
 
     def steps(self) -> list[list[Location]]:
         """Locations grouped by step, ascending."""
-        out: dict[int, list[Location]] = {}
-        for loc in self.locations:
-            out.setdefault(loc.step, []).append(loc)
-        return [sorted(out[s], key=lambda l: (l.kind, l.qubits)) for s in sorted(out)]
+        return [list(locs) for _, locs in groupby(sorted(self.locations), lambda l: l.step)]
 
     def dump_text(self) -> str:
-        lines = [
-            f"{loc.step}\t{loc.kind}\t{','.join(map(str, loc.qubits))}"
-            for loc in sorted(self.locations, key=lambda l: (l.step, l.kind, l.qubits))
-        ]
-        return "\n".join(lines) + "\n"
+        return "\n".join(
+            f"{step}\t{kind}\t{','.join(map(str, qubits))}"
+            for step, kind, qubits in sorted(self.locations)
+        ) + "\n"
 
     def fingerprint(self) -> str:
         import hashlib  # loads OpenSSL, which only the fingerprint needs
@@ -162,24 +153,17 @@ class Census:
 
 
 def census(net: Network) -> Census:
-    cnot = sum(1 for l in net.locations if l.kind == "CNOT")
-    h = sum(1 for l in net.locations if l.kind == "H")
-    m = sum(1 for l in net.locations if l.kind == "M")
+    kinds = Counter(l.kind for l in net.locations)
     steps = {l.step for l in net.locations}
     data = set(net.data_qubits)
-    data_cnot = sum(
-        1 for l in net.locations if l.kind == "CNOT" and data.intersection(l.qubits)
-    )
-    data_steps = {
-        l.step for l in net.locations if data.intersection(l.qubits)
-    }
+    touching = [l for l in net.locations if data.intersection(l.qubits)]
     return Census(
-        cnot_count=cnot,
-        h_count=h,
-        measure_count=m,
+        cnot_count=kinds["CNOT"],
+        h_count=kinds["H"],
+        measure_count=kinds["M"],
         step_count=(max(steps) - min(steps) + 1) if steps else 0,
-        data_cnot_count=data_cnot,
-        data_step_count=len(data_steps),
+        data_cnot_count=sum(l.kind == "CNOT" for l in touching),
+        data_step_count=len({l.step for l in touching}),
     )
 
 
@@ -289,8 +273,10 @@ def _gate_table(steps, reg, qmap, step0, tag, hoist) -> list[Op]:
 
 
 # One ancilla synthesis attempt on local qubits 0..4 from step 0, shared by
-# every prep op.
+# every prep op, and the noisy encoder on the data block from data step 1,
+# fig5's first ops, which build_encoder reads too.
 ATTEMPT = tuple(_gate_table(PREP_STEPS, ANC, tuple(range(5)), 0, "", hoist=True))
+ENCODER = tuple(_gate_table(ENCODER_STEPS, DATA, DATA_QUBITS, 1, "enc", hoist=False))
 
 
 def _prep(kind: str, qmap, step0: int, tag: str) -> list[Op]:
@@ -374,7 +360,7 @@ def program(mode: str, t_max: int = 1) -> Iterator[Op]:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     t = 1
     if mode == "fig5":
-        yield from _gate_table(ENCODER_STEPS, DATA, DATA_QUBITS, t, "enc", hoist=False)
+        yield from ENCODER
         t += len(ENCODER_STEPS)
     if mode == "zgate":
         yield from _idle(1, "pre", t)
@@ -419,21 +405,18 @@ def _locations(ops, step0=0, qmap=None):
 
 def _network(ops, data_qubits=DATA_QUBITS) -> Network:
     """The ops' locations, steps shifted to start at 1."""
-    locs = list(_locations(ops))
-    shift = 1 - min(l.step for l in locs)
+    locs = sorted(_locations(ops))
+    shift = 1 - locs[0].step
     return Network(
         1 + max(q for l in locs for q in l.qubits),
-        tuple(
-            Location(l.step + shift, l.kind, l.qubits)
-            for l in sorted(locs, key=lambda l: (l.step, l.kind, l.qubits))
-        ),
+        tuple(Location(step + shift, kind, qubits) for step, kind, qubits in locs),
         data_qubits,
     )
 
 
 def build_encoder() -> Network:
     """Fig.-2-style encoding network on the 7 data qubits (input at index 2)."""
-    return _network(_gate_table(ENCODER_STEPS, DATA, DATA_QUBITS, 1, "enc", hoist=False))
+    return _network(ENCODER)
 
 
 def build_syndrome_round() -> Network:
@@ -450,7 +433,6 @@ def build_recovery(schedule: RecoverySchedule | None = None) -> Network:
 
 
 def _f2_rank(rows: list[int]) -> int:
-    rank = 0
     basis: list[int] = []
     for r in rows:
         for b in basis:
@@ -458,23 +440,21 @@ def _f2_rank(rows: list[int]) -> int:
         if r:
             basis.append(r)
             basis.sort(reverse=True)
-            rank += 1
-    return rank
+    return len(basis)
 
 
 def _propagate(net: Network, x: int, z: int) -> tuple[int, int]:
     """The Pauli frame (x, z masks) that net's H and CNOT gates make of (x,
     z), step by step: H swaps bit q between x and z, and a CNOT copies x from
     control to target and z from target to control."""
-    for step in net.steps():
-        for loc in step:
-            if loc.kind == "H":
-                swap = (x ^ z) & 1 << loc.qubits[0]
-                x, z = x ^ swap, z ^ swap
-            elif loc.kind == "CNOT":
-                c, t = loc.qubits
-                x ^= (x >> c & 1) << t
-                z ^= (z >> t & 1) << c
+    for _, kind, qubits in sorted(net.locations):
+        if kind == "H":
+            swap = (x ^ z) & 1 << qubits[0]
+            x, z = x ^ swap, z ^ swap
+        elif kind == "CNOT":
+            c, t = qubits
+            x ^= (x >> c & 1) << t
+            z ^= (z >> t & 1) << c
     return x, z
 
 

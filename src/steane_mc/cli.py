@@ -542,7 +542,16 @@ def cmd_fit(args, argv) -> int:
             groups.setdefault(key, []).append(model.point(row, model.y))
     if not groups:
         raise UsageError(f"{args.infile} has no model={model.rows_of} rows")
-    out = [_fit_row(args.model, model.fit(points), *key) for key, points in groups.items()]
+    out = []
+    for key, points in groups.items():
+        try:
+            fit = model.fit(points)
+        except analysis.AnalysisError as exc:
+            group = ", ".join(f"{k}={_fmt(v)}" for k, v in zip(model.key, key))
+            raise analysis.AnalysisError(
+                f"{args.infile}: model={args.model} fit of {group}: {exc}"
+            ) from exc
+        out.append(_fit_row(args.model, fit, *key))
     man = _base_manifest("fit", argv, [("model", args.model), ("input", args.infile)])
     write_csv(args.out, man, FIT_COLUMNS, out)
     print(f"wrote {len(out)} fit rows to {args.out}")
@@ -587,6 +596,10 @@ def cmd_thresholds(args, argv) -> int:
         c1 = {"quad": {}, "lin": {}}  # model -> C -> its c1
         for d in read_csv(args.fits, ("model", "C", "c1"))[2]:
             if d["model"] in c1:
+                if d["c1"] < 0:  # a fit through the origin of y >= 0 at x > 0 gives c1 >= 0
+                    raise UsageError(
+                        f"{args.fits} has a negative model={d['model']} c1 for C={_fmt(d['C'])}"
+                    )
                 _once(args.fits, c1[d["model"]], d["C"], d["c1"], f"model={d['model']}")
         d2, d1 = c1["quad"], c1["lin"]
         if not d2:

@@ -35,14 +35,14 @@ the faults of its nominal locations from its `StreamBank` as a sparse list
 (`StreamBank.faults`, one call per location class), maps each to its
 location and Pauli, drops the faults of every ancilla attempt whose flags
 XOR to 1, and keeps the rest.  That keep rule has one home, `_xor_kept`,
-which the nominal pass, the reruns and fault plans all run.  The rejected
-attempts of all trials and all recoveries of a window rerun together, one
-batch per try, each from its own substreams, so neither the batching nor
-the order of the reruns moves a location; then the trial XORs the
-signatures it keeps and applies the majority vote and the class lookup,
-recovery by recovery.  A window is max(1, BATCH // trials) recoveries of
-a chunk's faulting trials, so its accumulators and reruns cover about
-BATCH trial-recoveries at most.
+which the nominal pass, the reruns, fault plans and certification all
+run.  The rejected attempts of all trials and all recoveries of a window
+rerun together, one batch per try, each from its own substreams, so
+neither the batching nor the order of the reruns moves a location; then
+the trial XORs the signatures it keeps and applies the majority vote and
+the class lookup, recovery by recovery.  A window is
+max(1, BATCH // trials) recoveries of a chunk's faulting trials, so its
+accumulators and reruns cover about BATCH trial-recoveries at most.
 The table keeps its locations in one form, per-location arrays of kind,
 rate and ancilla attempt, and a config's `_Plan` reads its location classes
 off them with array masks; every recovery runs that layout.  Stabilize
@@ -794,9 +794,12 @@ def certify_single_faults() -> CertificationReport:
     trivial class in both sectors.
     """
     table = _table("memory_t20")
-    # a case that makes its attempt's verification fire is dropped with the
-    # attempt, whose rerun is fault-free; every other case keeps its signature
-    dx, dz = _correct(np.where(table.flag, _SIG(0), table.sig))
+    # each case is its own row through the keep rule; an attempt it rejects
+    # reruns fault-free, so the row keeps nothing
+    case = np.arange(len(table.sig))
+    sig = np.zeros(case.size, dtype=_SIG)
+    _xor_kept(table, case, case, np.repeat(np.arange(len(table.case0)), table.codes), sig)
+    dx, dz = _correct(sig)
     bad = np.flatnonzero(IDEAL_FAILS[dx] | IDEAL_FAILS[dz])
     cases = []
     if bad.size:  # the cases only label the failures

@@ -273,12 +273,26 @@ def test_schedule_validation():
 
 
 def test_network_step_disjointness_enforced():
-    with pytest.raises(ValueError):
-        Network(3, (Location(1, "H", (0,)), Location(1, "CNOT", (0, 1))))
-    with pytest.raises(ValueError):
-        Location(1, "CNOT", (2, 2))
-    with pytest.raises(ValueError):
-        Location(1, "H", (0, 1))
+    """Network checks every location: a qubit reused within a step, a qubit
+    out of range, a CNOT on other than two distinct qubits, H, I or P on
+    other than one qubit, M on no qubit, and an unknown kind."""
+    bad = [
+        (Location(1, "H", (0,)), Location(1, "CNOT", (0, 1))),
+        (Location(1, "H", (3,)),),
+        (Location(1, "CNOT", (2, 2)),),
+        (Location(1, "CNOT", (1,)),),
+        (Location(1, "CNOT", (0, 1, 2)),),
+        *((Location(1, kind, qubits),) for kind in "HIP" for qubits in ((), (0, 1), (0, 1, 2))),
+        (Location(1, "M", ()),),
+        (Location(1, "X", (0,)),),
+        (Location(1, "", ()),),
+    ]
+    for locations in bad:
+        with pytest.raises(ValueError):
+            Network(3, locations)
+    good = [Location(1, "CNOT", (0, 2)), Location(1, "H", (1,)), Location(2, "I", (0,)),
+            Location(2, "M", (1, 2)), Location(3, "P", (2,))]
+    assert Network(3, tuple(good)).locations == tuple(good)
 
 
 def test_no_qubit_reused_within_any_step():

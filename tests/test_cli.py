@@ -334,13 +334,28 @@ def test_fit_groups_rows_by_value_and_echoes_inputs(tmp_path):
         assert _data_block(refit) == _data_block(fits)
 
 
-def test_fit_degenerate_exits_2(tmp_path):
-    src = str(tmp_path / "d.csv")
+def test_fit_degenerate_exits_2(tmp_path, capsys):
+    """A group that cannot be fitted exits 2, and the message names the
+    input file, the model and the group's C: one epsilon twice, or a C = 1
+    group of one row beside a C = inf group that fits."""
     n = 1000
-    rows = [["memory_t20", "inf", 1e-3, 0.0, 20, n, 0, 1e-2, 1e-2,
-             an.binomial_sigma(10, n), 0, 0, 0, 0, 0.99, 0.0]] * 2
-    cli.write_csv(src, [], cli.SWEEP_COLUMNS, rows)
-    assert run(["fit", "--model", "quad", "--in", src, "--out", str(tmp_path / "x.csv")]) == 2
+
+    def row(c, eps):
+        return ["memory_t20", c, eps, 0.0, 20, n, 0, 1e-2, 1e-2,
+                an.binomial_sigma(10, n), 0, 0, 0, 0, 0.99, 1e-2]
+
+    cases = [  # (rows, model, the group named)
+        ([row("inf", 1e-3)] * 2, "quad", "C=inf"),
+        ([row("inf", 1e-3), row("inf", 2e-3), row(1.0, 1e-3)], "quad", "C=1.0"),
+        ([row("inf", 1e-3), row("inf", 2e-3), row(1.0, 1e-3)], "lin", "C=1.0"),
+    ]
+    for k, (rows, model, named) in enumerate(cases):
+        src, out = str(tmp_path / f"d{k}.csv"), tmp_path / f"x{k}.csv"
+        cli.write_csv(src, [], cli.SWEEP_COLUMNS, rows)
+        assert run(["fit", "--model", model, "--in", src, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert src in err and f"model={model}" in err and named in err, err
+        assert not out.exists()
 
 
 def test_stabilize_fit_slope_threshold_pipeline(tmp_path):
@@ -397,6 +412,8 @@ def test_thresholds_conflicting_or_unmatched_rows_exit_1(tmp_path, capsys):
         (quad + "quad,inf,34000.0\n", None, "C=inf"),
         (quad + "lin,1,343.8\nquad,1,43843.2\nlin,1,344.0\n", None, "C=1.0"),
         (quad + "lin,inf,290.8\nlin,0.5,409.6\n", None, "C=0.5"),
+        (quad + "lin,inf,-5\n", None, "C=inf"),  # c1 >= 0: a fit through the origin of y >= 0
+        ("model,C,c1\nquad,inf,-30000\n", None, "C=inf"),
         (None, head + slope2 + "slope3,inf,5.0,-500.0,1000.0\n", "C=inf"),
         (None, head + slope2 + "slope3,inf,5.0,-500.0,1000.0\nslope2,7,1.0,-100.0,\n", "C=inf"),
         (None, head + "slope2,7,1.0,-100.0,\n", "C=7.0"),

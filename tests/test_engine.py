@@ -666,6 +666,22 @@ def test_certification_reports_the_replayed_failures(monkeypatch):
     assert report.failures == replayed
 
 
+def test_certification_runs_the_keep_rule(monkeypatch):
+    """Certification keeps and drops cases through `_xor_kept`: under a keep
+    rule that also keeps the faults of rejected attempts, it reports flagged
+    cases, and only those, as failures."""
+    def keep_all(table, row, case, slot, acc):
+        np.bitwise_xor.at(acc, row, table.sig[case])
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+
+    monkeypatch.setattr(eng, "_xor_kept", keep_all)
+    report = eng.certify_single_faults()
+    table = eng._table("memory_t20")
+    failed = [table.case0[c.slot] + c.code - 1 for c in report.failures]
+    assert failed and table.flag[failed].all()
+    assert (report.n_locations, report.n_cases) == (1508, 6468)
+
+
 def test_fault_case_enumeration_is_stable():
     """The cached cases equal a rebuild from an emptied cache."""
     cases1 = eng.enumerate_fault_cases(_cfg())
