@@ -558,8 +558,11 @@ def cmd_fit(args, argv) -> int:
     return 0
 
 
-def _threshold_row(row: analysis.TableRow, slope=None):
-    ts = analysis.thresholds_from(row, slope)
+def _threshold_row(row: analysis.TableRow, slope=None, source="the paper table"):
+    try:
+        ts = analysis.thresholds_from(row, slope)
+    except analysis.AnalysisError as exc:  # name the row that failed, as `fit` does
+        raise analysis.AnalysisError(f"{source}: C={_fmt(row.ratio_C)}: {exc}") from exc
     return [
         row.ratio_C, row.D2, row.D1, ts.g1, ts.eps_pth, ts.eps_pth_approx, ts.eps_sth,
         ts.eps_mth, ts.eps_g1, ts.eps_thg1, ts.eps_thg2,
@@ -612,12 +615,9 @@ def cmd_thresholds(args, argv) -> int:
     source = "the paper table" if args.use_paper_table else args.fits
     where = f"where {source} has no threshold row"
     _matched(args.slopes, slopes, [row.ratio_C for row in table], "slope2/slope3", where)
-    rows = [_threshold_row(row, slopes.get(row.ratio_C)) for row in table]
-    man = _base_manifest(
-        "thresholds",
-        argv,
-        [("source", "paper-table" if args.use_paper_table else args.fits)],
-    )
+    rows = [_threshold_row(row, slopes.get(row.ratio_C), source) for row in table]
+    label = "paper-table" if args.use_paper_table else args.fits
+    man = _base_manifest("thresholds", argv, [("source", label)])
     write_csv(args.out, man, THRESHOLD_COLUMNS, rows)
     print(f"wrote {len(rows)} threshold rows to {args.out}")
     return 0

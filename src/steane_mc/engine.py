@@ -17,12 +17,11 @@ the one numbering of the error locations: the signature tables and
 `enumerate_fault_cases` both read it, and no run is needed; a fault case
 keeps its draw's record and makes its label from it on demand.  A
 program's cases are built once per process (a small LRU cache, keyed as
-plans are); `enumerate_fault_cases` returns a fresh list on each call, and
-the cases in it are shared.  The tests
-check it against `noise.RecordingSource`, which records the draws of an
-interpreter run.  The syndrome bits of a trial sit in one uint32 laid out
-as in a signature word, and `CORRECT9` is the one decoder table: the
-interpreter's `P` op and the kernel both correct with it.
+plans are), and `enumerate_fault_cases` returns that one immutable tuple.
+The tests check it against `noise.RecordingSource`, which records the
+draws of an interpreter run.  The syndrome bits of a trial sit in one
+uint32 laid out as in a signature word, and `CORRECT9` is the one decoder
+table: the interpreter's `P` op and the kernel both correct with it.
 
 Every op except a rejected ancilla's rerun, the majority vote `P` and the
 tally is linear over GF(2) in the Pauli frame.  So a single fault acts
@@ -30,17 +29,18 @@ through a fixed signature: the data frame and the 18 syndrome bits it leaves
 before the correction, and whether it alone makes its ancilla attempt's
 verification fire.  `_table` reads the signature of every single fault of a
 program off one linear run of `_execute` (reruns off, `P` left out), once per
-mode and process, on first use.  A Monte Carlo trial then reads
-the faults of its nominal locations from its `StreamBank` as a sparse list
-(`StreamBank.faults`, one call per location class), maps each to its
-location and Pauli, drops the faults of every ancilla attempt whose flags
-XOR to 1, and keeps the rest.  That keep rule has one home, `_xor_kept`,
-which the nominal pass, the reruns, fault plans and certification all
-run.  The rejected attempts of all trials and all recoveries of a window
-rerun together, one batch per try, each from its own substreams, so
-neither the batching nor the order of the reruns moves a location; then
-the trial XORs the signatures it keeps and applies the majority vote and
-the class lookup, recovery by recovery.  A window is
+mode and process, on first use.  A Monte Carlo trial then reads the faults
+of its nominal locations from its `StreamBank` as a sparse list
+(`StreamBank.faults`, one call per location class), maps each to its case,
+the table row of its location and Pauli, drops the faults of every ancilla
+attempt whose flags XOR to 1, and keeps the rest.  That keep rule has one
+home, `_xor_kept`, which the nominal pass, the reruns, fault plans and
+certification all run; it reads each fault's signature, flag and attempt
+by case.  The rejected attempts of all trials and all recoveries of a
+window rerun together, one batch per try, each from its own substreams,
+so neither the batching nor the order of the reruns moves a location;
+then the trial XORs the signatures it keeps and applies the majority vote
+and the class lookup, recovery by recovery.  A window is
 max(1, BATCH // trials) recoveries of a chunk's faulting trials, so its
 accumulators and reruns cover about BATCH trial-recoveries at most.
 The table keeps its locations in one form, per-location arrays of kind,
@@ -135,8 +135,8 @@ _SIG = np.uint32
 def _correct(sig):
     """The data residual (x, z) that signature words leave after the majority
     vote's correction."""
-    x = (sig & 0x7F) ^ CORRECT9[sig >> (_SYN + 9 * BIT) & 0x1FF]
-    z = (sig >> 7 & 0x7F) ^ CORRECT9[sig >> (_SYN + 9 * PHASE) & 0x1FF]
+    x = (sig & 0x7F) ^ CORRECT9.take(sig >> (_SYN + 9 * BIT) & 0x1FF)
+    z = (sig >> 7 & 0x7F) ^ CORRECT9.take(sig >> (_SYN + 9 * PHASE) & 0x1FF)
     return x, z
 
 
@@ -341,6 +341,7 @@ class _Table:
 
     sig: np.ndarray  # signature word per fault case, in enumerate_fault_cases order
     flag: np.ndarray  # per case: alone, it makes its attempt's verification fire
+    att: np.ndarray  # per case: 1 + the prep op whose attempt draws it (0: none)
     case0: np.ndarray  # per location: its first case; Pauli code c is case0 + c - 1
     codes: np.ndarray  # per location: its number of Pauli codes, 3 or 15 (its kind)
     prep: np.ndarray  # per location: the prep op whose attempt draws it (-1: none)
@@ -363,9 +364,10 @@ def _table(mode: str) -> _Table:
     flags: list = []
     x, z, syn, _, [(step, _)] = _execute(program(mode), src, (0, 0), len(slots), flags=flags)
     sig = x[DATA].astype(_SIG) | z[DATA].astype(_SIG) << 7 | syn
+    prep = np.repeat(prep, n)
     return _Table(
-        sig, np.any(flags, axis=0), case0, n_codes, np.repeat(prep, n), np.repeat(rate, n),
-        len(flags), step,
+        sig, np.any(flags, axis=0), np.repeat(prep + 1, n_codes), case0, n_codes, prep,
+        np.repeat(rate, n), len(flags), step,
     )
 
 
@@ -378,8 +380,7 @@ class _Plan:
     table: _Table
     classes: tuple  # (kind, p) per class, in the order of their first locations
     n: np.ndarray  # locations per class
-    base: np.ndarray  # where each class starts in loc
-    loc: np.ndarray  # table slot of every location, class after class, each in draw order
+    cases: tuple  # per class: the first case of each of its locations, less 1, in draw order
     start: np.ndarray  # (table.preps, classes): class locations before each attempt's first
     alen: np.ndarray  # locations of one attempt per class
     steps: tuple  # data step of each tally
@@ -409,7 +410,7 @@ def _build_plan(mode, t_max, noise) -> _Plan:
     cls = np.array([classes.index(c) if c in classes else len(classes) for c in locs])
     hot = cls[:, None] == np.arange(len(classes))  # (location, class)
     n = hot.sum(axis=0)
-    loc = np.argsort(cls, kind="stable")[:n.sum()]  # class by class, each in slot order
+    cases = tuple(table.case0[h] - 1 for h in hot.T)
     # an attempt's locations are contiguous, and every prep op runs the one
     # shared attempt, so attempt 0 gives the lengths of all
     attempt, first = np.unique(table.prep, return_index=True)
@@ -423,36 +424,37 @@ def _build_plan(mode, t_max, noise) -> _Plan:
         bits = (np.arange(128)[:, None] >> qubits) & 1
         residual = np.bitwise_xor.reduce(np.where(bits, units[:, None], _SIG(0)), axis=2)
     screen = {c: screen_threshold(c[1], k * t_max) for c, k in zip(classes, n.tolist())}
-    return _Plan(table, classes, n, np.cumsum(n) - n, loc, start, alen, steps, screen, residual)
+    return _Plan(table, classes, n, cases, start, alen, steps, screen, residual)
 
 
 def _faults(plan: _Plan, bank, n, start=None):
-    """(row, case, slot) of every fault bank draws over n[c] locations of each
+    """(row, case) of every fault bank draws over n[c] locations of each
     class c of plan: nominal ones, or, given start, those of the attempt that
     row i reruns, which begin at start[i, c] in the class."""
-    found = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0, _U8),)]
+    found = [(np.zeros(0, np.int64),) * 2]
     for c, (kind, p) in enumerate(plan.classes):
         if n[c]:
             r, off, code = bank.faults(kind, p, int(n[c]))
-            found.append((r, np.full(r.size, c), off, code))
-    row, cls, off, code = (np.concatenate(a) for a in zip(*found))
-    if start is not None:
-        off += start[row, cls]
-    slot = plan.loc[plan.base[cls] + off]
-    return row, plan.table.case0[slot] + code - 1, slot
+            off = off if start is None else off + start[r, c]
+            found.append((r, plan.cases[c][off] + code))
+    return tuple(np.concatenate(a) for a in zip(*found))
 
 
-def _xor_kept(table: _Table, row, case, slot, acc):
+def _xor_kept(table: _Table, row, case, acc):
     """The keep rule: XOR into acc[row] the signatures of the faults (row,
-    case, slot) that the row keeps.  Every (row, ancilla attempt) whose flags
-    XOR to 1 is rejected and drops its faults; every other fault is kept.
+    case) that the row keeps.  Every (row, ancilla attempt) whose flags XOR
+    to 1 is rejected and drops its faults; every other fault is kept.
     Returns (row, prep) of each attempt rejected."""
     width = table.preps + 1  # per row: column 0 for no attempt, 1 + i for prep i
-    pair = row * width + 1 + table.prep[slot]
+    pair = row * width + table.att[case]
     flips = np.zeros(acc.size * width, dtype=bool)
     np.bitwise_xor.at(flips, pair[table.flag[case]], True)  # only attempts raise flags
     keep = ~flips[pair]
-    np.bitwise_xor.at(acc, row[keep], table.sig[case[keep]])
+    row, sig = row[keep], table.sig[case[keep]]
+    if (row[1:] > row[:-1]).all():  # no row twice, so a plain XOR is exact (and faster)
+        acc[row] ^= sig
+    else:
+        np.bitwise_xor.at(acc, row, sig)
     rejected = np.flatnonzero(flips)
     return rejected // width, rejected % width - 1
 
@@ -741,12 +743,12 @@ class CertificationReport:
         return not self.failures
 
 
-def enumerate_fault_cases(config: ExperimentConfig) -> list[FaultCase]:
+def enumerate_fault_cases(config: ExperimentConfig) -> tuple[FaultCase, ...]:
     """All (location, Pauli) cases of config's program, in `_draws` order.
 
-    The list is fresh on each call; the cases in it are built once per
-    program and process, and shared."""
-    return list(_fault_cases(*_program_key(config)))
+    The tuple is built once per program and process, and every call
+    returns it: it cannot be mutated, so sharing it is safe."""
+    return _fault_cases(*_program_key(config))
 
 
 # the four sweep modes and a few stabilize lengths; a recovery's 6,468 cases
@@ -780,7 +782,7 @@ def run_fault_plan(
     table = _table(config.mode)
     plan = FaultPlanSource(slots, codes, table.codes)
     sig = np.zeros(plan.size, dtype=_SIG)
-    _xor_kept(table, plan.rows, table.case0[plan.slots] + plan.codes - 1, plan.slots, sig)
+    _xor_kept(table, plan.rows, table.case0[plan.slots] + plan.codes - 1, sig)
     dx, dz = _correct(sig)
     return dx.astype(_U8), dz.astype(_U8)
 
@@ -798,7 +800,7 @@ def certify_single_faults() -> CertificationReport:
     # reruns fault-free, so the row keeps nothing
     case = np.arange(len(table.sig))
     sig = np.zeros(case.size, dtype=_SIG)
-    _xor_kept(table, case, case, np.repeat(np.arange(len(table.case0)), table.codes), sig)
+    _xor_kept(table, case, case, sig)
     dx, dz = _correct(sig)
     bad = np.flatnonzero(IDEAL_FAILS[dx] | IDEAL_FAILS[dz])
     cases = []

@@ -369,18 +369,19 @@ class FaultPlanSource:
     (matching the draw walk that numbers them).  Two codes planned at one
     location multiply (XOR), as two faults there would.
 
-    The constructor checks the whole plan: it raises ValueError, naming the
-    first bad row and slot, for a code not in 0..15, a planned slot that is
-    not an integer, is negative, or lies at or past len(fits) (the trial
-    never draws it), and a code that does not fit its location.
+    The constructor checks the whole plan, with the tests each dtype needs:
+    a code not in 0..15, a slot that is not an integer, is negative, or lies
+    at or past len(fits) (the trial never draws it), and a code that does not
+    fit its location raise ValueError naming the first bad row and slot.
     """
 
     def __init__(self, slots, codes, fits):
         slots, codes = np.atleast_2d(np.asarray(slots)), np.atleast_2d(np.asarray(codes))
         if slots.shape != codes.shape:
             raise ValueError("slots/codes shape mismatch")
-        rows, col = np.nonzero(codes)  # code 0 plans nothing
-        slot, code = slots[rows, col], codes[rows, col]
+        flat = np.flatnonzero(codes)  # code 0 plans nothing
+        rows = flat // codes.shape[1]
+        slot, code = slots.ravel()[flat], codes.ravel()[flat]
 
         def check(bad, why):
             if bad.any():
@@ -388,11 +389,18 @@ class FaultPlanSource:
                 why = why.format(code=code[i])
                 raise ValueError(f"fault plan row {rows[i]}, slot {slot[i]}: {why}")
 
-        check(~np.isin(code, np.arange(N_CODES["pauli2"] + 1)), "code {code} not in 0..15")
-        check(np.floor(slot) != slot, "a non-integral slot")
-        check(slot < 0, "a negative slot")
+        bad = code > N_CODES["pauli2"]  # only the comparisons each dtype needs
+        if code.dtype.kind not in "ub":  # signed
+            bad |= code < 0
+        if code.dtype.kind == "f":  # not integral by type
+            bad |= np.floor(code) != code
+        check(bad, "code {code} not in 0..15")
+        if slot.dtype.kind == "f":
+            check(np.floor(slot) != slot, "a non-integral slot")
+        if slot.dtype.kind not in "ub":
+            check(slot < 0, "a negative slot")
         check(slot >= len(fits), f"the trial drew only {len(fits)} locations")
-        slot = slot.astype(np.int64)
+        slot = slot.astype(np.int64, copy=False)
         check(code > np.asarray(fits)[slot], "code {code} does not fit a one-qubit location")
         self.size, self.cursor = slots.shape[0], 0
         self.rows, self.slots, self.codes = rows, slot, code.astype(np.uint8)

@@ -437,13 +437,21 @@ def test_thresholds_conflicting_or_unmatched_rows_exit_1(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_thresholds_bracket_failure_exits_2(tmp_path):
-    src = str(tmp_path / "fits.csv")
+def test_thresholds_bracket_failure_exits_2(tmp_path, capsys):
+    """A solver failure names the fits file and the C, exits 2, and writes nothing."""
+    src, zero = str(tmp_path / "fits.csv"), str(tmp_path / "zero.csv")
     cli.write_csv(
         src, [], cli.FIT_COLUMNS,
         [["quad", "inf", "", 1e-12, 1e-13, "", "", "", "", 0.0, 5]],
     )
-    assert run(["thresholds", "--fits", src, "--out", str(tmp_path / "t.csv")]) == 2
+    with open(zero, "w") as fh:
+        fh.write("model,C,c1\nquad,inf,0\n")  # D2 = 0, inside the c1 >= 0 domain
+    for path in (src, zero):
+        out = tmp_path / "t.csv"
+        capsys.readouterr()
+        assert run(["thresholds", "--fits", path, "--out", str(out)]) == 2
+        assert f"error: {path}: C=inf: no sign change" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_table1_clean(tmp_path):

@@ -93,7 +93,7 @@ def test_run_fault_plan_rejects_a_code_that_does_not_fit():
     assert n == 1508
     with pytest.raises(ValueError, match="row 0, slot -5: a negative slot"):
         eng.run_fault_plan(config, [[-5]], [[1]])
-    for slot in (n, 10**6):
+    for slot in (n, 10**6, 2**70):  # 2**70 is past int64: an object array
         with pytest.raises(ValueError, match=f"row 0, slot {slot}: the trial drew only {n}"):
             eng.run_fault_plan(config, [[slot]], [[1]])
     # a slot that names no location: not an integer, or past every int64
@@ -101,6 +101,16 @@ def test_run_fault_plan_rejects_a_code_that_does_not_fit():
         eng.run_fault_plan(config, [[8.7]], [[1]])
     with pytest.raises(ValueError, match=rf"row 0, slot 1e\+30: the trial drew only {n}"):
         eng.run_fault_plan(config, [[1e30]], [[1]])
+    # the checks are chosen by dtype: unsigned codes and slots, integral float slots
+    with pytest.raises(ValueError, match="row 1, slot 9: code 200 not in 0..15"):
+        eng.run_fault_plan(config, [[9], [9]], np.array([[7], [200]], dtype=np.uint8))
+    for slot in (n, 2**64 - 1):
+        with pytest.raises(ValueError, match=f"row 0, slot {slot}: the trial drew only {n}"):
+            eng.run_fault_plan(config, np.array([[slot]], dtype=np.uint64), [[1]])
+    got = eng.run_fault_plan(config, np.array([[9.0], [57.0]]), np.array([[7], [7]], np.uint64))
+    assert np.array_equal(got, eng.run_fault_plan(config, [[9], [57]], [[7], [7]]))
+    with pytest.raises(ValueError, match="row 1, slot 51: code 7 does not fit a one-qubit"):
+        eng.run_fault_plan(config, [[9, 0], [9, 51]], [[7, 0], [0, 7]])  # row from flat index
     dx, dz = eng.run_fault_plan(config, [[-5, 3], [n, 3]], [[0, 1], [0, 1]])  # code 0 plans nothing
     assert dx.tolist() == dz.tolist() == [0, 0]
     # an X at slot 8, a gate of the first ancilla attempt, rejects that attempt;
@@ -670,7 +680,7 @@ def test_certification_runs_the_keep_rule(monkeypatch):
     """Certification keeps and drops cases through `_xor_kept`: under a keep
     rule that also keeps the faults of rejected attempts, it reports flagged
     cases, and only those, as failures."""
-    def keep_all(table, row, case, slot, acc):
+    def keep_all(table, row, case, acc):
         np.bitwise_xor.at(acc, row, table.sig[case])
         return np.zeros(0, np.int64), np.zeros(0, np.int64)
 
@@ -693,15 +703,13 @@ def test_fault_case_enumeration_is_stable():
     assert max(slots) == len(slots) - 1  # contiguous location numbering
 
 
-def test_fault_case_lists_are_fresh_per_call():
+def test_fault_cases_are_one_shared_immutable_tuple():
+    """Every call returns the one cached tuple; no caller can change it."""
     cases1 = eng.enumerate_fault_cases(_cfg())
     cases2 = eng.enumerate_fault_cases(_cfg())
-    assert type(cases1) is list and cases1 == cases2 and cases1 is not cases2
-    n = len(cases2)
-    cases1.append(cases1[0])
-    cases1[0] = None
-    cases3 = eng.enumerate_fault_cases(_cfg())
-    assert len(cases3) == n and cases3 == cases2
+    assert type(cases1) is tuple and cases1 is cases2
+    with pytest.raises(TypeError):
+        cases1[0] = None
 
 
 @pytest.mark.parametrize(
@@ -715,7 +723,7 @@ def test_cached_fault_cases_match_an_uncached_draw_walk(mode, t_max):
         want += [(s, code, draw) for s in range(slot, slot + n) for code in range(1, N_CODES[kind] + 1)]
         slot += n
     eng.enumerate_fault_cases(cfg)  # fill the cache, then read it
-    assert eng.enumerate_fault_cases(cfg) == want
+    assert list(eng.enumerate_fault_cases(cfg)) == want
     if mode == "stabilize":  # t_max recoveries of memory_t20's cycle
         assert len(want) == t_max * len(eng.enumerate_fault_cases(_cfg()))
 

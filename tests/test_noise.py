@@ -473,9 +473,29 @@ def test_fault_plan_same_location_multiplies():
 def test_fault_plan_rejects_codes_that_do_not_fit():
     """A code outside 0..15, or a pair code at a one-qubit location, raises
     ValueError naming the plan row and the slot as the plan is built."""
-    for bad in (300, 21, 16, -1, 2.5):
+    for bad in (300, 21, 16, -1, 2.5, 2**70):
         with pytest.raises(ValueError, match=r"row 1, slot 4: code .* not in 0\.\.15"):
             FaultPlanSource([[0], [4]], [[1], [bad]], [15] * 5)
+    # the checks are chosen by dtype; each still names the first bad row
+    for bad, dtype, shown in ((200, np.uint8, "200"), (16, np.uint64, "16"), (-1, np.int8, "-1"),
+                              (2.5, np.float64, "2.5"), (np.nan, np.float32, "nan"),
+                              (-3.0, np.float64, "-3.0"), (np.inf, np.float64, "inf")):
+        codes = np.array([[1], [bad], [bad]], dtype=dtype)
+        with pytest.raises(ValueError, match=rf"^fault plan row 1, slot 4: code {shown} not in"):
+            FaultPlanSource([[0], [4], [2]], codes, [15] * 5)
+    for codes in ([[1.0], [3.0]], np.array([[1], [3]], dtype=np.int8)):  # integral values fit
+        assert FaultPlanSource([[0], [4]], codes, [15] * 5).cnot_pairs(0.0, 5)[1, 4] == 3
+    assert FaultPlanSource([[0.0], [4.0]], [[1], [3]], [15] * 5).cnot_pairs(0.0, 5)[1, 4] == 3
+    for slot in (5, 2**64 - 1):  # unsigned slots are range-tested alone
+        with pytest.raises(ValueError, match=f"row 1, slot {slot}: the trial drew only 5"):
+            FaultPlanSource(np.array([[0], [slot]], dtype=np.uint64), [[1], [1]], [15] * 5)
+    with pytest.raises(ValueError, match="row 1, slot -2: a negative slot"):
+        FaultPlanSource(np.array([[0], [-2]], dtype=np.int8), [[1], [1]], [15] * 5)
+    # two columns: the row comes from the flat index of the plan's nonzero codes
+    with pytest.raises(ValueError, match="row 1, slot 3: code 21 not in 0..15"):
+        FaultPlanSource([[0, 1], [2, 3]], [[1, 0], [0, 21]], [15] * 5)
+    with pytest.raises(ValueError, match="row 1, slot 3: code 4 does not fit"):
+        FaultPlanSource([[0, 1], [2, 3]], [[1, 2], [3, 4]], [15, 15, 15, 3])
     with pytest.raises(ValueError, match="row 2, slot 2: code 7 does not fit a one-qubit"):
         FaultPlanSource([[0], [3], [2]], [[1], [3], [7]], [3] * 7)
     fits = [15, 15, 15, 3, 3, 3]  # three CNOTs, then three one-qubit locations

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from steane_mc import engine as eng
-from steane_mc.noise import FaultPlanSource, NoiseParams, RecordingSource
+from steane_mc.noise import N_CODES, FaultPlanSource, NoiseParams, RecordingSource
 
 SWEEP_MODES = ["memory_t20", "ec1", "zgate", "fig5"]
 
@@ -119,6 +119,36 @@ def test_nominal_locations_count_one_recorded_pass(mode):
     assert plan.steps == tuple(
         op.step for op in cfg.program() if op.kind == "tally"
     )
+
+
+@pytest.mark.parametrize("C", [np.inf, 1.0, 0.5])
+@pytest.mark.parametrize("mode", [*SWEEP_MODES, "stabilize"])
+def test_plan_cases_follow_the_slot_route(mode, C):
+    """Offset off of class c with Pauli code k is case plan.cases[c][off] + k,
+    the case case0[slot] + k - 1 of the class's off-th location in draw order;
+    a rerun's offsets begin at the attempt's start in the class.  The classes
+    are rebuilt here from the table's codes and rates, in order of first
+    appearance: one at C = inf, two at C = 1, three at C = 0.5."""
+    noise = NoiseParams(1e-3, C)
+    plan = eng._build_plan(mode, 3 if mode == "stabilize" else 1, noise)
+    table = plan.table
+    kinds, rates = {3: "pauli1", 15: "pauli2"}, (noise.epsilon, noise.gamma)
+    slots: dict = {}  # class -> its locations' slots, in draw order
+    for slot, (codes, rate) in enumerate(zip(table.codes.tolist(), table.rate.tolist())):
+        if rates[rate] > 0:
+            slots.setdefault((kinds[codes], rates[rate]), []).append(slot)
+    assert plan.classes == tuple(slots)
+    assert len(plan.classes) == {np.inf: 1, 1.0: 2, 0.5: 3}[C]
+    assert len(plan.cases) == len(plan.n) == len(plan.classes)
+    for c, cls in enumerate(plan.classes):
+        slot = np.array(slots[cls])
+        assert plan.n[c] == slot.size == plan.cases[c].size
+        for code in range(1, N_CODES[cls[0]] + 1):
+            assert np.array_equal(plan.cases[c] + code, table.case0[slot] + code - 1)
+        for a in range(table.preps):  # a rerun of attempt a
+            off = plan.start[a, c] + np.arange(plan.alen[c])
+            assert np.array_equal(table.prep[slot[off]], np.full(off.size, a))
+            assert np.count_nonzero(table.prep[slot] == a) == plan.alen[c]
 
 
 @pytest.mark.parametrize("mode", SWEEP_MODES)
